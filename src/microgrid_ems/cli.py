@@ -105,10 +105,12 @@ def _train(cfg, opt, out: Path):
     scenarios_mod.save_distributions(dists, out / "distributions.json")
     with open(out / "training_log.csv", "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["iteration", "lower_bound", "forward_cost", "total_cuts"])
+        w.writerow(["iteration", "lower_bound", "forward_cost", "total_cuts",
+                    "iteration_s"])
         for i in range(tlog.iterations):
             w.writerow([i, repr(tlog.lower_bounds[i]),
-                        repr(tlog.forward_costs[i]), tlog.cut_counts[i]])
+                        repr(tlog.forward_costs[i]), tlog.cut_counts[i],
+                        f"{tlog.iteration_seconds[i]:.6f}"])
     return vf, dists, tlog
 
 

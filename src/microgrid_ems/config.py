@@ -189,6 +189,11 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
         raise ConfigError("generator", str(exc)) from exc
     if generator.horizon_steps != system.horizon_steps:
         raise ConfigError("generator.horizon_steps", "must match system.horizon_steps")
+    min_floor = generator.delta * generator.d_hw_cap
+    if system.h_floor < min_floor - 1e-9:
+        raise ConfigError("system.h_floor",
+                          f"{system.h_floor} is below generator.delta * d_hw_cap = "
+                          f"{min_floor}; one hot-water spike could empty the tank")
 
     sddp = doc.get("sddp", {})
     s_offline = int(sddp.get("s_offline", 20))
@@ -298,7 +303,8 @@ def day_config(day: str, horizon_steps: int = 96, delta: float = 0.25) -> dict:
             **_SYSTEM_DEFAULTS,
             "horizon_steps": horizon_steps, "delta": delta,
             "h_max": round(tank_capacity_kwh(120.0, 40.0), 6),
-            "h_floor": 0.65,
+            # the tank must cover one full-rate hot-water spike over a step
+            "h_floor": delta * GeneratorConfig.d_hw_cap,
             "theta_o": [round(v, 6) for v in theta_o],
             "p_int": [round(v, 6) for v in d["p_int_kw"] * bell],
             "p_ext": [round(v, 6) for v in d["p_ext_kw"] * bell],

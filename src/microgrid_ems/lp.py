@@ -1,8 +1,9 @@
 """Linear programs with exact dual extraction.
 
-The MPC controller solves one multi-period LP per step; SDDP solves one LP
-per stage subproblem and reads the cut slopes off the equality duals of the
-rows pinning the incoming state.
+The MPC controller solves one multi-period LP per step. SDDP keeps one
+persistent LP per stage: the incoming state is a block of fixed columns
+(lower = upper = x), new cuts are appended as rows, and the cut slopes are
+the reduced costs of the fixed columns.
 
 Problems are tiny (at most a few thousand rows), dense in spirit but stored
 sparse; they are handed to HiGHS through scipy. The dual convention is fixed
@@ -11,6 +12,7 @@ so that for an equality row a.x = b, value(b + d) >= value(b) + dual * d.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -34,6 +36,9 @@ try:  # vendored HiGHS bindings; enable warm-started re-solves when present
     from scipy.optimize._highspy import _core as _highs_core
 except ImportError:  # pragma: no cover - depends on the scipy build
     _highs_core = None
+
+log = logging.getLogger(__name__)
+_cold_path_warned = False
 
 
 class LpError(ValueError):
@@ -64,8 +69,7 @@ def _as_matrix(a, m, n, name):
 class LinearProgram:
     """min c.x  s.t.  a_eq x = rhs,  a_ub x <= b_ub,  lower <= x <= upper.
 
-    The inequality block is optional; state pinning for subgradient
-    extraction always goes through equality rows.
+    The inequality block is optional.
     """
 
     c: np.ndarray
@@ -125,7 +129,6 @@ class LpSolution:
     duals: np.ndarray
     reduced_costs: np.ndarray
     status: LpStatus
-    ub_duals: Optional[np.ndarray] = None
 
     @property
     def optimal(self) -> bool:
@@ -159,15 +162,14 @@ def solve(lp: LinearProgram) -> LpSolution:
             status=status,
         )
     duals = res.eqlin.marginals if lp.n_eq else np.zeros(0)
+    # on a fixed column the two bound marginals sum to its reduced cost
     reduced = res.lower.marginals + res.upper.marginals
-    ub_duals = res.ineqlin.marginals if lp.a_ub is not None else None
     return LpSolution(
         x_star=res.x,
         objective=float(res.fun),
         duals=np.asarray(duals, dtype=float),
         reduced_costs=np.asarray(reduced, dtype=float),
         status=LpStatus.OPTIMAL,
-        ub_duals=None if ub_duals is None else np.asarray(ub_duals, dtype=float),
     )
 
 
@@ -191,28 +193,35 @@ def parametric_duals(lp: LinearProgram, fixed_rows: Iterable[int],
 class PersistentLp:
     """A linear program held inside the solver across re-solves.
 
-    The matrix and costs are fixed at construction; right-hand sides and
-    variable bounds may change between solves. The previous basis warm-starts
-    each re-solve, which is an order of magnitude faster than a cold solve
-    on the repeated stage problems. Falls back to cold solves when the
-    bundled HiGHS bindings are unavailable.
+    Costs are fixed at construction. Equality right-hand sides and variable
+    bounds may change between solves, and inequality rows may be appended.
+    The previous basis warm-starts each re-solve, which is an order of
+    magnitude faster than a cold solve on the repeated stage problems. Falls
+    back to cold solves, with a warning, when the bundled HiGHS bindings are
+    unavailable.
 
     Not picklable on purpose (holds solver state); owners rebuild it lazily.
     """
 
     def __init__(self, lp: LinearProgram):
+        global _cold_path_warned
         self._template = lp
         self._rhs = lp.rhs.copy()
-        self._b_ub = None if lp.b_ub is None else lp.b_ub.copy()
+        self._a_ub = lp.a_ub
+        self._b_ub = lp.b_ub
         self._lower = lp.lower.copy()
         self._upper = lp.upper.copy()
-        self._n_ub = 0 if lp.b_ub is None else lp.b_ub.size
+        self._core = _highs_core
         self._solver = None
-        if _highs_core is not None:
+        if self._core is not None:
             self._solver = self._build(lp)
+        elif not _cold_path_warned:
+            _cold_path_warned = True
+            log.warning("HiGHS bindings unavailable: every LP re-solve runs cold "
+                        "through linprog, about 10x slower")
 
     def _build(self, lp: LinearProgram):
-        hc = _highs_core
+        hc = self._core
         n_ub = 0 if lp.b_ub is None else lp.b_ub.size
         if n_ub:
             a = sp.vstack([lp.a_eq, lp.a_ub]).tocsc()
@@ -222,7 +231,6 @@ class PersistentLp:
             a = lp.a_eq.tocsc()
             row_lower = lp.rhs.copy()
             row_upper = lp.rhs.copy()
-        self._n_ub = n_ub
         model = hc.HighsLp()
         model.num_col_ = lp.n_vars
         model.num_row_ = lp.n_eq + n_ub
@@ -240,39 +248,51 @@ class PersistentLp:
         solver.passModel(model)
         return solver
 
-    def solve(self, rhs=None, lower=None, upper=None, b_ub=None) -> LpSolution:
-        """Re-solve with updated rhs / bounds (matrix and costs fixed)."""
+    def add_rows(self, a_ub, b_ub):
+        """Append inequality rows a_ub x <= b_ub; later solves include them."""
+        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
+        a_ub = _as_matrix(a_ub, b_ub.size, self._template.n_vars, "a_ub")
+        if not np.all(np.isfinite(b_ub)):
+            raise LpError("b_ub contains non-finite entries")
+        if self._solver is not None:
+            self._solver.addRows(b_ub.size, np.full(b_ub.size, -np.inf), b_ub,
+                                 a_ub.nnz, a_ub.indptr[:-1], a_ub.indices, a_ub.data)
+        elif self._b_ub is None:
+            self._a_ub, self._b_ub = a_ub, b_ub
+        else:
+            self._a_ub = sp.vstack([self._a_ub, a_ub]).tocsr()
+            self._b_ub = np.concatenate([self._b_ub, b_ub])
+
+    def solve(self, rhs=None, lower=None, upper=None) -> LpSolution:
+        """Re-solve with updated equality rhs and/or variable bounds."""
         lp = self._template
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=float)
             if rhs.shape != self._rhs.shape:
                 raise LpError("rhs shape changed between re-solves")
-        if b_ub is not None and self._b_ub is None:
-            raise LpError("this program has no inequality block")
+        lo = self._lower if lower is None else np.asarray(lower, dtype=float)
+        up = self._upper if upper is None else np.asarray(upper, dtype=float)
         if self._solver is None:
-            return self._cold(rhs, lower, upper, b_ub)
+            if rhs is not None:
+                self._rhs = rhs.copy()
+            self._lower, self._upper = lo.copy(), up.copy()
+            return solve(LinearProgram(c=lp.c, a_eq=lp.a_eq, rhs=self._rhs,
+                                       lower=self._lower, upper=self._upper,
+                                       a_ub=self._a_ub, b_ub=self._b_ub))
 
         solver = self._solver
         if rhs is not None:
             for r in np.nonzero(rhs != self._rhs)[0]:
                 solver.changeRowBounds(int(r), rhs[r], rhs[r])
             self._rhs = rhs.copy()
-        if b_ub is not None:
-            b_ub = np.asarray(b_ub, dtype=float)
-            n_eq = lp.n_eq
-            for r in np.nonzero(b_ub != self._b_ub)[0]:
-                solver.changeRowBounds(int(n_eq + r), -np.inf, b_ub[r])
-            self._b_ub = b_ub.copy()
-        if lower is not None or upper is not None:
-            lo = self._lower if lower is None else np.asarray(lower, dtype=float)
-            up = self._upper if upper is None else np.asarray(upper, dtype=float)
-            changed = np.nonzero((lo != self._lower) | (up != self._upper))[0]
-            for j in changed:
-                solver.changeColBounds(int(j), lo[j], up[j])
+        changed = np.flatnonzero((lo != self._lower) | (up != self._upper))
+        if changed.size:
+            solver.changeColsBounds(changed.size, changed.astype(np.int32),
+                                    lo[changed], up[changed])
             self._lower, self._upper = lo.copy(), up.copy()
 
         solver.run()
-        hc = _highs_core
+        hc = self._core
         model_status = solver.getModelStatus()
         if model_status == hc.HighsModelStatus.kInfeasible:
             status = LpStatus.INFEASIBLE
@@ -288,29 +308,13 @@ class PersistentLp:
                 duals=np.full(lp.n_eq, np.nan),
                 reduced_costs=np.full(lp.n_vars, np.nan), status=status)
         sol = solver.getSolution()
-        row_dual = np.asarray(sol.row_dual, dtype=float)
         return LpSolution(
             x_star=np.asarray(sol.col_value, dtype=float),
             objective=float(solver.getInfo().objective_function_value),
-            duals=row_dual[:lp.n_eq],
+            duals=np.asarray(sol.row_dual, dtype=float)[:lp.n_eq],
             reduced_costs=np.asarray(sol.col_dual, dtype=float),
             status=LpStatus.OPTIMAL,
-            ub_duals=row_dual[lp.n_eq:] if self._n_ub else None,
         )
-
-    def _cold(self, rhs, lower, upper, b_ub) -> LpSolution:
-        lp = self._template
-        if rhs is not None:
-            self._rhs = np.asarray(rhs, dtype=float).copy()
-        if b_ub is not None:
-            self._b_ub = np.asarray(b_ub, dtype=float).copy()
-        if lower is not None:
-            self._lower = np.asarray(lower, dtype=float).copy()
-        if upper is not None:
-            self._upper = np.asarray(upper, dtype=float).copy()
-        return solve(LinearProgram(c=lp.c, a_eq=lp.a_eq, rhs=self._rhs,
-                                   lower=self._lower, upper=self._upper,
-                                   a_ub=lp.a_ub, b_ub=self._b_ub))
 
 
 def dump(lp: LinearProgram) -> str:

@@ -260,6 +260,7 @@ class TrainingLog:
     lower_bounds: List[float] = field(default_factory=list)
     forward_costs: List[float] = field(default_factory=list)
     cut_counts: List[int] = field(default_factory=list)
+    iteration_seconds: List[float] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -287,16 +288,18 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
     vf = ValueFunctions.initial(p, x0)
     log = TrainingLog()
     rng = np.random.default_rng(seed)
+    # one persistent stage LP per stage; stage t holds the cuts of stage t + 1
+    stages = [stagelp.OneStageDecision(p, t, dists[t], *vf.arrays(t + 1))
+              for t in range(T)]
     stable = 0
     for _ in range(stop.max_iters):
+        tic = time.perf_counter()
         # forward pass
         x = x0
         traj = [x0]
         fcost = 0.0
         for t in range(T):
-            lambdas, betas = vf.arrays(t + 1)
-            problem = stagelp.OneStageDecision(p, t, dists[t], lambdas, betas)
-            u = problem.solve(x).control
+            u = stages[t].solve(x).control
             idx = rng.choice(dists[t].size, p=dists[t].weights)
             w = Uncertainty(*dists[t].points[idx])
             fcost += stage_cost(t, x, u, w, p)
@@ -307,14 +310,17 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
         # backward pass
         lb = math.nan
         for t in range(T - 1, -1, -1):
-            lambdas, betas = vf.arrays(t + 1)
-            sol = stagelp.solve_pinned_stage(p, t, traj[t], dists[t], lambdas, betas)
+            sol = stages[t].solve(traj[t])
             beta = sol.objective - float(sol.duals @ traj[t].as_array())
-            vf.add_cut(t, Cut(sol.duals, beta))
+            cut = Cut(sol.duals, beta)
+            vf.add_cut(t, cut)
+            if t > 0:
+                stages[t - 1].add_cut(cut.lam, cut.beta)
             lb = sol.objective
         log.lower_bounds.append(lb)
         log.forward_costs.append(fcost)
         log.cut_counts.append(sum(vf.cut_counts()))
+        log.iteration_seconds.append(time.perf_counter() - tic)
 
         if len(log.lower_bounds) >= 2:
             prev = log.lower_bounds[-2]

@@ -4,18 +4,20 @@ Two problem shapes are built here:
 
 * a deterministic multi-period chain (MPC step problems and the anticipative
   perfect-foresight bound),
-* the one-stage problem with scenario blocks sharing the decision (SDDP
-  forward/online, in a compact control-space form) and its pinned-state
-  variant whose equality duals yield the cut slopes.
+* the one-stage Bellman problem of SDDP: scenario blocks sharing the stage
+  decision, each valuing its next state by the polyhedral cuts.
 
-Structure is cached per stage; only right-hand sides and first-step bounds
-are refreshed between solves, which keeps online decisions cheap.
+One `OneStageDecision` per stage serves the forward pass, the backward pass
+and online play. It stays inside the solver between solves: the incoming
+state is a block of four fixed columns (lower = upper = x), so a solve at a
+new state changes column bounds only, the reduced costs of those columns are
+the cut slope, and new cuts are appended as rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,14 +33,6 @@ from .model import (
 )
 
 INF = np.inf
-
-
-def dedup_cuts(lambdas: np.ndarray, betas: np.ndarray):
-    """Drop exact duplicate hyperplanes (value-function preserving)."""
-    rounded = np.round(np.column_stack([lambdas, betas]), 12)
-    _, keep = np.unique(rounded, axis=0, return_index=True)
-    keep.sort()
-    return lambdas[keep], betas[keep]
 
 
 def canonical_control(fbp: float, fbm: float, ft: float, fh: float) -> Control:
@@ -57,7 +51,6 @@ class ChainSolution:
     control: Control
     objective: float
     status: lpmod.LpStatus
-    x_next_plan: Optional[np.ndarray] = None
 
 
 class DeterministicChain:
@@ -226,10 +219,8 @@ class DeterministicChain:
         u = canonical_control(xs[self._u(0, 0)], xs[self._u(0, 1)],
                               _clean(xs[self._u(0, 2)], 0.0, box.f_t_max),
                               _clean(xs[self._u(0, 3)], 0.0, box.f_h_max))
-        u = box.clip(u)
-        plan = xs[7 * self.ns:7 * self.ns + 4]
-        return ChainSolution(control=u, objective=float(sol.objective),
-                             status=sol.status, x_next_plan=plan)
+        return ChainSolution(control=box.clip(u), objective=float(sol.objective),
+                             status=sol.status)
 
 
 @dataclass
@@ -239,10 +230,19 @@ class StageSolution:
     duals: Optional[np.ndarray] = None
 
 
+# column layout: pinned state x(4), control u = [fb+, fb-, ft, fh],
+# discomfort, then per scenario s: fne, spill, theta_s, next state x'_s(4)
+_U, _DCOMF, _BLOCK, _WIDTH = 4, 8, 9, 7
+
+
 class OneStageDecision:
-    """Compact one-stage problem: expectation over scenario blocks of the
-    stage cost plus the polyhedral value of the next state, optimized over
-    the shared control."""
+    """One-stage Bellman problem at stage t.
+
+    Minimizes the discomfort at x plus, in expectation over the scenarios of
+    `dist`, the import bill and theta_s >= lam . x'_s + beta for every cut.
+    The shared control is bounded through the pinned state by four box rows;
+    each scenario has a balance row and four dynamics rows.
+    """
 
     def __init__(self, p: SystemParams, t: int, dist, lambdas: np.ndarray,
                  betas: np.ndarray):
@@ -252,234 +252,132 @@ class OneStageDecision:
         self.t = t
         self.points = np.asarray(dist.points, dtype=float)
         self.weights = np.asarray(dist.weights, dtype=float)
-        self.lambdas, self.betas = dedup_cuts(np.asarray(lambdas, dtype=float),
-                                              np.asarray(betas, dtype=float))
+        self.s_count = self.points.shape[0]
+        self.n = _BLOCK + _WIDTH * self.s_count
+        blocks = _BLOCK + _WIDTH * np.arange(self.s_count)
+        self._theta = blocks + 2
+        self._next = blocks[:, None] + 3 + np.arange(4)
+        self._cuts = {}  # rounded (lam, beta) -> (lam, beta), in insertion order
+        self._persistent = None
         self._build()
+        for lam, beta in zip(np.asarray(lambdas, dtype=float).reshape(-1, 4),
+                             np.asarray(betas, dtype=float).reshape(-1)):
+            self.add_cut(lam, beta)
 
     def _build(self):
-        p, t = self.p, self.t
-        s_count = self.points.shape[0]
-        n_cuts = self.lambdas.shape[0]
-        self.s_count, self.n_cuts = s_count, n_cuts
+        p, t, n, s_count = self.p, self.t, self.n, self.s_count
+        delta = p.delta
         m, nmat, pw, g = linear_dynamics(t, p)
-        self._nmat = nmat
-        # deterministic part of the next state, per scenario: x + offset_s + dN u
-        self._offsets = (p.delta * (self.points @ pw.T + g))  # (S, 4)
-        self._phi = np.eye(4) + p.delta * m
+        blocks = _BLOCK + _WIDTH * np.arange(s_count)
 
-        # vars: u(4) then per s: fne, spill, theta
-        n = 4 + 3 * s_count
-        self.n = n
-        rows, cols, vals = [], [], []
-        for s in range(s_count):
-            r = s
-            base = 4 + 3 * s
-            for col, coef in ((base, 1.0), (base + 1, -1.0), (0, -1.0),
-                              (1, 1.0), (2, -1.0), (3, -1.0)):
-                rows.append(r)
-                cols.append(col)
-                vals.append(coef)
-        self.a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(s_count, n))
-        self.b_eq = self.points[:, 0].copy()
+        # per scenario: the balance fne - spill - fb+ + fb- - ft - fh = d_el,
+        # then x'_s - (I + delta M) x - delta N u = delta (P w_s + g)
+        shared = np.zeros((5, _BLOCK))
+        shared[0, _U:_DCOMF] = (-1.0, 1.0, -1.0, -1.0)
+        shared[1:, :4] = -(np.eye(4) + delta * m)
+        shared[1:, _U:_DCOMF] = -delta * nmat
+        own = np.zeros((5, _WIDTH))
+        own[0, :2] = (1.0, -1.0)
+        own[1:, 3:] = np.eye(4)
+        a_eq = np.zeros((5 * s_count, n))
+        for s, base in enumerate(blocks):
+            a_eq[5 * s:5 * s + 5, :_BLOCK] = shared
+            a_eq[5 * s:5 * s + 5, base:base + _WIDTH] = own
+        self.a_eq = sp.csr_matrix(a_eq)
+        self.b_eq = np.column_stack([self.points[:, 0],
+                                     delta * (self.points @ pw.T + g)]).ravel()
 
-        # cut rows: lambda_j . (phi x + offset_s + delta N u) + beta_j <= theta_s
-        lam_nu = p.delta * (self.lambdas @ nmat)       # (L, 4) over u
-        lam_phi = self.lambdas @ self._phi             # (L, 4) over pinned x
-        self._lam_phi = lam_phi
-        if n_cuts:
-            ublock = np.tile(lam_nu, (s_count, 1))     # (S*L, 4)
-            theta_block = sp.csr_matrix(
-                np.hstack([np.zeros((n_cuts, 2)), -np.ones((n_cuts, 1))]))
-            theta_part = sp.kron(sp.eye(s_count), theta_block)
-            self.a_ub = sp.hstack([sp.csr_matrix(ublock), theta_part]).tocsr()
-            # rhs depends on x: -beta_j - lam_phi_j . x - lambda_j . offset_s
-            self._cut_const = -(self.betas[None, :]
-                                + self._offsets @ self.lambdas.T)  # (S, L)
-        else:
-            self.a_ub = None
-            self._cut_const = None
+        # admissible control box, written through the pinned state
+        a_box = np.zeros((4, n))
+        a_box[0, [_U, 0]] = (delta * p.rho_c, 1.0)
+        a_box[1, [_U + 1, 0]] = (delta / p.rho_d, -1.0)
+        a_box[2, [_U + 3, 1]] = (delta * p.beta_h, 1.0)
+        a_box[3, [_DCOMF, 3]] = (-1.0, -1.0)
+        self._a_box = sp.csr_matrix(a_box)
+        self._b_box = np.array([p.b_max, -p.b_min, p.h_max, -p.theta_set[t]])
 
-        c = np.zeros(n)
-        for s in range(s_count):
-            c[4 + 3 * s] = self.weights[s] * p.pi_e[t] * p.delta
-            c[4 + 3 * s + 2] = self.weights[s]
-        self.c = c
-
-        lower = np.zeros(n)
+        lower = np.full(n, -INF)
         upper = np.full(n, INF)
-        for s in range(s_count):
-            lower[4 + 3 * s + 2] = -INF
+        lower[_U:_DCOMF + 1] = 0.0
+        upper[_U:_DCOMF] = (p.f_b_max, p.f_b_max, p.f_t_max, p.f_h_max)
+        lower[blocks] = 0.0
+        lower[blocks + 1] = 0.0
+        lower[self._next[:, 0]], upper[self._next[:, 0]] = p.b_min, p.b_max
+        upper[self._next[:, 1]] = p.h_max  # the floor depends on x
+        c = np.zeros(n)
+        c[_DCOMF] = p.pi_d[t]
+        c[blocks] = self.weights * p.pi_e[t] * delta
+        c[self._theta] = self.weights
+        self.c = c
         self._lower_base = lower
         self._upper_base = upper
-        self._max_dhw = float(self.points[:, 1].max())
-        self._persistent = None
+
+    def _cut_rows(self, lambdas: np.ndarray, betas: np.ndarray):
+        """Rows lam_j . x'_s - theta_s <= -beta_j, cut-major."""
+        s_count = self.s_count
+        n_rows = lambdas.shape[0] * s_count
+        cols = np.tile(np.column_stack([self._theta, self._next]), (lambdas.shape[0], 1))
+        vals = np.column_stack([np.full(n_rows, -1.0), np.repeat(lambdas, s_count, axis=0)])
+        keep = vals != 0.0
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return (sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_rows, self.n)),
+                np.repeat(-betas, s_count))
+
+    @property
+    def n_cuts(self) -> int:
+        return len(self._cuts)
+
+    def add_cut(self, lam: np.ndarray, beta: float) -> bool:
+        """Add theta_s >= lam . x'_s + beta for every scenario. A cut already
+        present (equal to 12 decimals) is skipped; returns whether it was new."""
+        lam = np.asarray(lam, dtype=float)
+        key = tuple(np.round(np.append(lam, beta), 12))
+        if key in self._cuts:
+            return False
+        self._cuts[key] = (lam, float(beta))
+        if self._persistent is not None:
+            self._persistent.add_rows(*self._cut_rows(lam[None, :], np.array([beta])))
+        return True
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_persistent"] = None  # solver handle, rebuilt lazily
+        state["_persistent"] = None  # solver handle, rebuilt from the cuts
         return state
 
     def solve(self, x: State) -> StageSolution:
-        p, t = self.p, self.t
+        """Optimal control at incoming state x (clipped to the admissible
+        box), the optimal value, and its slope in x as `duals`."""
+        p = self.p
         box = admissible_controls(x, p)
         lower = self._lower_base.copy()
         upper = self._upper_base.copy()
-        upper[0] = box.f_b_max
-        upper[1] = -box.f_b_min
-        upper[2] = box.f_t_max
-        upper[3] = box.f_h_max
-        # keep the tank above the safety floor against the worst noise point
-        needed = (p.h_floor + p.delta * self._max_dhw - x.h) / (p.delta * p.beta_h)
-        lower[3] = _clean(needed, 0.0, upper[3])
-
-        b_ub = None
-        if self.a_ub is not None:
-            b_ub = (self._cut_const - (self._lam_phi @ x.as_array())[None, :]).ravel()
+        lower[:4] = upper[:4] = x.as_array()
+        # relax the tank floor when a scenario's draw makes it unreachable
+        reach = x.h + p.delta * (p.beta_h * box.f_h_max - self.points[:, 1])
+        lower[self._next[:, 1]] = np.minimum(p.h_floor, reach)
         if self._persistent is None:
+            lambdas = np.array([lam for lam, _ in self._cuts.values()]).reshape(-1, 4)
+            betas = np.array([beta for _, beta in self._cuts.values()])
+            a_cut, b_cut = self._cut_rows(lambdas, betas)
             self._persistent = lpmod.PersistentLp(lpmod.LinearProgram(
-                c=self.c, a_eq=self.a_eq, rhs=self.b_eq, lower=lower,
-                upper=upper, a_ub=self.a_ub, b_ub=b_ub))
-        sol = self._persistent.solve(lower=lower, upper=upper, b_ub=b_ub)
+                c=self.c, a_eq=self.a_eq, rhs=self.b_eq, lower=lower, upper=upper,
+                a_ub=sp.vstack([self._a_box, a_cut]),
+                b_ub=np.concatenate([self._b_box, b_cut])))
+        sol = self._persistent.solve(lower=lower, upper=upper)
         if not sol.optimal:
             raise lpmod.LpError(
-                f"one-stage problem at t={t} is {sol.status.value}; the "
+                f"one-stage problem at t={self.t} is {sol.status.value}; the "
                 "import/spill recourse should forbid this")
         xs = sol.x_star
-        u = canonical_control(xs[0], xs[1], _clean(xs[2], 0.0, box.f_t_max),
-                              _clean(xs[3], lower[3], upper[3]))
-        u = box.clip(u)
-        discomfort = p.pi_d[t] * max(0.0, p.theta_set[t] - x.theta_i)
-        return StageSolution(control=u, objective=float(sol.objective) + discomfort)
+        u = canonical_control(xs[_U], xs[_U + 1], _clean(xs[_U + 2], 0.0, box.f_t_max),
+                              _clean(xs[_U + 3], 0.0, box.f_h_max))
+        return StageSolution(control=box.clip(u), objective=float(sol.objective),
+                             duals=sol.reduced_costs[:4].copy())
 
 
 def solve_pinned_stage(p: SystemParams, t: int, x: State, dist,
                        lambdas: np.ndarray, betas: np.ndarray) -> StageSolution:
-    """One-stage problem with the incoming state pinned by equality rows.
+    """One-shot stage solve at x; `duals` is a subgradient of the optimal
+    value with respect to the incoming state (the cut slope)."""
+    return OneStageDecision(p, t, dist, lambdas, betas).solve(x)
 
-    The duals of the four pinning rows are a subgradient of the optimal
-    value with respect to the incoming state (the new cut slope).
-    """
-    points = np.asarray(dist.points, dtype=float)
-    weights = np.asarray(dist.weights, dtype=float)
-    lambdas, betas = dedup_cuts(np.asarray(lambdas, dtype=float),
-                                np.asarray(betas, dtype=float))
-    s_count = points.shape[0]
-    n_cuts = lambdas.shape[0]
-    delta = p.delta
-    m, nmat, pw, g = linear_dynamics(t, p)
-    phi = np.eye(4) + delta * m
-    offsets = delta * (points @ pw.T + g)
-
-    # vars: x(4), u(4), dcomf, then per s: fne, spill, theta, x'(4)
-    def xn(s, j):
-        return 9 + 7 * s + 3 + j
-
-    n = 9 + 7 * s_count
-    rows, cols, vals = [], [], []
-    b_eq = np.zeros(4 + 5 * s_count)
-    for i in range(4):
-        rows.append(i)
-        cols.append(i)
-        vals.append(1.0)
-        b_eq[i] = x.as_array()[i]
-    for s in range(s_count):
-        r = 4 + 5 * s
-        base = 9 + 7 * s
-        for col, coef in ((base, 1.0), (base + 1, -1.0), (4, -1.0),
-                          (5, 1.0), (6, -1.0), (7, -1.0)):
-            rows.append(r)
-            cols.append(col)
-            vals.append(coef)
-        b_eq[r] = points[s, 0]
-        for i in range(4):
-            rr = r + 1 + i
-            rows.append(rr)
-            cols.append(xn(s, i))
-            vals.append(1.0)
-            for j in range(4):
-                if phi[i, j] != 0.0:
-                    rows.append(rr)
-                    cols.append(j)
-                    vals.append(-phi[i, j])
-            for j in range(4):
-                if nmat[i, j] != 0.0:
-                    rows.append(rr)
-                    cols.append(4 + j)
-                    vals.append(-delta * nmat[i, j])
-            b_eq[rr] = offsets[s, i]
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(b_eq.size, n))
-
-    rows, cols, vals = [], [], []
-    b_ub = []
-    r = 0
-    # state-dependent control box, written through the state variables
-    rows += [r, r]
-    cols += [4, 0]
-    vals += [delta * p.rho_c, 1.0]
-    b_ub.append(p.b_max)
-    r += 1
-    rows += [r, r]
-    cols += [5, 0]
-    vals += [delta / p.rho_d, -1.0]
-    b_ub.append(-p.b_min)
-    r += 1
-    rows += [r, r]
-    cols += [7, 1]
-    vals += [delta * p.beta_h, 1.0]
-    b_ub.append(p.h_max)
-    r += 1
-    rows += [r, r]
-    cols += [8, 3]
-    vals += [-1.0, -1.0]
-    b_ub.append(-p.theta_set[t])
-    r += 1
-    for s in range(s_count):
-        for j in range(n_cuts):
-            rows.append(r)
-            cols.append(9 + 7 * s + 2)
-            vals.append(-1.0)
-            for i in range(4):
-                if lambdas[j, i] != 0.0:
-                    rows.append(r)
-                    cols.append(xn(s, i))
-                    vals.append(lambdas[j, i])
-            b_ub.append(-betas[j])
-            r += 1
-    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(r, n))
-    b_ub = np.array(b_ub)
-
-    lower = np.full(n, -INF)
-    upper = np.full(n, INF)
-    lower[4:9] = 0.0
-    upper[4] = p.f_b_max
-    upper[5] = p.f_b_max
-    upper[6] = p.f_t_max
-    upper[7] = p.f_h_max
-    c = np.zeros(n)
-    c[8] = p.pi_d[t]
-    for s in range(s_count):
-        base = 9 + 7 * s
-        lower[base] = 0.0
-        lower[base + 1] = 0.0
-        c[base] = weights[s] * p.pi_e[t] * delta
-        c[base + 2] = weights[s]
-        lower[xn(s, 0)], upper[xn(s, 0)] = p.b_min, p.b_max
-        # relax the tank floor when this scenario's draw makes it unreachable
-        fh_cap = min(p.f_h_max, (p.h_max - x.h) / (delta * p.beta_h))
-        reach = x.h + delta * (p.beta_h * fh_cap - points[s, 1])
-        lower[xn(s, 1)], upper[xn(s, 1)] = min(p.h_floor, reach), p.h_max
-
-    prog = lpmod.LinearProgram(c=c, a_eq=a_eq, rhs=b_eq, lower=lower,
-                               upper=upper, a_ub=a_ub, b_ub=b_ub)
-    sol = lpmod.solve(prog)
-    if not sol.optimal:
-        raise lpmod.LpError(
-            f"pinned stage problem at t={t} is {sol.status.value}; the "
-            "import/spill recourse should forbid this")
-    value, grad = lpmod.parametric_duals(prog, range(4), sol)
-    box = admissible_controls(x, p)
-    xs = sol.x_star
-    u = canonical_control(xs[4], xs[5], _clean(xs[6], 0.0, p.f_t_max),
-                          _clean(xs[7], 0.0, p.f_h_max))
-    u = box.clip(u)
-    return StageSolution(control=u, objective=float(value), duals=np.asarray(grad))

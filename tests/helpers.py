@@ -284,3 +284,83 @@ def grid_search_cost(p: SystemParams, x0: State, demands: np.ndarray,
 
     recurse(0, x0, 0.0)
     return best
+
+
+# ---------------------------------------------------------------------------
+# One-stage problem with the incoming state pinned by equality rows
+
+def pinned_row_stage_value(p: SystemParams, t: int, x: State, dist,
+                           lambdas: np.ndarray, betas: np.ndarray):
+    """Optimal value of the one-stage SDDP problem at x and its gradient in x,
+    read off the duals of four equality rows x = x_in.
+
+    Variables: x(4), u = [fb+, fb-, ft, fh], discomfort, then per scenario
+    s: fne, spill, theta_s, x'_s(4). Dense assembly; small instances only.
+    """
+    from microgrid_ems.model import admissible_controls, linear_dynamics
+
+    pts = np.asarray(dist.points, dtype=float)
+    wts = np.asarray(dist.weights, dtype=float)
+    lambdas = np.asarray(lambdas, dtype=float).reshape(-1, 4)
+    betas = np.asarray(betas, dtype=float).reshape(-1)
+    S, d = len(wts), p.delta
+    n = 9 + 7 * S
+    blk = [9 + 7 * s for s in range(S)]
+    m, nmat, pw, g = linear_dynamics(t, p)
+
+    a_eq, b_eq = [], []
+    for i in range(4):                       # pinning rows
+        row = np.zeros(n)
+        row[i] = 1.0
+        a_eq.append(row)
+        b_eq.append(x.as_array()[i])
+    for s in range(S):
+        row = np.zeros(n)                    # fne - spill = fb+ - fb- + ft + fh + d_el
+        row[[blk[s], blk[s] + 1, 4, 5, 6, 7]] = [1, -1, -1, 1, -1, -1]
+        a_eq.append(row)
+        b_eq.append(pts[s, 0])
+        for i in range(4):                   # x' = x + d (M x + N u + P w + g)
+            row = np.zeros(n)
+            row[blk[s] + 3 + i] = 1.0
+            row[0:4] -= np.eye(4)[i] + d * m[i]
+            row[4:8] -= d * nmat[i]
+            a_eq.append(row)
+            b_eq.append(d * (pw[i] @ pts[s] + g[i]))
+
+    a_ub, b_ub = [], []
+
+    def ub(entries, rhs):
+        row = np.zeros(n)
+        for col, v in entries:
+            row[col] += v
+        a_ub.append(row)
+        b_ub.append(rhs)
+
+    ub([(4, d * p.rho_c), (0, 1.0)], p.b_max)          # charge cap
+    ub([(5, d / p.rho_d), (0, -1.0)], -p.b_min)        # discharge cap
+    ub([(7, d * p.beta_h), (1, 1.0)], p.h_max)         # tank cap
+    ub([(8, -1.0), (3, -1.0)], -p.theta_set[t])        # discomfort epigraph
+    for s in range(S):
+        for lam, beta in zip(lambdas, betas):
+            ub([(blk[s] + 2, -1.0)] + [(blk[s] + 3 + i, lam[i]) for i in range(4)], -beta)
+
+    lower = np.full(n, -np.inf)
+    upper = np.full(n, np.inf)
+    lower[4:9] = 0.0
+    upper[4:8] = [p.f_b_max, p.f_b_max, p.f_t_max, p.f_h_max]
+    c = np.zeros(n)
+    c[8] = p.pi_d[t]
+    fh_cap = admissible_controls(x, p).f_h_max
+    for s in range(S):
+        lower[blk[s]:blk[s] + 2] = 0.0
+        c[blk[s]] = wts[s] * p.pi_e[t] * d
+        c[blk[s] + 2] = wts[s]
+        lower[blk[s] + 3], upper[blk[s] + 3] = p.b_min, p.b_max
+        # tank floor, relaxed to what full-rate reheating reaches
+        reach = x.h + d * (p.beta_h * fh_cap - pts[s, 1])
+        lower[blk[s] + 4], upper[blk[s] + 4] = min(p.h_floor, reach), p.h_max
+    res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub), A_eq=np.array(a_eq),
+                  b_eq=np.array(b_eq), bounds=np.column_stack([lower, upper]),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun), np.asarray(res.eqlin.marginals[:4])

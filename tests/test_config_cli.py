@@ -84,6 +84,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nope.csv"):
             load_config(cfg_path)
 
+    def test_day_config_floor_covers_one_spike(self):
+        assert day_config("spring")["system"]["h_floor"] == 0.65
+        coarse = day_config("spring", horizon_steps=48, delta=0.5)
+        assert coarse["system"]["h_floor"] == pytest.approx(0.5 * 2.6)
+        cfg = parse_config(coarse)
+        assert cfg.system.h_floor >= cfg.system.delta * cfg.generator.d_hw_cap - 1e-9
+
+    def test_floor_below_one_spike_rejected(self):
+        doc = day_config("spring", horizon_steps=48, delta=0.5)
+        doc["system"]["h_floor"] = 0.65
+        with pytest.raises(ConfigError, match="d_hw_cap") as info:
+            parse_config(doc)
+        assert info.value.fieldpath == "system.h_floor"
+
     def test_manifest_stable(self):
         cfg = parse_config(tiny_doc())
         m1, m2 = manifest(cfg), manifest(cfg)
@@ -110,6 +124,10 @@ class TestCli:
         for name in ("manifest.json", "scenarios.csv", "cuts.json",
                      "training_log.csv", "report.json", "costs.csv"):
             assert (out / name).exists(), name
+        with open(out / "training_log.csv") as f:
+            header = f.readline().strip().split(",")
+        assert header[:2] == ["iteration", "lower_bound"]
+        assert header[-1] == "iteration_s"
 
     def test_train_byte_identical(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -145,6 +163,17 @@ class TestCli:
                                         "--out", str(tmp_path / "o")])
         assert res.exit_code == 2
         assert "configuration error" in res.output
+
+    def test_low_tank_floor_exit_2(self, tmp_path):
+        doc = day_config("spring", horizon_steps=48, delta=0.5)
+        doc["system"]["h_floor"] = 0.65
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["bench", "--config", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and "system.h_floor" in lines[0]
 
     def test_seed_override_changes_scenarios(self, tmp_path):
         cfg = self._write_config(tmp_path)
