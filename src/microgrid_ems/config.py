@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -189,8 +189,14 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
         raise ConfigError("generator", str(exc)) from exc
     if generator.horizon_steps != system.horizon_steps:
         raise ConfigError("generator.horizon_steps", "must match system.horizon_steps")
+    # the tank must cover one full-rate hot-water spike over a step
     min_floor = generator.delta * generator.d_hw_cap
-    if system.h_floor < min_floor - 1e-9:
+    if "h_floor" not in doc["system"]:
+        try:
+            system = replace(system, h_floor=min_floor)
+        except ValueError as exc:
+            raise ConfigError("system.h_floor", f"default {min_floor}: {exc}") from exc
+    elif system.h_floor < min_floor - 1e-9:
         raise ConfigError("system.h_floor",
                           f"{system.h_floor} is below generator.delta * d_hw_cap = "
                           f"{min_floor}; one hot-water spike could empty the tank")

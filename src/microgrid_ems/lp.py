@@ -193,8 +193,8 @@ def parametric_duals(lp: LinearProgram, fixed_rows: Iterable[int],
 class PersistentLp:
     """A linear program held inside the solver across re-solves.
 
-    Costs are fixed at construction. Equality right-hand sides and variable
-    bounds may change between solves, and inequality rows may be appended.
+    Costs, equality right-hand sides and variable bounds may change between
+    solves, and inequality rows may be appended.
     The previous basis warm-starts each re-solve, which is an order of
     magnitude faster than a cold solve on the repeated stage problems. Falls
     back to cold solves, with a warning, when the bundled HiGHS bindings are
@@ -206,6 +206,7 @@ class PersistentLp:
     def __init__(self, lp: LinearProgram):
         global _cold_path_warned
         self._template = lp
+        self._cost = lp.c.copy()
         self._rhs = lp.rhs.copy()
         self._a_ub = lp.a_ub
         self._b_ub = lp.b_ub
@@ -263,20 +264,24 @@ class PersistentLp:
             self._a_ub = sp.vstack([self._a_ub, a_ub]).tocsr()
             self._b_ub = np.concatenate([self._b_ub, b_ub])
 
-    def solve(self, rhs=None, lower=None, upper=None) -> LpSolution:
-        """Re-solve with updated equality rhs and/or variable bounds."""
+    def solve(self, rhs=None, lower=None, upper=None, cost=None) -> LpSolution:
+        """Re-solve with updated costs, equality rhs and/or variable bounds."""
         lp = self._template
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=float)
             if rhs.shape != self._rhs.shape:
                 raise LpError("rhs shape changed between re-solves")
+        c = self._cost if cost is None else np.asarray(cost, dtype=float)
+        if c.shape != self._cost.shape:
+            raise LpError("cost shape changed between re-solves")
         lo = self._lower if lower is None else np.asarray(lower, dtype=float)
         up = self._upper if upper is None else np.asarray(upper, dtype=float)
         if self._solver is None:
             if rhs is not None:
                 self._rhs = rhs.copy()
             self._lower, self._upper = lo.copy(), up.copy()
-            return solve(LinearProgram(c=lp.c, a_eq=lp.a_eq, rhs=self._rhs,
+            self._cost = c.copy()
+            return solve(LinearProgram(c=self._cost, a_eq=lp.a_eq, rhs=self._rhs,
                                        lower=self._lower, upper=self._upper,
                                        a_ub=self._a_ub, b_ub=self._b_ub))
 
@@ -290,6 +295,10 @@ class PersistentLp:
             solver.changeColsBounds(changed.size, changed.astype(np.int32),
                                     lo[changed], up[changed])
             self._lower, self._upper = lo.copy(), up.copy()
+        changed = np.flatnonzero(c != self._cost)
+        if changed.size:
+            solver.changeColsCost(changed.size, changed.astype(np.int32), c[changed])
+            self._cost = c.copy()
 
         solver.run()
         hc = self._core

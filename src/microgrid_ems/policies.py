@@ -299,7 +299,7 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
         traj = [x0]
         fcost = 0.0
         for t in range(T):
-            u = stages[t].solve(x).control
+            u = stages[t].solve(x, prefer_storage=True).control
             idx = rng.choice(dists[t].size, p=dists[t].weights)
             w = Uncertainty(*dists[t].points[idx])
             fcost += stage_cost(t, x, u, w, p)

@@ -11,7 +11,8 @@ One `OneStageDecision` per stage serves the forward pass, the backward pass
 and online play. It stays inside the solver between solves: the incoming
 state is a block of four fixed columns (lower = upper = x), so a solve at a
 new state changes column bounds only, the reduced costs of those columns are
-the cut slope, and new cuts are appended as rows.
+the cut slope, and new cuts are appended as rows. Forward-pass decisions
+break ties between equally cheap controls towards storing energy.
 """
 
 from __future__ import annotations
@@ -234,6 +235,12 @@ class StageSolution:
 # discomfort, then per scenario s: fne, spill, theta_s, next state x'_s(4)
 _U, _DCOMF, _BLOCK, _WIDTH = 4, 8, 9, 7
 
+# Reward per kWh of expected stored energy (battery and tank) in decision
+# solves. When prices are flat, charging now or a step later cost the same,
+# and a warm-started solve keeps whichever vertex it held before, which
+# tends to defer charging; this makes the choice explicit (store now).
+STORAGE_TIE_BREAK = 1e-5
+
 
 class OneStageDecision:
     """One-stage Bellman problem at stage t.
@@ -309,6 +316,8 @@ class OneStageDecision:
         c[blocks] = self.weights * p.pi_e[t] * delta
         c[self._theta] = self.weights
         self.c = c
+        self._c_decide = c.copy()
+        self._c_decide[self._next[:, :2]] -= STORAGE_TIE_BREAK * self.weights[:, None]
         self._lower_base = lower
         self._upper_base = upper
 
@@ -344,9 +353,15 @@ class OneStageDecision:
         state["_persistent"] = None  # solver handle, rebuilt from the cuts
         return state
 
-    def solve(self, x: State) -> StageSolution:
+    def solve(self, x: State, prefer_storage: bool = False) -> StageSolution:
         """Optimal control at incoming state x (clipped to the admissible
-        box), the optimal value, and its slope in x as `duals`."""
+        box), the optimal value, and its slope in x as `duals`.
+
+        With `prefer_storage`, ties between equally cheap controls go to the
+        one that leaves more energy in storage (STORAGE_TIE_BREAK). The value
+        is then the true cost of the chosen solution, within
+        STORAGE_TIE_BREAK * (b_max + h_max) of the optimum, and `duals` is None.
+        """
         p = self.p
         box = admissible_controls(x, p)
         lower = self._lower_base.copy()
@@ -363,7 +378,8 @@ class OneStageDecision:
                 c=self.c, a_eq=self.a_eq, rhs=self.b_eq, lower=lower, upper=upper,
                 a_ub=sp.vstack([self._a_box, a_cut]),
                 b_ub=np.concatenate([self._b_box, b_cut])))
-        sol = self._persistent.solve(lower=lower, upper=upper)
+        sol = self._persistent.solve(lower=lower, upper=upper,
+                                     cost=self._c_decide if prefer_storage else self.c)
         if not sol.optimal:
             raise lpmod.LpError(
                 f"one-stage problem at t={self.t} is {sol.status.value}; the "
@@ -371,6 +387,8 @@ class OneStageDecision:
         xs = sol.x_star
         u = canonical_control(xs[_U], xs[_U + 1], _clean(xs[_U + 2], 0.0, box.f_t_max),
                               _clean(xs[_U + 3], 0.0, box.f_h_max))
+        if prefer_storage:
+            return StageSolution(control=box.clip(u), objective=float(self.c @ xs))
         return StageSolution(control=box.clip(u), objective=float(sol.objective),
                              duals=sol.reduced_costs[:4].copy())
 

@@ -91,6 +91,12 @@ class TestConfig:
         cfg = parse_config(coarse)
         assert cfg.system.h_floor >= cfg.system.delta * cfg.generator.d_hw_cap - 1e-9
 
+    def test_omitted_floor_defaults_to_one_spike(self):
+        doc = day_config("spring", horizon_steps=48, delta=0.5)
+        del doc["system"]["h_floor"]
+        cfg = parse_config(doc)
+        assert cfg.system.h_floor == pytest.approx(0.5 * cfg.generator.d_hw_cap)
+
     def test_floor_below_one_spike_rejected(self):
         doc = day_config("spring", horizon_steps=48, delta=0.5)
         doc["system"]["h_floor"] = 0.65

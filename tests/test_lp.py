@@ -170,6 +170,17 @@ class TestPersistent:
         sol = persistent.solve(lower=np.array([-10.0, 6.0]))
         assert sol.objective == pytest.approx(6.0, abs=1e-9)
 
+    def test_cost_updates(self):
+        persistent = PersistentLp(simple_pin(3.0))
+        assert persistent.solve().objective == pytest.approx(3.0, abs=1e-9)
+        # a negative cost on the epigraph variable drives it to its upper bound
+        assert persistent.solve(cost=np.array([0.0, -1.0])).objective == pytest.approx(
+            -10.0, abs=1e-9)
+        assert persistent.solve(cost=np.array([0.0, 1.0])).objective == pytest.approx(
+            3.0, abs=1e-9)
+        with pytest.raises(LpError):
+            persistent.solve(cost=np.array([1.0]))
+
     def test_rhs_shape_guard(self):
         persistent = PersistentLp(simple_pin(3.0))
         with pytest.raises(LpError):

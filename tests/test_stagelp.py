@@ -9,7 +9,7 @@ from microgrid_ems.config import day_config, parse_config
 from microgrid_ems.model import State, admissible_controls
 from microgrid_ems.policies import StoppingRule, sddp_train
 from microgrid_ems.scenarios import DiscreteDistribution
-from microgrid_ems.stagelp import OneStageDecision, solve_pinned_stage
+from microgrid_ems.stagelp import STORAGE_TIE_BREAK, OneStageDecision
 
 from helpers import battery_params, battery_x0, pinned_row_stage_value, two_point_dists
 
@@ -63,16 +63,6 @@ def test_matches_pinned_row_formulation(summer):
         worst_value = max(worst_value, abs(sol.objective - value))
         worst_slope = max(worst_slope, float(np.abs(sol.duals - grad).max()))
     assert worst_value <= TOL and worst_slope <= TOL
-
-
-def test_one_shot_wrapper_matches_persistent(summer):
-    rng = np.random.default_rng(12)
-    dist = random_dist(rng)
-    lambdas, betas = random_cuts(rng, 10)
-    problem = OneStageDecision(summer, 30, dist, lambdas, betas)
-    for _ in range(5):
-        x = random_state(rng, summer)
-        assert_same(problem.solve(x), solve_pinned_stage(summer, 30, x, dist, lambdas, betas))
 
 
 def test_appended_cuts_match_fresh_build(summer):
@@ -153,6 +143,39 @@ def test_control_is_admissible(summer):
         assert admissible_controls(x, summer).contains(problem.solve(x).control, tol=0.0)
 
 
+def test_storage_tie_break_charges_on_a_price_tie(summer):
+    p, t = summer, 20
+    # a cut valuing stored energy at exactly its import price makes every
+    # charging rate equally cheap
+    lam = np.array([[-p.pi_e[t] / p.rho_c, 0.0, 0.0, 0.0]])
+    dist = DiscreteDistribution(points=np.array([[1.0, 0.1], [1.5, 0.2]]),
+                                weights=np.array([0.5, 0.5]))
+    problem = OneStageDecision(p, t, dist, lam, np.array([5.0]))
+    x = State(p.b_min, p.h_max / 2, 20.0, 20.0)
+    exact = problem.solve(x)
+    tied = problem.solve(x, prefer_storage=True)
+    assert tied.control.f_b == pytest.approx(admissible_controls(x, p).f_b_max, abs=TOL)
+    assert tied.objective == pytest.approx(exact.objective, abs=TOL)
+    assert tied.duals is None
+
+
+def test_storage_tie_break_costs_at_most_its_weight(summer):
+    rng = np.random.default_rng(19)
+    p = summer
+    slack = STORAGE_TIE_BREAK * (p.b_max - p.b_min + p.h_max)
+    for _ in range(30):
+        t = int(rng.integers(0, p.horizon_steps))
+        lambdas, betas = random_cuts(rng, 15)
+        problem = OneStageDecision(p, t, random_dist(rng), lambdas, betas)
+        x = random_state(rng, p)
+        exact = problem.solve(x)
+        tied = problem.solve(x, prefer_storage=True)
+        assert exact.objective - TOL <= tied.objective <= exact.objective + slack + TOL
+        assert admissible_controls(x, p).contains(tied.control, tol=0.0)
+        # the next exact solve sees the exact costs again
+        assert_same(problem.solve(x), exact)
+
+
 class TestColdPath:
     def test_warns_once(self, monkeypatch, caplog):
         monkeypatch.setattr(lpmod, "_highs_core", None)
@@ -178,14 +201,16 @@ class TestColdPath:
             for lam, beta in zip(lambdas[3:], betas[3:]):
                 problem.add_cut(lam, beta)
             assert (problem._persistent._solver is None) == (core is None)
-            return [problem.solve(x) for x in states]
+            return [(problem.solve(x), problem.solve(x, prefer_storage=True))
+                    for x in states]
 
         warm = play(lpmod._highs_core)
         monkeypatch.setattr(lpmod, "_cold_path_warned", True)
         cold = play(None)
-        for a, b in zip(warm, cold):
+        for (a, a_tied), (b, b_tied) in zip(warm, cold):
             assert_same(a, b)
             np.testing.assert_allclose(a.control.as_array(), b.control.as_array(), atol=TOL)
+            assert a_tied.objective == pytest.approx(b_tied.objective, abs=TOL)
 
     def test_sddp_trains_on_cold_path(self, monkeypatch):
         monkeypatch.setattr(lpmod, "_highs_core", None)
