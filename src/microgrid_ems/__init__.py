@@ -3,70 +3,41 @@
 Models a battery / hot-water-tank / heated-building system, trains an SDDP
 policy against quantized demand noise, and compares it out of sample with an
 MPC controller and a rule-based heuristic.
+
+The top level exports the workflow the `mgems bench` command runs: load a
+config, draw and split scenarios, quantize and fit the noise models, train
+SDDP, build the three policies and assess them. Everything else lives in the
+submodules.
 """
 
-from .model import (
-    Control,
-    ControlBox,
-    ConstraintViolationError,
-    InvalidStateError,
-    ModelError,
-    R6C2Params,
-    Recourse,
-    State,
-    SystemParams,
-    Uncertainty,
-    admissible_controls,
-    continuous_dynamics,
-    linear_dynamics,
-    recourse,
-    split_flow,
-    stage_cost,
-    step,
-    terminal_cost,
-)
-from .lp import LinearProgram, LpError, LpSolution, LpStatus, parametric_duals
-from .lp import solve as solve_lp
-from .scenarios import (
-    ARModel,
-    DiscreteDistribution,
-    GeneratorConfig,
-    ScenarioError,
-    ScenarioSet,
-    fit_ar,
-    generate_scenarios,
-    lloyd_max,
-    load_distributions,
-    load_scenarios,
-    quantize_stagewise,
-    save_distributions,
-    save_scenarios,
-    scenario_means,
-    update_forecast,
-)
+from .config import ConfigError, day_config, load_config
+from .scenarios import fit_ar, generate_scenarios, quantize_stagewise, scenario_means
 from .policies import (
-    Cut,
     HeuristicPolicy,
     MpcPolicy,
-    PolicyDecision,
     SddpPolicy,
     StoppingRule,
-    TrainingLog,
     ValueFunctions,
-    evaluate_vf,
-    heuristic_decide,
-    mpc_decide,
-    perfect_foresight_cost,
-    sddp_decide,
     sddp_train,
 )
-from .assess import (
-    AssessmentReport,
-    SimulationResult,
-    run_assessment,
-    simulate_policy,
-    split_scenarios,
-)
-from .config import ConfigError, RunConfig, day_config, load_config, manifest
+from .assess import run_assessment, split_scenarios
+
+__all__ = [
+    "ConfigError",
+    "day_config",
+    "load_config",
+    "generate_scenarios",
+    "split_scenarios",
+    "quantize_stagewise",
+    "fit_ar",
+    "scenario_means",
+    "StoppingRule",
+    "sddp_train",
+    "ValueFunctions",
+    "HeuristicPolicy",
+    "MpcPolicy",
+    "SddpPolicy",
+    "run_assessment",
+]
 
 __version__ = "0.1.0"

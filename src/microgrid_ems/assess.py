@@ -12,8 +12,8 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -190,19 +190,19 @@ def run_assessment(policies: Dict[str, object], assessment: ScenarioSet,
                 for chunk in chunks if len(chunk)
             ]
             parts = [f.result() for f in futures]
-        costs = {name: [] for name in policies}
-        timing = {name: 0.0 for name in policies}
-        trajs = {name: [] for name in policies} if record_trajectories else None
-        for c, t, tr in parts:
-            for name in policies:
-                costs[name] += c[name]
-                timing[name] += t[name]
-                if trajs is not None:
-                    trajs[name] += tr[name]
     else:
-        costs, timing, trajs = _simulate_many(
-            policies, assessment.data, x0, p, record_trajectories)
+        parts = [_simulate_many(policies, assessment.data, x0, p, record_trajectories)]
 
+    # chunks are consecutive, so concatenating keeps the scenario order
+    costs = {name: [] for name in policies}
+    timing = {name: 0.0 for name in policies}
+    trajs = {name: [] for name in policies} if record_trajectories else None
+    for c, t, tr in parts:
+        for name in policies:
+            costs[name] += c[name]
+            timing[name] += t[name]
+            if trajs is not None:
+                trajs[name] += tr[name]
     costs = {name: np.array(v) for name, v in costs.items()}
     mean = {name: float(np.mean(v)) for name, v in costs.items()}
     std = {name: float(np.std(v, ddof=1)) for name, v in costs.items()}

@@ -11,17 +11,14 @@ import csv
 import json
 import logging
 import os
-import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import assess as assess_mod
 from . import config as config_mod
 from . import policies as policies_mod
 from . import scenarios as scenarios_mod
-from .model import State
 
 log = logging.getLogger("microgrid_ems")
 
@@ -38,15 +35,11 @@ def _load(config_path, seed):
     try:
         cfg = config_mod.load_config(config_path)
     except config_mod.ConfigError as exc:
-        raise click.exceptions.Exit(_config_error(str(exc)))
+        click.echo(f"configuration error: {exc}", err=True)
+        raise click.exceptions.Exit(EXIT_CONFIG)
     if seed is not None:
         cfg = _override_seed(cfg, seed)
     return cfg
-
-
-def _config_error(message) -> int:
-    click.echo(f"configuration error: {message}", err=True)
-    return EXIT_CONFIG
 
 
 def _override_seed(cfg, seed):

@@ -14,7 +14,6 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -32,11 +31,18 @@ class ConfigError(ValueError):
         super().__init__(f"{fieldpath}: {message}")
 
 
-def _get(section: dict, fieldpath: str, key: str, default=None, required=False):
+def _reject_unknown(section: dict, known, prefix: str = ""):
+    if not isinstance(section, dict):
+        raise ConfigError(prefix.rstrip(".") or "config", "must be a JSON object")
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}",
+                          f"unknown field (known: {', '.join(sorted(known))})")
+
+
+def _required(section: dict, fieldpath: str, key: str):
     if key not in section:
-        if required:
-            raise ConfigError(f"{fieldpath}.{key}", "missing required field")
-        return default
+        raise ConfigError(f"{fieldpath}.{key}", "missing required field")
     return section[key]
 
 
@@ -74,11 +80,9 @@ _SYSTEM_DEFAULTS = {
 
 def _parse_system(section: dict, base_dir: Path) -> SystemParams:
     fields = dict(_SYSTEM_DEFAULTS)
-    known = set(fields) | {"h_max", "tank", "r6c2", "theta_o", "p_int", "p_ext",
-                           "pi_e", "pi_d", "theta_set"}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError("system", f"unknown fields: {sorted(unknown)}")
+    _reject_unknown(section, set(fields) | {"h_max", "tank", "r6c2", "theta_o", "p_int",
+                                            "p_ext", "pi_e", "pi_d", "theta_set"},
+                    "system.")
     for key in fields:
         fields[key] = section.get(key, fields[key])
 
@@ -87,8 +91,8 @@ def _parse_system(section: dict, base_dir: Path) -> SystemParams:
     elif "tank" in section:
         tank = section["tank"]
         h_max = tank_capacity_kwh(
-            volume_l=float(_get(tank, "system.tank", "volume_l", required=True)),
-            useful_range_degc=float(_get(tank, "system.tank", "useful_range_degc", required=True)),
+            volume_l=float(_required(tank, "system.tank", "volume_l")),
+            useful_range_degc=float(_required(tank, "system.tank", "useful_range_degc")),
             c_p=float(tank.get("c_p", 4.18e3)),
             rho_water=float(tank.get("rho_water", 1.0)),
         )
@@ -134,7 +138,6 @@ class RunConfig:
     generator: GeneratorConfig
     generator_seed: int
     sddp_s_offline: int
-    sddp_s_online: int
     sddp_max_iters: int
     sddp_lb_tol: float
     sddp_patience: int
@@ -163,11 +166,14 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
+    _reject_unknown(doc, ("system", "initial_state", "generator", "sddp", "mpc",
+                          "heuristic", "assessment"))
     if "system" not in doc:
         raise ConfigError("system", "missing required section")
     system = _parse_system(doc["system"], base_dir)
 
     init = doc.get("initial_state", {})
+    _reject_unknown(init, ("b", "h", "theta_w", "theta_i"), "initial_state.")
     x0 = State(
         b=float(init.get("b", system.b_min)),
         h=float(init.get("h", system.h_max / 2.0)),
@@ -202,10 +208,11 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
                           f"{min_floor}; one hot-water spike could empty the tank")
 
     sddp = doc.get("sddp", {})
+    _reject_unknown(sddp, ("s_offline", "max_iters", "lb_tol", "patience", "seed"),
+                    "sddp.")
     s_offline = int(sddp.get("s_offline", 20))
-    s_online = int(sddp.get("s_online", s_offline))
-    if s_offline < 1 or s_online < 1:
-        raise ConfigError("sddp.s_offline", "quantization sizes must be >= 1")
+    if s_offline < 1:
+        raise ConfigError("sddp.s_offline", "quantization size must be >= 1")
     max_iters = int(sddp.get("max_iters", 100))
     if max_iters < 1:
         raise ConfigError("sddp.max_iters", "must be >= 1")
@@ -216,31 +223,36 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
         raise ConfigError("sddp.seed", "seeds must be unsigned 64-bit integers")
 
     assessment = doc.get("assessment", {})
+    _reject_unknown(assessment, ("n_opt", "n_sim", "seed"), "assessment.")
     n_opt = int(assessment.get("n_opt", 1000))
     n_sim = int(assessment.get("n_sim", 1000))
     split_seed = int(assessment.get("seed", 42))
     if n_opt < 2 or n_sim < 2:
         raise ConfigError("assessment.n_opt", "n_opt and n_sim must be >= 2")
 
-    mpc_enabled = bool(doc.get("mpc", {}).get("enabled", True))
-    margin = float(doc.get("heuristic", {}).get("margin_deg_c", 1.0))
+    mpc = doc.get("mpc", {})
+    _reject_unknown(mpc, ("enabled",), "mpc.")
+    mpc_enabled = bool(mpc.get("enabled", True))
+    heuristic = doc.get("heuristic", {})
+    _reject_unknown(heuristic, ("margin_deg_c",), "heuristic.")
+    margin = float(heuristic.get("margin_deg_c", 1.0))
 
-    raw = _normalize(doc, system, x0, generator, generator_seed, s_offline,
-                     s_online, max_iters, lb_tol, patience, sddp_seed,
-                     mpc_enabled, margin, n_opt, n_sim, split_seed)
+    raw = _normalize(system, x0, generator, generator_seed, s_offline, max_iters,
+                     lb_tol, patience, sddp_seed, mpc_enabled, margin, n_opt,
+                     n_sim, split_seed)
     return RunConfig(
         system=system, initial_state=x0, generator=generator,
         generator_seed=generator_seed, sddp_s_offline=s_offline,
-        sddp_s_online=s_online, sddp_max_iters=max_iters, sddp_lb_tol=lb_tol,
+        sddp_max_iters=max_iters, sddp_lb_tol=lb_tol,
         sddp_patience=patience, sddp_seed=sddp_seed, mpc_enabled=mpc_enabled,
         heuristic_margin=margin, n_opt=n_opt, n_sim=n_sim,
         split_seed=split_seed, raw=raw,
     )
 
 
-def _normalize(doc, system, x0, generator, generator_seed, s_offline, s_online,
-               max_iters, lb_tol, patience, sddp_seed, mpc_enabled, margin,
-               n_opt, n_sim, split_seed) -> dict:
+def _normalize(system, x0, generator, generator_seed, s_offline, max_iters,
+               lb_tol, patience, sddp_seed, mpc_enabled, margin, n_opt, n_sim,
+               split_seed) -> dict:
     gen = {f: getattr(generator, f) for f in GeneratorConfig.__dataclass_fields__}
     gen["hw_morning_window"] = list(gen["hw_morning_window"])
     gen["hw_evening_window"] = list(gen["hw_evening_window"])
@@ -262,8 +274,7 @@ def _normalize(doc, system, x0, generator, generator_seed, s_offline, s_online,
         "initial_state": {"b": x0.b, "h": x0.h, "theta_w": x0.theta_w,
                           "theta_i": x0.theta_i},
         "generator": gen,
-        "sddp": {"s_offline": s_offline, "s_online": s_online,
-                 "max_iters": max_iters, "lb_tol": lb_tol,
+        "sddp": {"s_offline": s_offline, "max_iters": max_iters, "lb_tol": lb_tol,
                  "patience": patience, "seed": sddp_seed},
         "mpc": {"enabled": mpc_enabled},
         "heuristic": {"margin_deg_c": margin},
@@ -320,8 +331,8 @@ def day_config(day: str, horizon_steps: int = 96, delta: float = 0.25) -> dict:
         },
         "initial_state": {"b": 0.9, "h": 2.8, "theta_w": 19.0, "theta_i": 20.0},
         "generator": gen,
-        "sddp": {"s_offline": 10, "s_online": 10, "max_iters": 30,
-                 "lb_tol": 1e-4, "patience": 10, "seed": 7},
+        "sddp": {"s_offline": 10, "max_iters": 30, "lb_tol": 1e-4,
+                 "patience": 10, "seed": 7},
         "mpc": {"enabled": True},
         "heuristic": {"margin_deg_c": 1.0},
         "assessment": {"n_opt": 200, "n_sim": 200, "seed": 42},

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +29,6 @@ __all__ = [
     "PersistentLp",
     "solve",
     "parametric_duals",
-    "dump",
 ]
 
 try:  # vendored HiGHS bindings; enable warm-started re-solves when present
@@ -79,7 +78,6 @@ class LinearProgram:
     upper: np.ndarray
     a_ub: object = None
     b_ub: np.ndarray = None
-    names: Optional[Sequence[str]] = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -103,8 +101,6 @@ class LinearProgram:
             a_ub = _as_matrix(self.a_ub, b_ub.size, n, "a_ub")
         else:
             a_ub, b_ub = None, None
-        if self.names is not None and len(self.names) != n:
-            raise LpError("names must have one entry per variable")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a_eq", a_eq)
         object.__setattr__(self, "rhs", rhs)
@@ -134,6 +130,13 @@ class LpSolution:
     def optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
 
+    @staticmethod
+    def failed(lp: LinearProgram, status: LpStatus) -> "LpSolution":
+        """An infeasible or unbounded outcome: every value is NaN."""
+        return LpSolution(x_star=np.full(lp.n_vars, np.nan), objective=np.nan,
+                          duals=np.full(lp.n_eq, np.nan),
+                          reduced_costs=np.full(lp.n_vars, np.nan), status=status)
+
 
 _STATUS_MAP = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
 
@@ -154,13 +157,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     if status is None:
         raise LpError(f"solver failure: {res.message}")
     if status is not LpStatus.OPTIMAL:
-        return LpSolution(
-            x_star=np.full(lp.n_vars, np.nan),
-            objective=np.nan,
-            duals=np.full(lp.n_eq, np.nan),
-            reduced_costs=np.full(lp.n_vars, np.nan),
-            status=status,
-        )
+        return LpSolution.failed(lp, status)
     duals = res.eqlin.marginals if lp.n_eq else np.zeros(0)
     # on a fixed column the two bound marginals sum to its reduced cost
     reduced = res.lower.marginals + res.upper.marginals
@@ -312,10 +309,7 @@ class PersistentLp:
         else:
             raise LpError(f"solver failure: {model_status}")
         if status is not LpStatus.OPTIMAL:
-            return LpSolution(
-                x_star=np.full(lp.n_vars, np.nan), objective=np.nan,
-                duals=np.full(lp.n_eq, np.nan),
-                reduced_costs=np.full(lp.n_vars, np.nan), status=status)
+            return LpSolution.failed(lp, status)
         sol = solver.getSolution()
         return LpSolution(
             x_star=np.asarray(sol.col_value, dtype=float),
@@ -324,24 +318,3 @@ class PersistentLp:
             reduced_costs=np.asarray(sol.col_dual, dtype=float),
             status=LpStatus.OPTIMAL,
         )
-
-
-def dump(lp: LinearProgram) -> str:
-    """Text dump for external cross-checking: one line per row and bound."""
-    def fmt(v):
-        return f"{v:.12g}"
-
-    lines = ["min " + " ".join(fmt(v) for v in lp.c)]
-    a = lp.a_eq.toarray()
-    for i in range(lp.n_eq):
-        row = " ".join(fmt(v) for v in a[i])
-        lines.append(f"row_{i}: {row} = {fmt(lp.rhs[i])}")
-    if lp.a_ub is not None:
-        au = lp.a_ub.toarray()
-        for i in range(lp.b_ub.size):
-            row = " ".join(fmt(v) for v in au[i])
-            lines.append(f"ub_{i}: {row} <= {fmt(lp.b_ub[i])}")
-    for j in range(lp.n_vars):
-        name = lp.names[j] if lp.names else f"x_{j}"
-        lines.append(f"bounds: {fmt(lp.lower[j])} <= {name} <= {fmt(lp.upper[j])}")
-    return "\n".join(lines)

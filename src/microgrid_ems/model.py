@@ -11,7 +11,7 @@ thermal resistances in degC/kW, heat capacities in kWh/degC, time in hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,10 +216,6 @@ class SystemParams:
             object.__setattr__(self, name, arr)
         if np.any(self.pi_e <= 0) or np.any(self.pi_d < 0):
             raise ModelError("import prices must be > 0 and discomfort prices >= 0")
-
-    @property
-    def n_steps(self) -> int:
-        return self.horizon_steps
 
     def check_state(self, x: State, tol: float = 1e-7):
         _check_finite("state", x.b, x.h, x.theta_w, x.theta_i)

@@ -4,6 +4,10 @@ MPC solves a shrinking-horizon deterministic LP against an AR(1)-updated
 forecast and applies the first decision. SDDP trains polyhedral lower
 approximations of the Bellman value functions offline (forward sampling,
 backward dual cuts) and plays the one-stage expected problem online.
+
+Every policy is called as `decide(t, x, w_obs) -> PolicyDecision`, with the
+uncertainty observed at step t. A policy that keeps memory across steps also
+has `reset()`, which `assess.simulate_policy` calls before each scenario.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -38,12 +42,8 @@ __all__ = [
     "HeuristicPolicy",
     "MpcPolicy",
     "SddpPolicy",
-    "heuristic_decide",
-    "mpc_decide",
     "perfect_foresight_cost",
-    "sddp_decide",
     "sddp_train",
-    "evaluate_vf",
 ]
 
 
@@ -64,14 +64,18 @@ class Cut:
 class ValueFunctions:
     """Per-stage polyhedral lower approximations, evaluated as the max cut.
 
-    cuts[T] encodes the terminal penalty's epigraph pieces exactly.
+    cuts[T] encodes the terminal penalty's epigraph pieces exactly. Each
+    stage stores a cut once, in insertion order.
     """
 
     def __init__(self, cuts: List[List[Cut]]):
         if not cuts or any(not cs for cs in cuts):
             raise ValueError("every stage needs at least one cut")
-        self._cuts = [list(cs) for cs in cuts]
+        self._cuts: List[Dict[tuple, Cut]] = [{} for _ in cuts]
         self._arrays: Dict[int, tuple] = {}
+        for t, cs in enumerate(cuts):
+            for cut in cs:
+                self.add_cut(t, cut)
 
     @staticmethod
     def initial(p: SystemParams, x_ref: State) -> "ValueFunctions":
@@ -92,22 +96,25 @@ class ValueFunctions:
     def horizon(self) -> int:
         return len(self._cuts) - 1
 
-    def cuts(self, t: int) -> List[Cut]:
-        return list(self._cuts[t])
-
     def cut_counts(self) -> List[int]:
         return [len(cs) for cs in self._cuts]
 
-    def add_cut(self, t: int, cut: Cut):
-        self._cuts[t].append(cut)
+    def add_cut(self, t: int, cut: Cut) -> bool:
+        """Store the cut unless stage t holds it already (same
+        `stagelp.cut_key`); returns whether it was new."""
+        key = stagelp.cut_key(cut.lam, cut.beta)
+        if key in self._cuts[t]:
+            return False
+        self._cuts[t][key] = cut
         self._arrays.pop(t, None)
+        return True
 
     def arrays(self, t: int):
         """(lambdas, betas) arrays for stage t."""
         cached = self._arrays.get(t)
         if cached is None:
-            lambdas = np.array([c.lam for c in self._cuts[t]])
-            betas = np.array([c.beta for c in self._cuts[t]])
+            lambdas = np.array([c.lam for c in self._cuts[t].values()])
+            betas = np.array([c.beta for c in self._cuts[t].values()])
             cached = (lambdas, betas)
             self._arrays[t] = cached
         return cached
@@ -118,7 +125,8 @@ class ValueFunctions:
 
     def to_json(self, path):
         payload = [
-            [{"lambda": [float(v) for v in c.lam], "beta": float(c.beta)} for c in cs]
+            [{"lambda": [float(v) for v in c.lam], "beta": float(c.beta)}
+             for c in cs.values()]
             for cs in self._cuts
         ]
         with open(path, "w") as f:
@@ -132,16 +140,10 @@ class ValueFunctions:
             [[Cut(np.array(c["lambda"]), c["beta"]) for c in cs] for cs in payload])
 
 
-def evaluate_vf(vf: ValueFunctions, t: int, x: State) -> float:
-    """Lower-bound value of the trained approximation at (t, x)."""
-    return vf.evaluate(t, x)
-
-
 @dataclass(frozen=True)
 class PolicyDecision:
     control: Control
     predicted_cost: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +166,10 @@ class HeuristicPolicy:
     def reset(self):
         self._heater_on = False
 
-    def decide(self, t: int, x: State, w_obs) -> PolicyDecision:
+    def decide(self, t: int, x: State, w_obs: Uncertainty) -> PolicyDecision:
         p = self.p
         box = admissible_controls(x, p)
-        net = float(w_obs[0]) if not hasattr(w_obs, "d_el_net") else w_obs.d_el_net
+        net = w_obs.d_el_net
         if net < 0.0:
             f_b = min(-net, box.f_b_max)
         else:
@@ -181,12 +183,6 @@ class HeuristicPolicy:
         f_t = box.f_t_max if self._heater_on else 0.0
         u = box.clip(Control(f_b=f_b, f_t=f_t, f_h=f_h))
         return PolicyDecision(control=u, predicted_cost=math.nan)
-
-
-def heuristic_decide(t: int, x: State, w_prev, p: SystemParams,
-                     x0: State, margin_deg_c: float = 1.0) -> PolicyDecision:
-    """One-shot rule evaluation (no hysteresis memory across calls)."""
-    return HeuristicPolicy(p, x0, margin_deg_c).decide(t, x, w_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +204,6 @@ class MpcPolicy:
         self.means = np.asarray(means, dtype=float)
         self._chains: Dict[int, stagelp.DeterministicChain] = {}
 
-    def reset(self):
-        pass
-
     def _chain(self, t: int) -> stagelp.DeterministicChain:
         chain = self._chains.get(t)
         if chain is None:
@@ -218,27 +211,12 @@ class MpcPolicy:
             self._chains[t] = chain
         return chain
 
-    def decide(self, t: int, x: State, w_obs) -> PolicyDecision:
-        w = w_obs.as_array() if hasattr(w_obs, "as_array") else np.asarray(w_obs)
-        forecast = update_forecast(self.ar, t, w, self.means)
-        tic = time.perf_counter()
+    def decide(self, t: int, x: State, w_obs: Uncertainty) -> PolicyDecision:
+        forecast = update_forecast(self.ar, t, w_obs.as_array(), self.means)
         sol = self._chain(t).solve(x, forecast)
-        elapsed = time.perf_counter() - tic
         if sol.status.value != "optimal":
             raise RuntimeError(f"MPC stage LP at t={t} is {sol.status.value}")
-        return PolicyDecision(control=sol.control, predicted_cost=sol.objective,
-                              diagnostics={"solve_s": elapsed,
-                                           "horizon": self.p.horizon_steps - t})
-
-
-def mpc_decide(t: int, x: State, forecast: np.ndarray, p: SystemParams,
-               x_ref: State) -> PolicyDecision:
-    """Solve the step-t shrinking-horizon problem against a given forecast."""
-    chain = stagelp.DeterministicChain(p, t, x_ref)
-    sol = chain.solve(x, forecast)
-    if sol.status.value != "optimal":
-        raise RuntimeError(f"MPC stage LP at t={t} is {sol.status.value}")
-    return PolicyDecision(control=sol.control, predicted_cost=sol.objective)
+        return PolicyDecision(control=sol.control, predicted_cost=sol.objective)
 
 
 def perfect_foresight_cost(p: SystemParams, x0: State, scenario: np.ndarray) -> float:
@@ -300,8 +278,7 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
         fcost = 0.0
         for t in range(T):
             u = stages[t].solve(x, prefer_storage=True).control
-            idx = rng.choice(dists[t].size, p=dists[t].weights)
-            w = Uncertainty(*dists[t].points[idx])
+            w = Uncertainty(*dists[t].sample(rng))
             fcost += stage_cost(t, x, u, w, p)
             x = step(t, x, u, w, p)
             traj.append(x)
@@ -313,8 +290,7 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
             sol = stages[t].solve(traj[t])
             beta = sol.objective - float(sol.duals @ traj[t].as_array())
             cut = Cut(sol.duals, beta)
-            vf.add_cut(t, cut)
-            if t > 0:
+            if vf.add_cut(t, cut) and t > 0:
                 stages[t - 1].add_cut(cut.lam, cut.beta)
             lb = sol.objective
         log.lower_bounds.append(lb)
@@ -332,8 +308,8 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
 
 
 class SddpPolicy:
-    """Online one-stage policy against the trained cuts and the offline
-    (or refined online) per-stage discrete laws."""
+    """Online one-stage policy against the trained cuts and per-stage
+    discrete laws."""
 
     name = "sddp"
 
@@ -346,9 +322,6 @@ class SddpPolicy:
         self.dists = list(online_dists)
         self._problems: Dict[int, stagelp.OneStageDecision] = {}
 
-    def reset(self):
-        pass
-
     def _problem(self, t: int) -> stagelp.OneStageDecision:
         prob = self._problems.get(t)
         if prob is None:
@@ -357,19 +330,7 @@ class SddpPolicy:
             self._problems[t] = prob
         return prob
 
-    def decide(self, t: int, x: State, w_obs=None) -> PolicyDecision:
-        tic = time.perf_counter()
+    def decide(self, t: int, x: State, w_obs: Uncertainty) -> PolicyDecision:
+        """The noise is stagewise independent, so w_obs does not enter."""
         sol = self._problem(t).solve(x)
-        elapsed = time.perf_counter() - tic
-        return PolicyDecision(control=sol.control, predicted_cost=sol.objective,
-                              diagnostics={"solve_s": elapsed,
-                                           "scenarios": self.dists[t].size})
-
-
-def sddp_decide(t: int, x: State, vf: ValueFunctions,
-                dist_online: DiscreteDistribution, p: SystemParams) -> PolicyDecision:
-    """One-shot online SDDP decision at stage t."""
-    lambdas, betas = vf.arrays(t + 1)
-    problem = stagelp.OneStageDecision(p, t, dist_online, lambdas, betas)
-    sol = problem.solve(x)
-    return PolicyDecision(control=sol.control, predicted_cost=sol.objective)
+        return PolicyDecision(control=sol.control, predicted_cost=sol.objective)

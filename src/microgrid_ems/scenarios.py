@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -266,8 +266,7 @@ class ARModel:
 
     alpha: np.ndarray     # (T, 2)
     beta: np.ndarray      # (T, 2)
-    resid_std: np.ndarray  # (T, 2)
-    fallback: np.ndarray   # (T, 2) bool; True where the regressor was degenerate
+    fallback: np.ndarray  # (T, 2) bool; True where the regressor was degenerate
 
     @property
     def horizon(self) -> int:
@@ -286,7 +285,6 @@ def fit_ar(opt: ScenarioSet) -> ARModel:
     T = opt.horizon
     alpha = np.zeros((T, 2))
     beta = np.zeros((T, 2))
-    resid_std = np.zeros((T, 2))
     fallback = np.zeros((T, 2), dtype=bool)
     for t in range(T):
         for i in range(2):
@@ -300,10 +298,8 @@ def fit_ar(opt: ScenarioSet) -> ARModel:
             else:
                 a = float(np.sum((x - xm) * (y - ym)) / sxx)
                 b = ym - a * xm
-            resid = y - a * x - b
             alpha[t, i], beta[t, i] = a, b
-            resid_std[t, i] = float(np.sqrt(np.mean(resid ** 2)))
-    return ARModel(alpha=alpha, beta=beta, resid_std=resid_std, fallback=fallback)
+    return ARModel(alpha=alpha, beta=beta, fallback=fallback)
 
 
 def scenario_means(opt: ScenarioSet) -> np.ndarray:

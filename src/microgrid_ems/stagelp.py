@@ -43,8 +43,9 @@ def canonical_control(fbp: float, fbm: float, ft: float, fh: float) -> Control:
     return Control(f_b=pos - neg, f_t=ft, f_h=fh)
 
 
-def _clean(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
+def cut_key(lam: np.ndarray, beta: float) -> tuple:
+    """Identity of a cut: slope and intercept rounded to 12 decimals."""
+    return tuple(np.round(np.append(lam, beta), 12))
 
 
 @dataclass
@@ -89,11 +90,10 @@ class DeterministicChain:
 
         rows, cols, vals = [], [], []
         b_eq = np.zeros(5 * ns)
-        self._first_dyn = np.zeros((4, 4))  # (I + delta*M) at t0, feeds rhs
 
         for k in range(ns):
             t = t0 + k
-            m, nmat, pw, g = linear_dynamics(t, p)
+            m, nmat, _, g = linear_dynamics(t, p)
             # balance row (demand realized over [t, t+1])
             r = 5 * k
             for j, coef in ((4, 1.0), (5, -1.0), (0, -1.0), (1, 1.0), (2, -1.0), (3, -1.0)):
@@ -217,9 +217,7 @@ class DeterministicChain:
             return ChainSolution(control=Control(0.0, 0.0, 0.0),
                                  objective=np.nan, status=sol.status)
         xs = sol.x_star
-        u = canonical_control(xs[self._u(0, 0)], xs[self._u(0, 1)],
-                              _clean(xs[self._u(0, 2)], 0.0, box.f_t_max),
-                              _clean(xs[self._u(0, 3)], 0.0, box.f_h_max))
+        u = canonical_control(*xs[self._u(0, 0):self._u(0, 4)])
         return ChainSolution(control=box.clip(u), objective=float(sol.objective),
                              status=sol.status)
 
@@ -264,7 +262,7 @@ class OneStageDecision:
         blocks = _BLOCK + _WIDTH * np.arange(self.s_count)
         self._theta = blocks + 2
         self._next = blocks[:, None] + 3 + np.arange(4)
-        self._cuts = {}  # rounded (lam, beta) -> (lam, beta), in insertion order
+        self._cuts = {}  # cut_key -> (lam, beta), in insertion order
         self._persistent = None
         self._build()
         for lam, beta in zip(np.asarray(lambdas, dtype=float).reshape(-1, 4),
@@ -338,9 +336,9 @@ class OneStageDecision:
 
     def add_cut(self, lam: np.ndarray, beta: float) -> bool:
         """Add theta_s >= lam . x'_s + beta for every scenario. A cut already
-        present (equal to 12 decimals) is skipped; returns whether it was new."""
+        present (same `cut_key`) is skipped; returns whether it was new."""
         lam = np.asarray(lam, dtype=float)
-        key = tuple(np.round(np.append(lam, beta), 12))
+        key = cut_key(lam, beta)
         if key in self._cuts:
             return False
         self._cuts[key] = (lam, float(beta))
@@ -385,8 +383,7 @@ class OneStageDecision:
                 f"one-stage problem at t={self.t} is {sol.status.value}; the "
                 "import/spill recourse should forbid this")
         xs = sol.x_star
-        u = canonical_control(xs[_U], xs[_U + 1], _clean(xs[_U + 2], 0.0, box.f_t_max),
-                              _clean(xs[_U + 3], 0.0, box.f_h_max))
+        u = canonical_control(*xs[_U:_U + 4])
         if prefer_storage:
             return StageSolution(control=box.clip(u), objective=float(self.c @ xs))
         return StageSolution(control=box.clip(u), objective=float(sol.objective),

@@ -20,7 +20,6 @@ from microgrid_ems.policies import (
     MpcPolicy,
     SddpPolicy,
     StoppingRule,
-    evaluate_vf,
     perfect_foresight_cost,
     sddp_train,
 )
@@ -121,7 +120,7 @@ def test_cut_validity(small_instance, capsys):
     for t in range(p.horizon_steps):
         for _ in range(10):
             b = rng.uniform(p.b_min, p.b_max)
-            approx = evaluate_vf(vf, t, State(b, 0.0, 15.0, 15.0))
+            approx = vf.evaluate(t, State(b, 0.0, 15.0, 15.0))
             exact = tree_optimal_value(p, dists, t, b)
             worst = max(worst, approx - exact)
     ok = worst <= 1e-6

@@ -20,8 +20,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def tiny_doc():
     doc = day_config("winter", horizon_steps=8)
     doc["assessment"] = {"n_opt": 12, "n_sim": 8, "seed": 3}
-    doc["sddp"] = {"s_offline": 3, "s_online": 3, "max_iters": 10,
-                   "lb_tol": 1e-4, "patience": 10, "seed": 7}
+    doc["sddp"] = {"s_offline": 3, "max_iters": 10, "lb_tol": 1e-4,
+                   "patience": 10, "seed": 7}
     return doc
 
 
@@ -31,6 +31,11 @@ class TestConfig:
             cfg = load_config(CONFIG_DIR / f"{day}.json")
             assert cfg.system.horizon_steps == 96
             assert cfg.n_sim == 200
+
+    @pytest.mark.parametrize("day", ["winter", "spring", "summer"])
+    def test_bundled_config_matches_day_config(self, day):
+        with open(CONFIG_DIR / f"{day}.json") as f:
+            assert json.load(f) == day_config(day)
 
     def test_day_profiles_differ(self):
         w = parse_config(day_config("winter"))
@@ -54,11 +59,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="system.theta_o"):
             parse_config(doc)
 
-    def test_unknown_system_field(self):
+    @pytest.mark.parametrize("fieldpath", [
+        "system.bogus", "bogus_section", "initial_state.bogus", "sddp.max_iter",
+        "mpc.enable", "heuristic.bogus", "assessment.nsim"])
+    def test_unknown_system_field(self, fieldpath):
         doc = tiny_doc()
-        doc["system"]["bogus"] = 1
-        with pytest.raises(ConfigError, match="unknown"):
+        *section, key = fieldpath.split(".")
+        (doc.setdefault(section[0], {}) if section else doc)[key] = 1
+        with pytest.raises(ConfigError, match="unknown") as info:
             parse_config(doc)
+        assert info.value.fieldpath == fieldpath
+
+    def test_section_must_be_object(self):
+        doc = tiny_doc()
+        doc["mpc"] = True
+        with pytest.raises(ConfigError, match="JSON object") as info:
+            parse_config(doc)
+        assert info.value.fieldpath == "mpc"
 
     def test_bad_initial_state(self):
         doc = tiny_doc()
@@ -180,6 +197,17 @@ class TestCli:
         assert res.exit_code == 2
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and "system.h_floor" in lines[0]
+
+    def test_unknown_field_exit_2(self, tmp_path):
+        doc = tiny_doc()
+        doc["sddp"]["s_online"] = 3
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["bench", "--config", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and "sddp.s_online" in lines[0]
 
     def test_seed_override_changes_scenarios(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -6,7 +6,6 @@ from microgrid_ems.lp import (
     LpError,
     LpStatus,
     PersistentLp,
-    dump,
     parametric_duals,
     solve,
 )
@@ -199,9 +198,3 @@ class TestValidationAndDump:
             LinearProgram(c=np.array([1.0]), a_eq=np.zeros((0, 1)),
                           rhs=np.zeros(0), lower=np.array([2.0]),
                           upper=np.array([1.0]))
-
-    def test_dump_roundtrippable_text(self):
-        text = dump(simple_pin(3.0))
-        assert "row_0" in text and "= 3" in text
-        assert "ub_0" in text
-        assert text.count("bounds:") == 2

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from microgrid_ems import stagelp
 from microgrid_ems.model import (
-    Control,
     State,
     Uncertainty,
     admissible_controls,
@@ -17,10 +17,7 @@ from microgrid_ems.policies import (
     SddpPolicy,
     StoppingRule,
     ValueFunctions,
-    evaluate_vf,
-    mpc_decide,
     perfect_foresight_cost,
-    sddp_decide,
     sddp_train,
 )
 from microgrid_ems.scenarios import DiscreteDistribution, fit_ar, scenario_means, ScenarioSet
@@ -39,7 +36,7 @@ class TestValueFunctions:
         p = battery_params()
         vf = ValueFunctions.initial(p, battery_x0())
         for t in range(p.horizon_steps):
-            assert evaluate_vf(vf, t, State(2.0, 0.0, 10.0, 10.0)) == 0.0
+            assert vf.evaluate(t, State(2.0, 0.0, 10.0, 10.0)) == 0.0
 
     def test_terminal_pieces_exact(self):
         p = battery_params(kappa=2.0)
@@ -48,7 +45,7 @@ class TestValueFunctions:
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = State(rng.uniform(0.9, 3.0), rng.uniform(0.0, 1.0), 0.0, 0.0)
-            assert evaluate_vf(vf, p.horizon_steps, x) == pytest.approx(
+            assert vf.evaluate(p.horizon_steps, x) == pytest.approx(
                 terminal_cost(x, x0, p.kappa), abs=1e-12)
 
     def test_max_of_two_affine(self):
@@ -143,8 +140,8 @@ class TestMpc:
         x = State(2.0, 0.5, 15.0, 15.0)
         x_ref = State(1.0, 0.2, 15.0, 15.0)  # stocks above reference
         t = p.horizon_steps - 1
-        dec = mpc_decide(t, x, np.zeros((1, 2)), p, x_ref)
-        assert dec.predicted_cost == pytest.approx(0.0, abs=1e-9)
+        dec = stagelp.DeterministicChain(p, t, x_ref).solve(x, np.zeros((1, 2)))
+        assert dec.objective == pytest.approx(0.0, abs=1e-9)
         # any optimal control realizes zero cost on the zero scenario
         w = Uncertainty(0.0, 0.0)
         realized = (stage_cost(t, x, dec.control, w, p)
@@ -157,9 +154,8 @@ class TestMpc:
         x = State(0.9, 0.0, 15.0, 15.0)  # empty stocks
         x_ref = State(0.9, 0.0, 15.0, 15.0)
         t = p.horizon_steps - 1
-        dec = mpc_decide(t, x, np.array([[2.0, 0.0]]), p, x_ref)
-        assert dec.predicted_cost == pytest.approx(p.pi_e[t] * p.delta * 2.0,
-                                                   abs=1e-9)
+        dec = stagelp.DeterministicChain(p, t, x_ref).solve(x, np.array([[2.0, 0.0]]))
+        assert dec.objective == pytest.approx(p.pi_e[t] * p.delta * 2.0, abs=1e-9)
 
     def test_perfect_foresight_matches_grid_search(self):
         p = battery_params()
@@ -226,6 +222,23 @@ class TestSddpTraining:
         opt = tree_optimal_value(p, dists, 0, x0.b)
         assert lbs[-1] == pytest.approx(opt, abs=1e-6)
 
+    def test_each_cut_stored_once(self):
+        # near convergence the backward pass derives some cuts again; the
+        # store keeps one copy of each, as the stage LPs do
+        p = battery_params()
+        dists = two_point_dists()
+        vf, log = sddp_train(p, dists, battery_x0(),
+                             StoppingRule(max_iters=30, lb_tol=1e-12,
+                                          patience=30), seed=1)
+        counts = vf.cut_counts()
+        assert log.cut_counts[-1] == sum(counts)
+        for t in range(1, p.horizon_steps + 1):
+            stage = stagelp.OneStageDecision(p, t - 1, dists[t - 1], *vf.arrays(t))
+            assert counts[t] == stage.n_cuts, t
+        lambdas, betas = vf.arrays(1)
+        assert not vf.add_cut(1, Cut(lambdas[-1], betas[-1]))
+        assert vf.cut_counts() == counts
+
     def test_distribution_count_checked(self):
         p = battery_params()
         with pytest.raises(ValueError):
@@ -243,10 +256,10 @@ class TestSddpPolicy:
         dist = DiscreteDistribution(points=np.array([[2.0, 0.0]]),
                                     weights=np.array([1.0]))
         vf = ValueFunctions.initial(p, x_ref)
-        dec = sddp_decide(t, x, vf, dist, p)
-        det = mpc_decide(t, x, np.array([[2.0, 0.0]]), p, x_ref)
-        assert dec.predicted_cost == pytest.approx(det.predicted_cost,
-                                                   abs=1e-7)
+        pol = SddpPolicy(p, vf, [dist] * p.horizon_steps)
+        dec = pol.decide(t, x, Uncertainty(0.0, 0.0))
+        det = stagelp.DeterministicChain(p, t, x_ref).solve(x, np.array([[2.0, 0.0]]))
+        assert dec.predicted_cost == pytest.approx(det.objective, abs=1e-7)
         w = Uncertainty(2.0, 0.0)
         for u in (dec.control, det.control):
             realized = (stage_cost(t, x, u, w, p)
@@ -265,7 +278,7 @@ class TestSddpPolicy:
         for _ in range(200):
             t = int(rng.integers(0, p.horizon_steps))
             x = State(rng.uniform(0.9, 3), 0.0, 15.0, 15.0)
-            u = pol.decide(t, x).control
+            u = pol.decide(t, x, Uncertainty(0.0, 0.0)).control
             assert admissible_controls(x, p).contains(u)
 
     def test_nonanticipativity_bitwise(self):
@@ -323,6 +336,6 @@ class TestCutValiditySmallInstance:
         for t in range(p.horizon_steps):
             for _ in range(10):
                 b = rng.uniform(0.9, 3.0)
-                approx = evaluate_vf(vf, t, State(b, 0.0, 15.0, 15.0))
+                approx = vf.evaluate(t, State(b, 0.0, 15.0, 15.0))
                 exact = tree_optimal_value(p, dists, t, b)
                 assert approx <= exact + 1e-6
