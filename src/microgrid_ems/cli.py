@@ -34,11 +34,11 @@ def _setup_logging():
 def _load(config_path, seed):
     try:
         cfg = config_mod.load_config(config_path)
+        if seed is not None:
+            cfg = _override_seed(cfg, seed)
     except config_mod.ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         raise click.exceptions.Exit(EXIT_CONFIG)
-    if seed is not None:
-        cfg = _override_seed(cfg, seed)
     return cfg
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lp
 from .model import R6C2Params, State, SystemParams, tank_capacity_kwh
 from .scenarios import GeneratorConfig
 
@@ -86,10 +87,15 @@ def _parse_system(section: dict, base_dir: Path) -> SystemParams:
     for key in fields:
         fields[key] = section.get(key, fields[key])
 
+    if "h_max" in section and "tank" in section:
+        raise ConfigError("system.tank", "give the tank as system.h_max or as system.tank, "
+                          "not both")
     if "h_max" in section:
         h_max = float(section["h_max"])
     elif "tank" in section:
         tank = section["tank"]
+        _reject_unknown(tank, ("volume_l", "useful_range_degc", "c_p", "rho_water"),
+                        "system.tank.")
         h_max = tank_capacity_kwh(
             volume_l=float(_required(tank, "system.tank", "volume_l")),
             useful_range_degc=float(_required(tank, "system.tank", "useful_range_degc")),
@@ -340,7 +346,9 @@ def day_config(day: str, horizon_steps: int = 96, delta: float = 0.25) -> dict:
 
 
 def manifest(config: RunConfig) -> dict:
-    """Reproducibility record: config hash plus library versions."""
+    """Reproducibility record: config hash, library versions and the LP
+    solver path (warm persistent HiGHS, or cold `linprog` solves when the
+    bundled bindings are missing)."""
     import scipy
 
     blob = json.dumps(config.normalized(), sort_keys=True).encode()
@@ -349,4 +357,5 @@ def manifest(config: RunConfig) -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "solver_path": "cold-linprog" if lp._highs_core is None else "warm-persistent",
     }

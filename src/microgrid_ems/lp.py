@@ -8,12 +8,16 @@ the reduced costs of the fixed columns.
 Problems are tiny (at most a few thousand rows), dense in spirit but stored
 sparse; they are handed to HiGHS through scipy. The dual convention is fixed
 so that for an equality row a.x = b, value(b + d) >= value(b) + dual * d.
+
+A persistent LP can also hand its basis to a related problem (one with rows
+and columns dropped): MPC starts each new shrinking-horizon chain from the
+previous step's basis, shifted by one step.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -35,6 +39,9 @@ try:  # vendored HiGHS bindings; enable warm-started re-solves when present
     from scipy.optimize._highspy import _core as _highs_core
 except ImportError:  # pragma: no cover - depends on the scipy build
     _highs_core = None
+
+# basis status codes, as HiGHS numbers them
+BASIS_LOWER, BASIS_BASIC, BASIS_UPPER, BASIS_ZERO = 0, 1, 2, 3
 
 log = logging.getLogger(__name__)
 _cold_path_warned = False
@@ -120,10 +127,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """`duals` and `reduced_costs` are None where a persistent re-solve was
+    not asked for them."""
+
     x_star: np.ndarray
     objective: float
-    duals: np.ndarray
-    reduced_costs: np.ndarray
+    duals: Optional[np.ndarray]
+    reduced_costs: Optional[np.ndarray]
     status: LpStatus
 
     @property
@@ -211,6 +221,7 @@ class PersistentLp:
         self._upper = lp.upper.copy()
         self._core = _highs_core
         self._solver = None
+        self._x = None  # primal solution of the last optimal warm solve
         if self._core is not None:
             self._solver = self._build(lp)
         elif not _cold_path_warned:
@@ -229,21 +240,12 @@ class PersistentLp:
             a = lp.a_eq.tocsc()
             row_lower = lp.rhs.copy()
             row_upper = lp.rhs.copy()
-        model = hc.HighsLp()
-        model.num_col_ = lp.n_vars
-        model.num_row_ = lp.n_eq + n_ub
-        model.col_cost_ = lp.c
-        model.col_lower_ = lp.lower
-        model.col_upper_ = lp.upper
-        model.row_lower_ = row_lower
-        model.row_upper_ = row_upper
-        model.a_matrix_.format_ = hc.MatrixFormat.kColwise
-        model.a_matrix_.start_ = a.indptr
-        model.a_matrix_.index_ = a.indices
-        model.a_matrix_.value_ = a.data
         solver = hc._Highs()
         solver.setOptionValue("output_flag", False)
-        solver.passModel(model)
+        solver.passModel(lp.n_vars, lp.n_eq + n_ub, a.nnz, int(hc.MatrixFormat.kColwise),
+                         int(hc.ObjSense.kMinimize), 0.0, lp.c, lp.lower, lp.upper,
+                         row_lower, row_upper, a.indptr, a.indices, a.data,
+                         np.zeros(lp.n_vars, dtype=np.int32))  # every column continuous
         return solver
 
     def add_rows(self, a_ub, b_ub):
@@ -261,8 +263,12 @@ class PersistentLp:
             self._a_ub = sp.vstack([self._a_ub, a_ub]).tocsr()
             self._b_ub = np.concatenate([self._b_ub, b_ub])
 
-    def solve(self, rhs=None, lower=None, upper=None, cost=None) -> LpSolution:
-        """Re-solve with updated costs, equality rhs and/or variable bounds."""
+    def solve(self, rhs=None, lower=None, upper=None, cost=None, duals=False,
+              reduced_costs=False) -> LpSolution:
+        """Re-solve with updated costs, equality rhs and/or variable bounds.
+
+        The row duals and the reduced costs are read only when asked for.
+        """
         lp = self._template
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=float)
@@ -278,9 +284,13 @@ class PersistentLp:
                 self._rhs = rhs.copy()
             self._lower, self._upper = lo.copy(), up.copy()
             self._cost = c.copy()
-            return solve(LinearProgram(c=self._cost, a_eq=lp.a_eq, rhs=self._rhs,
-                                       lower=self._lower, upper=self._upper,
-                                       a_ub=self._a_ub, b_ub=self._b_ub))
+            sol = solve(LinearProgram(c=self._cost, a_eq=lp.a_eq, rhs=self._rhs,
+                                      lower=self._lower, upper=self._upper,
+                                      a_ub=self._a_ub, b_ub=self._b_ub))
+            if not sol.optimal:
+                return sol
+            return replace(sol, duals=sol.duals if duals else None,
+                           reduced_costs=sol.reduced_costs if reduced_costs else None)
 
         solver = self._solver
         if rhs is not None:
@@ -297,6 +307,7 @@ class PersistentLp:
             solver.changeColsCost(changed.size, changed.astype(np.int32), c[changed])
             self._cost = c.copy()
 
+        self._x = None
         solver.run()
         hc = self._core
         model_status = solver.getModelStatus()
@@ -311,10 +322,45 @@ class PersistentLp:
         if status is not LpStatus.OPTIMAL:
             return LpSolution.failed(lp, status)
         sol = solver.getSolution()
+        self._x = np.asarray(sol.col_value, dtype=float)
         return LpSolution(
-            x_star=np.asarray(sol.col_value, dtype=float),
-            objective=float(solver.getInfo().objective_function_value),
-            duals=np.asarray(sol.row_dual, dtype=float)[:lp.n_eq],
-            reduced_costs=np.asarray(sol.col_dual, dtype=float),
+            x_star=self._x,
+            objective=solver.getObjectiveValue(),
+            duals=np.asarray(sol.row_dual, dtype=float)[:lp.n_eq] if duals else None,
+            reduced_costs=np.asarray(sol.col_dual, dtype=float) if reduced_costs else None,
             status=LpStatus.OPTIMAL,
         )
+
+    def basis(self):
+        """Status codes (BASIS_*) of the columns and rows in the basis of the
+        last optimal solve, or None on the cold path and before one."""
+        if self._x is None:
+            return None
+        status, basic = self._solver.getBasicVariables()
+        if status != self._core.HighsStatus.kOk:  # no factored basis to read
+            return None
+        # a nonbasic column sits on the bound nearer to its value
+        cols = np.where(np.abs(self._x - self._upper) < np.abs(self._x - self._lower),
+                        BASIS_UPPER, BASIS_LOWER).astype(np.int8)
+        cols[np.isinf(self._lower) & np.isinf(self._upper)] = BASIS_ZERO
+        # equality rows first, then the inequality rows a x <= b
+        rows = np.full(self._solver.getNumRow(), BASIS_UPPER, dtype=np.int8)
+        rows[:self._template.n_eq] = BASIS_LOWER
+        cols[basic[basic >= 0]] = BASIS_BASIC
+        rows[-1 - basic[basic < 0]] = BASIS_BASIC
+        return cols, rows
+
+    def set_basis(self, cols, rows):
+        """Start the next solve from these status codes. They may come from
+        a related problem: HiGHS repairs a basis of the wrong size or a
+        singular one (an alien basis). Does nothing on the cold path."""
+        if self._solver is None:
+            return
+        kinds = self._core.HighsBasisStatus
+        status = np.array([kinds.kLower, kinds.kBasic, kinds.kUpper, kinds.kZero],
+                          dtype=object)
+        basis = self._core.HighsBasis()
+        basis.col_status = status[cols].tolist()
+        basis.row_status = status[rows].tolist()
+        basis.alien = True
+        self._solver.setBasis(basis)

@@ -191,7 +191,12 @@ class HeuristicPolicy:
 
 class MpcPolicy:
     """Shrinking-horizon deterministic LP; the AR(1) model updates the
-    one-step forecast online, the offline means fill the tail."""
+    one-step forecast online, the offline means fill the tail.
+
+    Each step's chain is sliced from one horizon template and kept for the
+    next scenario; a new chain starts from the basis of the chain one step
+    earlier.
+    """
 
     name = "mpc"
 
@@ -202,12 +207,13 @@ class MpcPolicy:
         self.x0 = x0
         self.ar = ar
         self.means = np.asarray(means, dtype=float)
+        self._template = stagelp.ChainTemplate(p, x0)
         self._chains: Dict[int, stagelp.DeterministicChain] = {}
 
     def _chain(self, t: int) -> stagelp.DeterministicChain:
         chain = self._chains.get(t)
         if chain is None:
-            chain = stagelp.DeterministicChain(self.p, t, self.x0)
+            chain = stagelp.DeterministicChain(self._template, t, self._chains.get(t - 1))
             self._chains[t] = chain
         return chain
 
@@ -222,7 +228,7 @@ class MpcPolicy:
 def perfect_foresight_cost(p: SystemParams, x0: State, scenario: np.ndarray) -> float:
     """Anticipative deterministic optimum of one scenario (lower bound on any
     nonanticipative policy's realized cost on that scenario)."""
-    chain = stagelp.DeterministicChain(p, 0, x0, h_floor=0.0)
+    chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x0, h_floor=0.0), 0)
     sol = chain.solve(x0, np.asarray(scenario, dtype=float)[1:, :])
     if sol.status.value != "optimal":
         raise RuntimeError(f"perfect-foresight LP is {sol.status.value}")
@@ -294,7 +300,7 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
                 stages[t - 1].add_cut(cut.lam, cut.beta)
             lb = sol.objective
         log.lower_bounds.append(lb)
-        log.forward_costs.append(fcost)
+        log.forward_costs.append(float(fcost))
         log.cut_counts.append(sum(vf.cut_counts()))
         log.iteration_seconds.append(time.perf_counter() - tic)
 

@@ -3,7 +3,8 @@
 Two problem shapes are built here:
 
 * a deterministic multi-period chain (MPC step problems and the anticipative
-  perfect-foresight bound),
+  perfect-foresight bound); the chain at t0 is a slice of one horizon
+  template,
 * the one-stage Bellman problem of SDDP: scenario blocks sharing the stage
   decision, each valuing its next state by the polyhedral cuts.
 
@@ -17,6 +18,7 @@ break ties between equally cheap controls towards storing energy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,122 +57,116 @@ class ChainSolution:
     status: lpmod.LpStatus
 
 
-class DeterministicChain:
-    """LP over steps t0..T-1 against a deterministic demand path.
+class ChainTemplate:
+    """The chain over the whole horizon (t0 = 0), built once per reference
+    state x_ref (the terminal penalty's stock levels) and tank floor.
 
-    The matrix depends only on (params, t0); demands and the initial state
-    enter through the rhs and the first-step control bounds.
+    The chain at t0 is a slice of it: rows 5 t0: of `a_eq`, rows t0: of
+    `a_ub`, and the columns of steps >= t0 and of states >= t0 + 1.
+
+    Column layout: per step t of T: [fbp, fbm, ft, fh, fne, spill, dcomf],
+    then states x_t, t = 1..T (4 each), then zb, zh. Rows: per step a balance
+    row and four dynamics rows; then a discomfort epigraph per step t >= 1
+    and the two terminal penalty rows.
     """
 
-    def __init__(self, p: SystemParams, t0: int, x_ref: State,
-                 h_floor: Optional[float] = None):
-        if not 0 <= t0 < p.horizon_steps:
-            raise ValueError(f"t0 {t0} outside [0, {p.horizon_steps})")
+    def __init__(self, p: SystemParams, x_ref: State, h_floor: Optional[float] = None):
         self.p = p
-        self.t0 = t0
-        self.x_ref = x_ref
         self.h_floor = p.h_floor if h_floor is None else h_floor
-        self._build()
+        T, delta = p.horizon_steps, p.delta
+        n = 11 * T + 2
+        steps = np.arange(T)
+        u = 7 * steps[:, None] + np.arange(7)               # u[t, j]
+        x = 7 * T + 4 * steps[:, None] + np.arange(4)       # x[t - 1, i] is x_t
+        m, nmat, _, _ = linear_dynamics(0, p)               # M and N are time-invariant
+        g = np.array([linear_dynamics(t, p)[3] for t in range(T)])
 
-    # variable layout: per step k of ns: [fbp, fbm, ft, fh, fne, spill, dcomf]
-    # then states x_{t0+k}, k = 1..ns (4 each), then zb, zh.
-    def _u(self, k, j):
-        return 7 * k + j
+        # step block: the balance fne - spill - fb+ + fb- - ft - fh = d_el,
+        # then x_{t+1} - (I + delta M) x_t - delta N u_t = delta g_t (+ delta P w_t);
+        # columns [u_t (7), x_t (4), x_{t+1} (4)]
+        block = np.zeros((5, 15))
+        block[0, :6] = (-1.0, 1.0, -1.0, -1.0, 1.0, -1.0)
+        block[1:, :4] = -delta * nmat
+        block[1:, 7:11] = -(np.eye(4) + delta * m)
+        block[1:, 11:] = np.eye(4)
+        r, c = np.nonzero(block)
+        cols = np.hstack([u, np.vstack([np.full((1, 4), -1), x[:-1]]), x])[:, c]
+        rows = 5 * steps[:, None] + r
+        vals = np.broadcast_to(block[r, c], cols.shape)
+        keep = cols >= 0  # x_0 is not a column: it enters the rhs
+        self.a_eq = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(5 * T, n))
+        b_eq = np.zeros((T, 5))
+        b_eq[:, 1:] = delta * g
+        self.b_eq = b_eq.ravel()
 
-    def _x(self, k, j):
-        return 7 * self.ns + 4 * (k - 1) + j
-
-    def _build(self):
-        p, t0 = self.p, self.t0
-        ns = self.ns = p.horizon_steps - t0
-        n = 7 * ns + 4 * ns + 2
-        self.n = n
-        iz_b, iz_h = n - 2, n - 1
-        delta = p.delta
-
-        rows, cols, vals = [], [], []
-        b_eq = np.zeros(5 * ns)
-
-        for k in range(ns):
-            t = t0 + k
-            m, nmat, _, g = linear_dynamics(t, p)
-            # balance row (demand realized over [t, t+1])
-            r = 5 * k
-            for j, coef in ((4, 1.0), (5, -1.0), (0, -1.0), (1, 1.0), (2, -1.0), (3, -1.0)):
-                rows.append(r)
-                cols.append(self._u(k, j))
-                vals.append(coef)
-            # dynamics rows: x_{k+1} - (I + delta M) x_k - delta N u_k = delta g (+ delta P w)
-            phi = np.eye(4) + delta * m
-            for i in range(4):
-                r = 5 * k + 1 + i
-                rows.append(r)
-                cols.append(self._x(k + 1, i))
-                vals.append(1.0)
-                if k > 0:
-                    for j in range(4):
-                        if phi[i, j] != 0.0:
-                            rows.append(r)
-                            cols.append(self._x(k, j))
-                            vals.append(-phi[i, j])
-                for j in range(4):
-                    if nmat[i, j] != 0.0:
-                        rows.append(r)
-                        cols.append(self._u(k, j))
-                        vals.append(-delta * nmat[i, j])
-                b_eq[r] = delta * g[i]
-        # the current state enters the first dynamics rows through the rhs
-        self._first_dyn = np.eye(4) + delta * linear_dynamics(t0, p)[0]
-        self.a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(5 * ns, n))
-        self._b_eq_base = b_eq
-
-        # inequality block: discomfort epigraphs for k >= 1, terminal penalties
-        rows, cols, vals = [], [], []
-        b_ub = []
-        r = 0
-        for k in range(1, ns):
-            t = t0 + k
-            rows += [r, r]
-            cols += [self._u(k, 6), self._x(k, 3)]
-            vals += [-1.0, -1.0]
-            b_ub.append(-p.theta_set[t])
-            r += 1
+        # discomfort epigraphs dcomf_t >= theta_set_t - theta_i,t for t >= 1,
+        # then kappa * max(0, ref - stock) for the battery and the tank
         kap = p.kappa
-        rows += [r, r]
-        cols += [iz_b, self._x(ns, 0)]
-        vals += [-1.0, -kap]
-        b_ub.append(-kap * self.x_ref.b)
-        r += 1
-        rows += [r, r]
-        cols += [iz_h, self._x(ns, 1)]
-        vals += [-1.0, -kap]
-        b_ub.append(-kap * self.x_ref.h)
-        r += 1
-        self.a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(r, n))
-        self.b_ub = np.array(b_ub)
+        epi = np.arange(T - 1)
+        rows = np.concatenate([np.repeat(epi, 2), [T - 1, T - 1, T, T]])
+        cols = np.concatenate([np.column_stack([u[1:, 6], x[:-1, 3]]).ravel(),
+                               [n - 2, x[-1, 0], n - 1, x[-1, 1]]])
+        vals = np.concatenate([np.full(2 * (T - 1), -1.0), [-1.0, -kap, -1.0, -kap]])
+        self.a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(T + 1, n))
+        self.b_ub = np.concatenate([-p.theta_set[1:T], [-kap * x_ref.b, -kap * x_ref.h]])
 
         lower = np.zeros(n)
         upper = np.full(n, INF)
         c = np.zeros(n)
-        for k in range(ns):
-            t = t0 + k
-            upper[self._u(k, 0)] = p.f_b_max
-            upper[self._u(k, 1)] = p.f_b_max
-            upper[self._u(k, 2)] = p.f_t_max
-            upper[self._u(k, 3)] = p.f_h_max
-            c[self._u(k, 4)] = p.pi_e[t] * p.delta
-            c[self._u(k, 6)] = p.pi_d[t]
-        for k in range(1, ns + 1):
-            lower[self._x(k, 0)], upper[self._x(k, 0)] = p.b_min, p.b_max
-            lower[self._x(k, 1)], upper[self._x(k, 1)] = self.h_floor, p.h_max
-            lower[self._x(k, 2)] = -INF
-            lower[self._x(k, 3)] = -INF
-        c[iz_b] = 1.0
-        c[iz_h] = 1.0
-        self.c = c
-        self._lower_base = lower
-        self._upper_base = upper
+        upper[u[:, :4]] = (p.f_b_max, p.f_b_max, p.f_t_max, p.f_h_max)
+        c[u[:, 4]] = p.pi_e[:T] * delta
+        c[u[:, 6]] = p.pi_d[:T]
+        lower[x[:, 0]], upper[x[:, 0]] = p.b_min, p.b_max
+        lower[x[:, 1]], upper[x[:, 1]] = self.h_floor, p.h_max
+        lower[x[:, 2:]] = -INF
+        c[n - 2:] = 1.0
+        self.c, self.lower, self.upper = c, lower, upper
+
+
+class DeterministicChain:
+    """LP over steps t0..T-1 against a deterministic demand path.
+
+    The matrix depends only on (params, t0); demands and the initial state
+    enter through the rhs and the first-step control bounds. `prev`, the
+    chain at t0 - 1, hands its last basis, shifted by one step, to this
+    chain's first solve: by the principle of optimality it is nearly optimal
+    here (the "shift" initialisation of real-time MPC).
+    """
+
+    def __init__(self, template: ChainTemplate, t0: int,
+                 prev: Optional["DeterministicChain"] = None):
+        p = template.p
+        if not 0 <= t0 < p.horizon_steps:
+            raise ValueError(f"t0 {t0} outside [0, {p.horizon_steps})")
+        self.p = p
+        self.t0 = t0
+        self.h_floor = template.h_floor
+        T = p.horizon_steps
+        self.ns = ns = T - t0
+        # steps t0..T-1, states x_{t0+1}..x_T, zb, zh
+        cols = np.r_[7 * t0:7 * T, 7 * T + 4 * t0:11 * T + 2]
+        self.a_eq = template.a_eq[5 * t0:][:, cols]
+        self.a_ub = template.a_ub[t0:][:, cols]
+        self._b_eq_base = template.b_eq[5 * t0:]
+        self.b_ub = template.b_ub[t0:]
+        self.c = template.c[cols]
+        self._lower_base = template.lower[cols]
+        self._upper_base = template.upper[cols]
+        self._first_dyn = np.eye(4) + p.delta * linear_dynamics(t0, p)[0]
+        self._h_cols = 7 * ns + 1 + 4 * np.arange(ns)   # tank level of x_{t0+1..T}
         self._persistent = None
+        self._seed = None
+        if prev is not None:
+            if prev.t0 != t0 - 1:
+                raise ValueError(f"a chain at t0 {t0} is seeded from t0 - 1, not {prev.t0}")
+            basis = None if prev._persistent is None else prev._persistent.basis()
+            if basis is not None:
+                # drop prev's first step: its 7 controls, the state x_{t0}, its
+                # balance and dynamics rows and its discomfort epigraph
+                k = prev.ns
+                col_status, row_status = basis
+                self._seed = (np.delete(col_status, np.r_[:7, 7 * k:7 * k + 4]),
+                              np.delete(row_status, np.r_[:5, 5 * k]))
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -185,39 +181,39 @@ class DeterministicChain:
         if demands.shape != (self.ns, 2):
             raise ValueError(f"expected {self.ns} forecast entries, got {demands.shape}")
         b_eq = self._b_eq_base.copy()
-        for k in range(self.ns):
-            b_eq[5 * k] = demands[k, 0]
-            b_eq[5 * k + 2] += -p.delta * demands[k, 1]
+        b_eq[0::5] = demands[:, 0]
+        b_eq[2::5] += -p.delta * demands[:, 1]
         b_eq[1:5] += self._first_dyn @ x.as_array()
 
         lower = self._lower_base.copy()
         upper = self._upper_base.copy()
         box = admissible_controls(x, p)
-        upper[self._u(0, 0)] = box.f_b_max
-        upper[self._u(0, 1)] = -box.f_b_min
-        upper[self._u(0, 3)] = box.f_h_max
-        lower[self._u(0, 6)] = max(0.0, p.theta_set[self.t0] - x.theta_i)
+        upper[0] = box.f_b_max
+        upper[1] = -box.f_b_min
+        upper[3] = box.f_h_max
+        lower[6] = max(0.0, p.theta_set[self.t0] - x.theta_i)
 
         # The tank floor may be unreachable after an unusually large draw;
         # relax each planned level to what full-rate reheating can attain so
         # the plan stays feasible (and then reheats as fast as possible).
-        reach = x.h + p.delta * (p.beta_h * box.f_h_max - demands[0, 1])
-        lower[self._x(1, 1)] = min(self.h_floor, reach)
-        for k in range(2, self.ns + 1):
-            reach = min(p.h_max,
-                        reach + p.delta * (p.beta_h * p.f_h_max - demands[k - 1, 1]))
-            lower[self._x(k, 1)] = min(self.h_floor, reach)
+        gain = p.delta * (p.beta_h * p.f_h_max - demands[1:, 1])
+        reach = itertools.accumulate(
+            gain.tolist(), lambda level, d: min(p.h_max, level + d),
+            initial=x.h + p.delta * (p.beta_h * box.f_h_max - demands[0, 1]))
+        lower[self._h_cols] = np.minimum(self.h_floor, list(reach))
 
         if self._persistent is None:
             self._persistent = lpmod.PersistentLp(lpmod.LinearProgram(
                 c=self.c, a_eq=self.a_eq, rhs=b_eq, lower=lower, upper=upper,
                 a_ub=self.a_ub, b_ub=self.b_ub))
+            if self._seed is not None:
+                self._persistent.set_basis(*self._seed)
+                self._seed = None
         sol = self._persistent.solve(rhs=b_eq, lower=lower, upper=upper)
         if not sol.optimal:
             return ChainSolution(control=Control(0.0, 0.0, 0.0),
                                  objective=np.nan, status=sol.status)
-        xs = sol.x_star
-        u = canonical_control(*xs[self._u(0, 0):self._u(0, 4)])
+        u = canonical_control(*sol.x_star[:4])
         return ChainSolution(control=box.clip(u), objective=float(sol.objective),
                              status=sol.status)
 
@@ -377,7 +373,8 @@ class OneStageDecision:
                 a_ub=sp.vstack([self._a_box, a_cut]),
                 b_ub=np.concatenate([self._b_box, b_cut])))
         sol = self._persistent.solve(lower=lower, upper=upper,
-                                     cost=self._c_decide if prefer_storage else self.c)
+                                     cost=self._c_decide if prefer_storage else self.c,
+                                     reduced_costs=not prefer_storage)
         if not sol.optimal:
             raise lpmod.LpError(
                 f"one-stage problem at t={self.t} is {sol.status.value}; the "

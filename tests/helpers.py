@@ -364,3 +364,107 @@ def pinned_row_stage_value(p: SystemParams, t: int, x: State, dist,
                   method="highs")
     assert res.status == 0, res.message
     return float(res.fun), np.asarray(res.eqlin.marginals[:4])
+
+
+# ---------------------------------------------------------------------------
+# Shrinking-horizon chain at t0, assembled entry by entry
+
+def loop_built_chain(p: SystemParams, t0: int, x_ref: State, h_floor: float,
+                     x: State = None, demands: np.ndarray = None) -> dict:
+    """Matrices, base right-hand sides, costs and base bounds of the MPC
+    chain over steps t0..T-1, one coefficient at a time. Given a state x and
+    forecast demands (ns, 2), also the rhs and bounds of the solve at x.
+
+    Variables: per step k of ns = T - t0: [fb+, fb-, ft, fh, fne, spill,
+    discomfort]; then the states x_{t0+k}, k = 1..ns (4 each); then the
+    terminal shortfalls zb, zh. Rows: per step a balance row (demand in the
+    rhs) and four dynamics rows (x_{t0} in the rhs); then a discomfort
+    epigraph per step k >= 1 and the two terminal penalty rows.
+    """
+    from microgrid_ems.model import linear_dynamics
+
+    ns = p.horizon_steps - t0
+    n = 11 * ns + 2
+
+    def u(k, j):
+        return 7 * k + j
+
+    def xc(k, i):
+        return 7 * ns + 4 * (k - 1) + i
+
+    rows, cols, vals = [], [], []
+    b_eq = np.zeros(5 * ns)
+    for k in range(ns):
+        m, nmat, _, g = linear_dynamics(t0 + k, p)
+        for j, coef in ((4, 1.0), (5, -1.0), (0, -1.0), (1, 1.0), (2, -1.0), (3, -1.0)):
+            rows.append(5 * k)
+            cols.append(u(k, j))
+            vals.append(coef)
+        phi = np.eye(4) + p.delta * m
+        for i in range(4):
+            r = 5 * k + 1 + i
+            rows.append(r)
+            cols.append(xc(k + 1, i))
+            vals.append(1.0)
+            for j in range(4):
+                if k > 0 and phi[i, j] != 0.0:
+                    rows.append(r)
+                    cols.append(xc(k, j))
+                    vals.append(-phi[i, j])
+                if nmat[i, j] != 0.0:
+                    rows.append(r)
+                    cols.append(u(k, j))
+                    vals.append(-p.delta * nmat[i, j])
+            b_eq[r] = p.delta * g[i]
+    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(5 * ns, n))
+
+    rows, cols, vals, b_ub = [], [], [], []
+    for k in range(1, ns):
+        rows += [k - 1, k - 1]
+        cols += [u(k, 6), xc(k, 3)]
+        vals += [-1.0, -1.0]
+        b_ub.append(-p.theta_set[t0 + k])
+    r = ns - 1
+    rows += [r, r, r + 1, r + 1]
+    cols += [n - 2, xc(ns, 0), n - 1, xc(ns, 1)]
+    vals += [-1.0, -p.kappa, -1.0, -p.kappa]
+    b_ub += [-p.kappa * x_ref.b, -p.kappa * x_ref.h]
+    a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(ns + 1, n))
+
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    c = np.zeros(n)
+    for k in range(ns):
+        for j, cap in enumerate((p.f_b_max, p.f_b_max, p.f_t_max, p.f_h_max)):
+            upper[u(k, j)] = cap
+        c[u(k, 4)] = p.pi_e[t0 + k] * p.delta
+        c[u(k, 6)] = p.pi_d[t0 + k]
+    for k in range(1, ns + 1):
+        lower[xc(k, 0)], upper[xc(k, 0)] = p.b_min, p.b_max
+        lower[xc(k, 1)], upper[xc(k, 1)] = h_floor, p.h_max
+        lower[xc(k, 2)] = lower[xc(k, 3)] = -np.inf
+    c[n - 2] = c[n - 1] = 1.0
+    out = {"a_eq": a_eq, "a_ub": a_ub, "b_eq": b_eq, "b_ub": np.array(b_ub),
+           "c": c, "lower": lower, "upper": upper}
+    if x is None:
+        return out
+
+    from microgrid_ems.model import admissible_controls, linear_dynamics
+
+    rhs = b_eq.copy()
+    for k in range(ns):
+        rhs[5 * k] = demands[k, 0]
+        rhs[5 * k + 2] += -p.delta * demands[k, 1]
+    rhs[1:5] += (np.eye(4) + p.delta * linear_dynamics(t0, p)[0]) @ x.as_array()
+    lower, upper = lower.copy(), upper.copy()
+    box = admissible_controls(x, p)
+    upper[u(0, 0)], upper[u(0, 1)], upper[u(0, 3)] = box.f_b_max, -box.f_b_min, box.f_h_max
+    lower[u(0, 6)] = max(0.0, p.theta_set[t0] - x.theta_i)
+    # planned tank levels: the floor, relaxed to what full-rate reheating reaches
+    reach = x.h + p.delta * (p.beta_h * box.f_h_max - demands[0, 1])
+    lower[xc(1, 1)] = min(h_floor, reach)
+    for k in range(2, ns + 1):
+        reach = min(p.h_max, reach + p.delta * (p.beta_h * p.f_h_max - demands[k - 1, 1]))
+        lower[xc(k, 1)] = min(h_floor, reach)
+    out.update(rhs=rhs, lower_at_x=lower, upper_at_x=upper)
+    return out

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from microgrid_ems import lp as lpmod
 from microgrid_ems.cli import main
 from microgrid_ems.config import (
     ConfigError,
@@ -15,6 +17,7 @@ from microgrid_ems.config import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+TANK = {"volume_l": 50, "useful_range_degc": 40}
 
 
 def tiny_doc():
@@ -69,6 +72,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown") as info:
             parse_config(doc)
         assert info.value.fieldpath == fieldpath
+
+    @pytest.mark.parametrize("tank, with_h_max, fieldpath", [
+        (TANK, True, "system.tank"),
+        ({**TANK, "bogus": 1}, False, "system.tank.bogus"),
+        ({**TANK, "volume": 60}, False, "system.tank.volume"),
+        ({"useful_range_degc": 40}, False, "system.tank.volume_l"),
+        ([50, 40], False, "system.tank"),
+    ])
+    def test_tank_rejected(self, tank, with_h_max, fieldpath):
+        doc = tiny_doc()
+        if not with_h_max:
+            del doc["system"]["h_max"]
+        doc["system"]["tank"] = tank
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert info.value.fieldpath == fieldpath
+
+    def test_tank_gives_h_max(self):
+        doc = tiny_doc()
+        del doc["system"]["h_max"]
+        doc["system"]["tank"] = {"volume_l": 150, "useful_range_degc": 40}
+        assert parse_config(doc).system.h_max == pytest.approx(
+            150 / 120 * parse_config(tiny_doc()).system.h_max, rel=1e-6)
 
     def test_section_must_be_object(self):
         doc = tiny_doc()
@@ -126,6 +152,11 @@ class TestConfig:
         m1, m2 = manifest(cfg), manifest(cfg)
         assert m1["config_sha256"] == m2["config_sha256"]
         assert len(m1["config_sha256"]) == 64
+        assert m1["solver_path"] == "warm-persistent"
+
+    def test_manifest_records_cold_path(self, monkeypatch):
+        monkeypatch.setattr(lpmod, "_highs_core", None)
+        assert manifest(parse_config(tiny_doc()))["solver_path"] == "cold-linprog"
 
 
 class TestCli:
@@ -147,10 +178,16 @@ class TestCli:
         for name in ("manifest.json", "scenarios.csv", "cuts.json",
                      "training_log.csv", "report.json", "costs.csv"):
             assert (out / name).exists(), name
-        with open(out / "training_log.csv") as f:
-            header = f.readline().strip().split(",")
+        with open(out / "training_log.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        header = rows[0]
         assert header[:2] == ["iteration", "lower_bound"]
         assert header[-1] == "iteration_s"
+        assert len(rows) > 1
+        for row in rows[1:]:
+            assert len(row) == len(header)
+            for value in row:
+                float(value)  # every field is a plain number
 
     def test_train_byte_identical(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -208,6 +245,28 @@ class TestCli:
         assert res.exit_code == 2
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and "sddp.s_online" in lines[0]
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        res = CliRunner().invoke(main, ["generate", "--config",
+                                        str(CONFIG_DIR / "winter.json"), "--seed", "-1",
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and "configuration error" in lines[0] and "seed" in lines[0]
+
+    @pytest.mark.parametrize("tank", [TANK, {**TANK, "bogus": 1}])
+    def test_tank_exit_2(self, tmp_path, tank):
+        doc = tiny_doc()
+        if "bogus" in tank:
+            del doc["system"]["h_max"]
+        doc["system"]["tank"] = tank
+        path = tmp_path / "tank.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["generate", "--config", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and "system.tank" in lines[0]
 
     def test_seed_override_changes_scenarios(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -150,7 +150,7 @@ class TestPersistent:
         persistent = PersistentLp(lp)
         for _ in range(10):
             new_rhs = rhs + rng.uniform(-0.05, 0.05, rhs.size)
-            warm = persistent.solve(rhs=new_rhs)
+            warm = persistent.solve(rhs=new_rhs, duals=True)
             cold = solve(LinearProgram(c=c, a_eq=a_eq, rhs=new_rhs,
                                        lower=lower, upper=upper,
                                        a_ub=a_ub, b_ub=b_ub))
@@ -179,6 +179,33 @@ class TestPersistent:
             3.0, abs=1e-9)
         with pytest.raises(LpError):
             persistent.solve(cost=np.array([1.0]))
+
+    def test_reads_only_what_is_asked(self):
+        persistent = PersistentLp(simple_pin(3.0))
+        sol = persistent.solve()
+        assert sol.duals is None and sol.reduced_costs is None
+        sol = persistent.solve(duals=True, reduced_costs=True)
+        assert sol.duals == pytest.approx([1.0]) and sol.reduced_costs.shape == (2,)
+
+    def test_basis_hand_over(self):
+        rng = np.random.default_rng(21)
+        handed = 0
+        while handed < 10:
+            c, a_eq, rhs, lower, upper, a_ub, b_ub = random_bounded_lp(rng, 5)
+            lp = LinearProgram(c=c, a_eq=a_eq, rhs=rhs, lower=lower, upper=upper,
+                               a_ub=a_ub, b_ub=b_ub)
+            first = PersistentLp(lp)
+            sol = first.solve()
+            if not sol.optimal:
+                assert first.basis() is None
+                continue
+            second = PersistentLp(lp)
+            second.set_basis(*first.basis())
+            again = second.solve()
+            assert again.objective == pytest.approx(sol.objective, abs=1e-9)
+            # the optimal basis needs no further pivots
+            assert second._solver.getInfo().simplex_iteration_count == 0
+            handed += 1
 
     def test_rhs_shape_guard(self):
         persistent = PersistentLp(simple_pin(3.0))

@@ -5,13 +5,31 @@ import numpy as np
 import pytest
 
 from microgrid_ems import lp as lpmod
+from microgrid_ems.assess import simulate_policy, split_scenarios
 from microgrid_ems.config import day_config, parse_config
 from microgrid_ems.model import State, admissible_controls
-from microgrid_ems.policies import StoppingRule, sddp_train
-from microgrid_ems.scenarios import DiscreteDistribution
-from microgrid_ems.stagelp import STORAGE_TIE_BREAK, OneStageDecision
+from microgrid_ems.policies import MpcPolicy, StoppingRule, sddp_train
+from microgrid_ems.scenarios import (
+    DiscreteDistribution,
+    fit_ar,
+    generate_scenarios,
+    scenario_means,
+    update_forecast,
+)
+from microgrid_ems.stagelp import (
+    STORAGE_TIE_BREAK,
+    ChainTemplate,
+    DeterministicChain,
+    OneStageDecision,
+)
 
-from helpers import battery_params, battery_x0, pinned_row_stage_value, two_point_dists
+from helpers import (
+    battery_params,
+    battery_x0,
+    loop_built_chain,
+    pinned_row_stage_value,
+    two_point_dists,
+)
 
 TOL = 1e-9
 
@@ -19,6 +37,35 @@ TOL = 1e-9
 @pytest.fixture(scope="module")
 def summer():
     return parse_config(day_config("summer")).system
+
+
+@pytest.fixture(scope="module")
+def summer_mpc():
+    """Summer config, an AR model and means fitted on 20 scenarios, and 4
+    held-out scenarios."""
+    cfg = parse_config(day_config("summer"))
+    opt, sim = split_scenarios(generate_scenarios(cfg.generator, 24, 5), 20, 42)
+    return cfg, fit_ar(opt), scenario_means(opt), sim.data
+
+
+class Recorder:
+    """Passes decisions through and records each call."""
+
+    name = "mpc"
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.calls = []
+
+    def decide(self, t, x, w_obs):
+        decision = self.policy.decide(t, x, w_obs)
+        self.calls.append((t, x, w_obs, decision))
+        return decision
+
+
+def iterations(chain):
+    """Simplex iterations of the chain's last solve."""
+    return chain._persistent._solver.getInfo().simplex_iteration_count
 
 
 def random_dist(rng, s=6):
@@ -176,6 +223,68 @@ def test_storage_tie_break_costs_at_most_its_weight(summer):
         assert_same(problem.solve(x), exact)
 
 
+# ---------------------------------------------------------------------------
+# MPC chains
+
+
+@pytest.mark.parametrize("day", ["summer", "winter"])
+def test_sliced_chain_matches_loop_oracle(day):
+    cfg = parse_config(day_config(day))
+    p, x0 = cfg.system, cfg.initial_state
+    rng = np.random.default_rng(20)
+    template = ChainTemplate(p, x0)
+    T = p.horizon_steps
+    relaxed = 0
+    for t0 in (0, 1, T // 2, T - 1):
+        chain = DeterministicChain(template, t0)
+        # runs of large hot-water draws between quiet spells: the planned
+        # reach tops out at h_max, then falls below the floor
+        x = random_state(rng, p)
+        draws = np.where(np.arange(T - t0) % 23 < 15, 0.0, 6.0) + rng.uniform(0, 0.2, T - t0)
+        demands = np.column_stack([rng.uniform(-2, 3, T - t0), draws])
+        chain.solve(x, demands)
+        oracle = loop_built_chain(p, t0, x0, p.h_floor, x, demands)
+        relaxed += np.count_nonzero(oracle["lower_at_x"] < oracle["lower"])
+        for name, vector in (("rhs", chain._persistent._rhs),
+                             ("lower_at_x", chain._persistent._lower),
+                             ("upper_at_x", chain._persistent._upper)):
+            assert np.array_equal(vector, oracle[name]), (t0, name)
+        for name, matrix in (("a_eq", chain.a_eq), ("a_ub", chain.a_ub)):
+            assert matrix.shape == oracle[name].shape, (t0, name)
+            assert matrix.nnz == oracle[name].nnz, (t0, name)
+            assert np.array_equal(matrix.toarray(), oracle[name].toarray()), (t0, name)
+        for name, vector in (("b_eq", chain._b_eq_base), ("b_ub", chain.b_ub),
+                             ("c", chain.c), ("lower", chain._lower_base),
+                             ("upper", chain._upper_base)):
+            assert np.array_equal(vector, oracle[name]), (t0, name)
+    assert relaxed > 0
+
+
+def test_seeded_first_solves_match_cold_chains(summer_mpc):
+    cfg, ar, means, scenarios = summer_mpc
+    p, x0 = cfg.system, cfg.initial_state
+    policy = MpcPolicy(p, x0, ar, means)
+    played = Recorder(policy)
+    simulate_policy(played, scenarios[0], x0, p)
+    seeded_iters = cold_iters = 0
+    for t, x, w_obs, decision in played.calls:
+        # a chain built without a predecessor starts cold
+        cold = DeterministicChain(policy._template, t)
+        ref = cold.solve(x, update_forecast(ar, t, w_obs.as_array(), means))
+        assert decision.predicted_cost == pytest.approx(ref.objective, abs=1e-9), t
+        if t > 0:
+            seeded_iters += iterations(policy._chains[t])
+            cold_iters += iterations(cold)
+    # the shifted basis is nearly optimal
+    assert seeded_iters * 10 < cold_iters
+
+
+def test_seed_must_come_from_the_previous_step(summer):
+    template = ChainTemplate(summer, State(1.0, 2.0, 20.0, 20.0))
+    with pytest.raises(ValueError, match="seeded"):
+        DeterministicChain(template, 5, DeterministicChain(template, 3))
+
+
 class TestColdPath:
     def test_warns_once(self, monkeypatch, caplog):
         monkeypatch.setattr(lpmod, "_highs_core", None)
@@ -211,6 +320,23 @@ class TestColdPath:
             assert_same(a, b)
             np.testing.assert_allclose(a.control.as_array(), b.control.as_array(), atol=TOL)
             assert a_tied.objective == pytest.approx(b_tied.objective, abs=TOL)
+
+    def test_mpc_matches_warm_path(self, summer_mpc, monkeypatch):
+        cfg, ar, means, scenarios = summer_mpc
+        p, x0 = cfg.system, cfg.initial_state
+        played = Recorder(MpcPolicy(p, x0, ar, means))
+        simulate_policy(played, scenarios[1], x0, p)
+        monkeypatch.setattr(lpmod, "_highs_core", None)
+        monkeypatch.setattr(lpmod, "_cold_path_warned", True)
+        cold = MpcPolicy(p, x0, ar, means)
+        # Fed the same states, the cold path finds the same optima. Bills may
+        # differ where the plan has ties: each path may pick another vertex.
+        for t, x, w_obs, decision in played.calls:
+            assert cold.decide(t, x, w_obs).predicted_cost == pytest.approx(
+                decision.predicted_cost, abs=1e-7), t
+            chain = cold._chains[t]
+            # seeding is a no-op: there is no basis to hand on or to set
+            assert chain._seed is None and chain._persistent.basis() is None
 
     def test_sddp_trains_on_cold_path(self, monkeypatch):
         monkeypatch.setattr(lpmod, "_highs_core", None)
