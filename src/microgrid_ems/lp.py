@@ -17,7 +17,7 @@ previous step's basis, shifted by one step.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -127,8 +127,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """`duals` and `reduced_costs` are None where a persistent re-solve was
-    not asked for them."""
+    """A warm persistent re-solve leaves `duals` None, and `reduced_costs`
+    too unless asked for them."""
 
     x_star: np.ndarray
     objective: float
@@ -263,11 +263,12 @@ class PersistentLp:
             self._a_ub = sp.vstack([self._a_ub, a_ub]).tocsr()
             self._b_ub = np.concatenate([self._b_ub, b_ub])
 
-    def solve(self, rhs=None, lower=None, upper=None, cost=None, duals=False,
+    def solve(self, rhs=None, lower=None, upper=None, cost=None,
               reduced_costs=False) -> LpSolution:
         """Re-solve with updated costs, equality rhs and/or variable bounds.
 
-        The row duals and the reduced costs are read only when asked for.
+        A warm solve reads the reduced costs only when asked for, and no row
+        duals.
         """
         lp = self._template
         if rhs is not None:
@@ -284,13 +285,9 @@ class PersistentLp:
                 self._rhs = rhs.copy()
             self._lower, self._upper = lo.copy(), up.copy()
             self._cost = c.copy()
-            sol = solve(LinearProgram(c=self._cost, a_eq=lp.a_eq, rhs=self._rhs,
-                                      lower=self._lower, upper=self._upper,
-                                      a_ub=self._a_ub, b_ub=self._b_ub))
-            if not sol.optimal:
-                return sol
-            return replace(sol, duals=sol.duals if duals else None,
-                           reduced_costs=sol.reduced_costs if reduced_costs else None)
+            return solve(LinearProgram(c=self._cost, a_eq=lp.a_eq, rhs=self._rhs,
+                                       lower=self._lower, upper=self._upper,
+                                       a_ub=self._a_ub, b_ub=self._b_ub))
 
         solver = self._solver
         if rhs is not None:
@@ -326,7 +323,7 @@ class PersistentLp:
         return LpSolution(
             x_star=self._x,
             objective=solver.getObjectiveValue(),
-            duals=np.asarray(sol.row_dual, dtype=float)[:lp.n_eq] if duals else None,
+            duals=None,
             reduced_costs=np.asarray(sol.col_dual, dtype=float) if reduced_costs else None,
             status=LpStatus.OPTIMAL,
         )

@@ -157,8 +157,6 @@ class DeterministicChain:
         self._persistent = None
         self._seed = None
         if prev is not None:
-            if prev.t0 != t0 - 1:
-                raise ValueError(f"a chain at t0 {t0} is seeded from t0 - 1, not {prev.t0}")
             basis = None if prev._persistent is None else prev._persistent.basis()
             if basis is not None:
                 # drop prev's first step: its 7 controls, the state x_{t0}, its

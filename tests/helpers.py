@@ -468,3 +468,17 @@ def loop_built_chain(p: SystemParams, t0: int, x_ref: State, h_floor: float,
         lower[xc(k, 1)] = min(h_floor, reach)
     out.update(rhs=rhs, lower_at_x=lower, upper_at_x=upper)
     return out
+
+
+def chain_labels(p: SystemParams, t0: int):
+    """What each column and row of the chain at t0 stands for, in the layout
+    of `loop_built_chain`, named by absolute step so that the chains at
+    t0 - 1 and t0 can be lined up."""
+    T = p.horizon_steps
+    cols = ([("u", t, j) for t in range(t0, T) for j in range(7)]
+            + [("x", t, i) for t in range(t0 + 1, T + 1) for i in range(4)]
+            + [("zb",), ("zh",)])
+    rows = ([("eq", t, i) for t in range(t0, T) for i in range(5)]
+            + [("epigraph", t) for t in range(t0 + 1, T)]
+            + [("terminal", "b"), ("terminal", "h")])
+    return cols, rows

@@ -26,6 +26,7 @@ from microgrid_ems.stagelp import (
 from helpers import (
     battery_params,
     battery_x0,
+    chain_labels,
     loop_built_chain,
     pinned_row_stage_value,
     two_point_dists,
@@ -279,10 +280,29 @@ def test_seeded_first_solves_match_cold_chains(summer_mpc):
     assert seeded_iters * 10 < cold_iters
 
 
-def test_seed_must_come_from_the_previous_step(summer):
+class IndexBasis:
+    """Stands in for a solved chain's LP: each column's and each row's status
+    code is its own index, so a seed shows which entries it kept."""
+
+    def __init__(self, chain):
+        self.shape = (chain.c.size, chain.a_eq.shape[0] + chain.a_ub.shape[0])
+
+    def basis(self):
+        return np.arange(self.shape[0]), np.arange(self.shape[1])
+
+
+def test_seed_is_the_shifted_basis(summer):
     template = ChainTemplate(summer, State(1.0, 2.0, 20.0, 20.0))
-    with pytest.raises(ValueError, match="seeded"):
-        DeterministicChain(template, 5, DeterministicChain(template, 3))
+    T = summer.horizon_steps
+    for t0 in (1, 2, T // 2, T - 1):
+        prev = DeterministicChain(template, t0 - 1)
+        prev._persistent = IndexBasis(prev)
+        chain = DeterministicChain(template, t0, prev)
+        for prev_labels, labels, seed in zip(chain_labels(summer, t0 - 1),
+                                             chain_labels(summer, t0), chain._seed):
+            # each entry of the new chain starts from the status of the same
+            # column or row of the chain at t0 - 1
+            assert seed.tolist() == [prev_labels.index(label) for label in labels], t0
 
 
 class TestColdPath:
