@@ -2,7 +2,8 @@
 
 Runs policies over assessment scenarios, records bills and trajectories,
 and computes the comparison statistics (means, 95% confidence intervals,
-pairwise SDDP-MPC gaps and the scenario-wise win fraction).
+pairwise SDDP-MPC gaps and the scenario-wise win fraction) and each
+policy's decision latency (mean, p50 and p99).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class SimulationResult:
     total_cost: float
     trajectory: Optional[np.ndarray] = None   # (T+1, 4) states
     imports: Optional[np.ndarray] = None      # (T,) grid import per step
-    decision_seconds: float = 0.0             # mean wall time per decision
+    decision_seconds: Optional[np.ndarray] = None  # (T,) wall time of each decision
 
 
 def simulate_policy(policy, scenario: np.ndarray, x0: State, p: SystemParams,
@@ -62,7 +63,7 @@ def simulate_policy(policy, scenario: np.ndarray, x0: State, p: SystemParams,
         policy.reset()
     x = x0
     total = 0.0
-    elapsed = 0.0
+    elapsed = np.zeros(T)
     traj = np.zeros((T + 1, 4)) if record else None
     imports = np.zeros(T) if record else None
     if record:
@@ -71,7 +72,7 @@ def simulate_policy(policy, scenario: np.ndarray, x0: State, p: SystemParams,
         w_obs = Uncertainty(scenario[t, 0], scenario[t, 1])
         tic = time.perf_counter()
         decision = policy.decide(t, x, w_obs)
-        elapsed += time.perf_counter() - tic
+        elapsed[t] = time.perf_counter() - tic
         u = decision.control
         w_next = Uncertainty(scenario[t + 1, 0], scenario[t + 1, 1])
         rec = recourse(u, w_next)
@@ -86,7 +87,7 @@ def simulate_policy(policy, scenario: np.ndarray, x0: State, p: SystemParams,
             imports[t] = rec.f_ne
     total += terminal_cost(x, x0, p.kappa)
     return SimulationResult(total_cost=total, trajectory=traj, imports=imports,
-                            decision_seconds=elapsed / T)
+                            decision_seconds=elapsed)
 
 
 @dataclass
@@ -97,7 +98,8 @@ class AssessmentReport:
     mean: Dict[str, float]
     std: Dict[str, float]
     ci95: Dict[str, float]
-    timing_s: Dict[str, float]
+    timing_s: Dict[str, float]                 # mean seconds per decision
+    latency_ms: Dict[str, Dict[str, float]]    # p50_ms and p99_ms per decision
     gaps: Optional[np.ndarray] = None          # sddp - mpc, per scenario
     win_fraction: Optional[float] = None       # share of scenarios sddp < mpc
     gap_bins: Optional[dict] = None
@@ -112,6 +114,7 @@ class AssessmentReport:
                     "std": self.std[name],
                     "ci95": self.ci95[name],
                     "mean_decision_seconds": self.timing_s[name],
+                    **self.latency_ms[name],
                 }
                 for name in self.costs
             },
@@ -162,13 +165,13 @@ class AssessmentReport:
 
 def _simulate_many(policies, scenarios, x0, p, record):
     costs = {name: [] for name in policies}
-    timing = {name: 0.0 for name in policies}
+    timing = {name: [] for name in policies}
     trajs = {name: [] for name in policies} if record else None
     for scenario in scenarios:
         for name, policy in policies.items():
             res = simulate_policy(policy, scenario, x0, p, record=record)
             costs[name].append(res.total_cost)
-            timing[name] += res.decision_seconds
+            timing[name].append(res.decision_seconds)
             if record:
                 trajs[name].append((res.trajectory, res.imports))
     return costs, timing, trajs
@@ -195,7 +198,7 @@ def run_assessment(policies: Dict[str, object], assessment: ScenarioSet,
 
     # chunks are consecutive, so concatenating keeps the scenario order
     costs = {name: [] for name in policies}
-    timing = {name: 0.0 for name in policies}
+    timing = {name: [] for name in policies}
     trajs = {name: [] for name in policies} if record_trajectories else None
     for c, t, tr in parts:
         for name in policies:
@@ -207,7 +210,11 @@ def run_assessment(policies: Dict[str, object], assessment: ScenarioSet,
     mean = {name: float(np.mean(v)) for name, v in costs.items()}
     std = {name: float(np.std(v, ddof=1)) for name, v in costs.items()}
     ci95 = {name: 1.96 * std[name] / math.sqrt(n) for name in costs}
-    timing_s = {name: timing[name] / n for name in costs}
+    seconds = {name: np.concatenate(timing[name]) for name in costs}
+    timing_s = {name: float(np.mean(v)) for name, v in seconds.items()}
+    latency_ms = {name: {"p50_ms": 1e3 * float(np.percentile(v, 50)),
+                         "p99_ms": 1e3 * float(np.percentile(v, 99))}
+                  for name, v in seconds.items()}
 
     gaps = win = bins = None
     if "sddp" in costs and "mpc" in costs:
@@ -220,8 +227,8 @@ def run_assessment(policies: Dict[str, object], assessment: ScenarioSet,
         bins = {"edges": edges if hi > lo else [lo, lo + 1.0],
                 "counts": [int(v) for v in hist]}
     return AssessmentReport(costs=costs, mean=mean, std=std, ci95=ci95,
-                            timing_s=timing_s, gaps=gaps, win_fraction=win,
-                            gap_bins=bins, trajectories=trajs)
+                            timing_s=timing_s, latency_ms=latency_ms, gaps=gaps,
+                            win_fraction=win, gap_bins=bins, trajectories=trajs)
 
 
 def split_scenarios(pool: ScenarioSet, n_opt: int, seed: int):

@@ -56,9 +56,17 @@ def _write_manifest(cfg, out_dir: Path):
         json.dump(config_mod.manifest(cfg), f, indent=1)
 
 
-def _require_file(path: Path):
+def _require_file(path: Path, what: str):
     if not path.exists():
-        click.echo(f"missing scenario file: {path}", err=True)
+        click.echo(f"missing {what} file: {path}", err=True)
+        raise click.exceptions.Exit(EXIT_CONFIG)
+
+
+def _require_horizon(path, horizon: int, cfg):
+    """Artifacts trained for another horizon cannot be played on this one."""
+    if horizon != cfg.system.horizon_steps:
+        click.echo(f"{path} covers {horizon} stages, but the configuration has "
+                   f"{cfg.system.horizon_steps}", err=True)
         raise click.exceptions.Exit(EXIT_CONFIG)
 
 
@@ -115,7 +123,7 @@ def _train(cfg, opt, out: Path):
 def train(config_path, scenarios_path, seed, out_dir):
     """Quantize the optimization scenarios and train the SDDP cuts."""
     cfg = _load(config_path, seed)
-    _require_file(Path(scenarios_path))
+    _require_file(Path(scenarios_path), "scenario")
     out = Path(out_dir)
     _write_manifest(cfg, out)
     pool = scenarios_mod.load_scenarios(scenarios_path)
@@ -164,14 +172,17 @@ def assess(config_path, scenarios_path, cuts_path, dists_path, seed, threads,
            trajectories, out_dir):
     """Assess heuristic / MPC / SDDP on the held-out scenarios."""
     cfg = _load(config_path, seed)
-    for path in (scenarios_path, cuts_path, dists_path):
-        _require_file(Path(path))
+    for path, what in ((scenarios_path, "scenario"), (cuts_path, "cuts"),
+                       (dists_path, "distributions")):
+        _require_file(Path(path), what)
+    vf = policies_mod.ValueFunctions.from_json(cuts_path)
+    dists = scenarios_mod.load_distributions(dists_path)
+    _require_horizon(cuts_path, vf.horizon, cfg)
+    _require_horizon(dists_path, len(dists), cfg)
     out = Path(out_dir)
     _write_manifest(cfg, out)
     pool = scenarios_mod.load_scenarios(scenarios_path)
     opt, sim = assess_mod.split_scenarios(pool, cfg.n_opt, cfg.split_seed)
-    vf = policies_mod.ValueFunctions.from_json(cuts_path)
-    dists = scenarios_mod.load_distributions(dists_path)
     report = _assess(cfg, opt, sim, vf, dists, out, threads, trajectories)
     _echo_report(report)
 

@@ -6,12 +6,14 @@ persistent LP per stage: the incoming state is a block of fixed columns
 the reduced costs of the fixed columns.
 
 Problems are tiny (at most a few thousand rows), dense in spirit but stored
-sparse; they are handed to HiGHS through scipy. The dual convention is fixed
+sparse. One-shot solves go through scipy's `linprog`; a persistent LP hands
+its owner's row arrays to HiGHS as they are. The dual convention is fixed
 so that for an equality row a.x = b, value(b + d) >= value(b) + dual * d.
 
 A persistent LP can also hand its basis to a related problem (one with rows
-and columns dropped): MPC starts each new shrinking-horizon chain from the
-previous step's basis, shifted by one step.
+and columns dropped or added): MPC starts each new shrinking-horizon chain
+from the previous step's basis, shifted by one step, and SDDP each new stage
+from the stage solved before it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "LpStatus",
     "LpError",
     "PersistentLp",
+    "stack_rows",
     "solve",
     "parametric_duals",
 ]
@@ -141,11 +144,11 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
     @staticmethod
-    def failed(lp: LinearProgram, status: LpStatus) -> "LpSolution":
+    def failed(n_vars: int, n_eq: int, status: LpStatus) -> "LpSolution":
         """An infeasible or unbounded outcome: every value is NaN."""
-        return LpSolution(x_star=np.full(lp.n_vars, np.nan), objective=np.nan,
-                          duals=np.full(lp.n_eq, np.nan),
-                          reduced_costs=np.full(lp.n_vars, np.nan), status=status)
+        return LpSolution(x_star=np.full(n_vars, np.nan), objective=np.nan,
+                          duals=np.full(n_eq, np.nan),
+                          reduced_costs=np.full(n_vars, np.nan), status=status)
 
 
 _STATUS_MAP = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
@@ -167,7 +170,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     if status is None:
         raise LpError(f"solver failure: {res.message}")
     if status is not LpStatus.OPTIMAL:
-        return LpSolution.failed(lp, status)
+        return LpSolution.failed(lp.n_vars, lp.n_eq, status)
     duals = res.eqlin.marginals if lp.n_eq else np.zeros(0)
     # on a fixed column the two bound marginals sum to its reduced cost
     reduced = res.lower.marginals + res.upper.marginals
@@ -197,6 +200,13 @@ def parametric_duals(lp: LinearProgram, fixed_rows: Iterable[int],
     return solution.objective, solution.duals[idx]
 
 
+def stack_rows(top, bottom):
+    """The rows of `top`, then those of `bottom`; each is a CSR triple
+    (indptr, indices, data)."""
+    return (np.concatenate([top[0], top[0][-1] + bottom[0][1:]]),
+            np.concatenate([top[1], bottom[1]]), np.concatenate([top[2], bottom[2]]))
+
+
 class PersistentLp:
     """A linear program held inside the solver across re-solves.
 
@@ -207,60 +217,55 @@ class PersistentLp:
     back to cold solves, with a warning, when the bundled HiGHS bindings are
     unavailable.
 
+    It takes arrays its owner has built and checked, as `LinearProgram`
+    would: float costs and column bounds, and the rows compressed row-wise
+    as a CSR triple (indptr, indices, data) with int32 indices. The first
+    `rhs.size` rows are the equalities a x = rhs, the others a x <= b_ub.
+
     Not picklable on purpose (holds solver state); owners rebuild it lazily.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, c, lower, upper, rhs, rows, b_ub=None):
         global _cold_path_warned
-        self._template = lp
-        self._cost = lp.c.copy()
-        self._rhs = lp.rhs.copy()
-        self._a_ub = lp.a_ub
-        self._b_ub = lp.b_ub
-        self._lower = lp.lower.copy()
-        self._upper = lp.upper.copy()
+        self._n_eq = rhs.size
+        self._cost = c.copy()
+        self._rhs = rhs.copy()
+        self._rows = rows
+        self._b_ub = np.zeros(0) if b_ub is None else b_ub
+        self._lower = lower.copy()
+        self._upper = upper.copy()
         self._core = _highs_core
         self._solver = None
         self._x = None  # primal solution of the last optimal warm solve
         if self._core is not None:
-            self._solver = self._build(lp)
+            self._solver = self._build()
         elif not _cold_path_warned:
             _cold_path_warned = True
             log.warning("HiGHS bindings unavailable: every LP re-solve runs cold "
                         "through linprog, about 10x slower")
 
-    def _build(self, lp: LinearProgram):
+    def _build(self):
         hc = self._core
-        n_ub = 0 if lp.b_ub is None else lp.b_ub.size
-        if n_ub:
-            a = sp.vstack([lp.a_eq, lp.a_ub]).tocsc()
-            row_lower = np.concatenate([lp.rhs, np.full(n_ub, -np.inf)])
-            row_upper = np.concatenate([lp.rhs, lp.b_ub])
-        else:
-            a = lp.a_eq.tocsc()
-            row_lower = lp.rhs.copy()
-            row_upper = lp.rhs.copy()
+        n, n_ub = self._cost.size, self._b_ub.size
+        indptr, indices, data = self._rows
         solver = hc._Highs()
         solver.setOptionValue("output_flag", False)
-        solver.passModel(lp.n_vars, lp.n_eq + n_ub, a.nnz, int(hc.MatrixFormat.kColwise),
-                         int(hc.ObjSense.kMinimize), 0.0, lp.c, lp.lower, lp.upper,
-                         row_lower, row_upper, a.indptr, a.indices, a.data,
-                         np.zeros(lp.n_vars, dtype=np.int32))  # every column continuous
+        solver.passModel(n, self._n_eq + n_ub, data.size, int(hc.MatrixFormat.kRowwise),
+                         int(hc.ObjSense.kMinimize), 0.0, self._cost, self._lower,
+                         self._upper, np.concatenate([self._rhs, np.full(n_ub, -np.inf)]),
+                         np.concatenate([self._rhs, self._b_ub]), indptr, indices, data,
+                         np.zeros(n, dtype=np.int32))  # every column continuous
         return solver
 
-    def add_rows(self, a_ub, b_ub):
-        """Append inequality rows a_ub x <= b_ub; later solves include them."""
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        a_ub = _as_matrix(a_ub, b_ub.size, self._template.n_vars, "a_ub")
-        if not np.all(np.isfinite(b_ub)):
-            raise LpError("b_ub contains non-finite entries")
+    def add_rows(self, rows, b_ub):
+        """Append inequality rows a x <= b_ub, given as a CSR triple like the
+        constructor's; later solves include them."""
+        indptr, indices, data = rows
         if self._solver is not None:
             self._solver.addRows(b_ub.size, np.full(b_ub.size, -np.inf), b_ub,
-                                 a_ub.nnz, a_ub.indptr[:-1], a_ub.indices, a_ub.data)
-        elif self._b_ub is None:
-            self._a_ub, self._b_ub = a_ub, b_ub
+                                 data.size, indptr[:-1], indices, data)
         else:
-            self._a_ub = sp.vstack([self._a_ub, a_ub]).tocsr()
+            self._rows = stack_rows(self._rows, rows)
             self._b_ub = np.concatenate([self._b_ub, b_ub])
 
     def solve(self, rhs=None, lower=None, upper=None, cost=None,
@@ -270,7 +275,6 @@ class PersistentLp:
         A warm solve reads the reduced costs only when asked for, and no row
         duals.
         """
-        lp = self._template
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=float)
             if rhs.shape != self._rhs.shape:
@@ -285,9 +289,13 @@ class PersistentLp:
                 self._rhs = rhs.copy()
             self._lower, self._upper = lo.copy(), up.copy()
             self._cost = c.copy()
-            return solve(LinearProgram(c=self._cost, a_eq=lp.a_eq, rhs=self._rhs,
+            indptr, indices, data = self._rows
+            a = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, c.size))
+            n_eq, ub = self._n_eq, self._b_ub.size > 0
+            return solve(LinearProgram(c=self._cost, a_eq=a[:n_eq], rhs=self._rhs,
                                        lower=self._lower, upper=self._upper,
-                                       a_ub=self._a_ub, b_ub=self._b_ub))
+                                       a_ub=a[n_eq:] if ub else None,
+                                       b_ub=self._b_ub if ub else None))
 
         solver = self._solver
         if rhs is not None:
@@ -317,7 +325,7 @@ class PersistentLp:
         else:
             raise LpError(f"solver failure: {model_status}")
         if status is not LpStatus.OPTIMAL:
-            return LpSolution.failed(lp, status)
+            return LpSolution.failed(c.size, self._n_eq, status)
         sol = solver.getSolution()
         self._x = np.asarray(sol.col_value, dtype=float)
         return LpSolution(
@@ -342,7 +350,7 @@ class PersistentLp:
         cols[np.isinf(self._lower) & np.isinf(self._upper)] = BASIS_ZERO
         # equality rows first, then the inequality rows a x <= b
         rows = np.full(self._solver.getNumRow(), BASIS_UPPER, dtype=np.int8)
-        rows[:self._template.n_eq] = BASIS_LOWER
+        rows[:self._n_eq] = BASIS_LOWER
         cols[basic[basic >= 0]] = BASIS_BASIC
         rows[-1 - basic[basic < 0]] = BASIS_BASIC
         return cols, rows

@@ -315,7 +315,11 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
 
 class SddpPolicy:
     """Online one-stage policy against the trained cuts and per-stage
-    discrete laws."""
+    discrete laws.
+
+    Each stage LP is built on first use and kept for the next scenario; a
+    new one starts from the basis of the stage LP one step earlier.
+    """
 
     name = "sddp"
 
@@ -332,9 +336,15 @@ class SddpPolicy:
         prob = self._problems.get(t)
         if prob is None:
             lambdas, betas = self.vf.arrays(t + 1)
-            prob = stagelp.OneStageDecision(self.p, t, self.dists[t], lambdas, betas)
+            prob = stagelp.OneStageDecision(self.p, t, self.dists[t], lambdas, betas,
+                                            self._problems.get(t - 1))
             self._problems[t] = prob
         return prob
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_problems"] = {}  # stage LPs, rebuilt and seeded as in a fresh policy
+        return state
 
     def decide(self, t: int, x: State, w_obs: Uncertainty) -> PolicyDecision:
         """The noise is stagewise independent, so w_obs does not enter."""

@@ -45,9 +45,14 @@ def canonical_control(fbp: float, fbm: float, ft: float, fh: float) -> Control:
     return Control(f_b=pos - neg, f_t=ft, f_h=fh)
 
 
+def cut_keys(lambdas: np.ndarray, betas: np.ndarray) -> list:
+    """Identity of each cut: slope and intercept rounded to 12 decimals."""
+    return list(map(tuple, np.round(np.column_stack([lambdas, betas]), 12).tolist()))
+
+
 def cut_key(lam: np.ndarray, beta: float) -> tuple:
-    """Identity of a cut: slope and intercept rounded to 12 decimals."""
-    return tuple(np.round(np.append(lam, beta), 12))
+    """The identity of one cut, as `cut_keys` gives it."""
+    return cut_keys(lam[None, :], [beta])[0]
 
 
 @dataclass
@@ -201,9 +206,11 @@ class DeterministicChain:
         lower[self._h_cols] = np.minimum(self.h_floor, list(reach))
 
         if self._persistent is None:
-            self._persistent = lpmod.PersistentLp(lpmod.LinearProgram(
-                c=self.c, a_eq=self.a_eq, rhs=b_eq, lower=lower, upper=upper,
-                a_ub=self.a_ub, b_ub=self.b_ub))
+            a_eq, a_ub = self.a_eq, self.a_ub
+            self._persistent = lpmod.PersistentLp(
+                self.c, lower, upper, b_eq,
+                lpmod.stack_rows((a_eq.indptr, a_eq.indices, a_eq.data),
+                                 (a_ub.indptr, a_ub.indices, a_ub.data)), self.b_ub)
             if self._seed is not None:
                 self._persistent.set_basis(*self._seed)
                 self._seed = None
@@ -241,10 +248,16 @@ class OneStageDecision:
     `dist`, the import bill and theta_s >= lam . x'_s + beta for every cut.
     The shared control is bounded through the pinned state by four box rows;
     each scenario has a balance row and four dynamics rows.
+
+    `prev`, the stage LP solved one step earlier, seeds this LP's first
+    solve. M and N are time-invariant, so every stage with as many scenarios
+    has the same columns, equality rows and box rows, and their statuses
+    carry over unchanged. Of the cut rows, those of the cut maximal at the
+    incoming state are active (nonbasic), the others basic.
     """
 
     def __init__(self, p: SystemParams, t: int, dist, lambdas: np.ndarray,
-                 betas: np.ndarray):
+                 betas: np.ndarray, prev: Optional["OneStageDecision"] = None):
         if not 0 <= t < p.horizon_steps:
             raise ValueError(f"stage {t} outside [0, {p.horizon_steps})")
         self.p = p
@@ -253,47 +266,51 @@ class OneStageDecision:
         self.weights = np.asarray(dist.weights, dtype=float)
         self.s_count = self.points.shape[0]
         self.n = _BLOCK + _WIDTH * self.s_count
-        blocks = _BLOCK + _WIDTH * np.arange(self.s_count)
+        blocks = _BLOCK + _WIDTH * np.arange(self.s_count, dtype=np.int32)
         self._theta = blocks + 2
-        self._next = blocks[:, None] + 3 + np.arange(4)
+        self._next = blocks[:, None] + 3 + np.arange(4, dtype=np.int32)
+        lambdas = np.asarray(lambdas, dtype=float).reshape(-1, 4)
+        betas = np.asarray(betas, dtype=float).reshape(-1)
         self._cuts = {}  # cut_key -> (lam, beta), in insertion order
+        for key, lam, beta in zip(cut_keys(lambdas, betas), lambdas, betas.tolist()):
+            self._cuts.setdefault(key, (lam, beta))
         self._persistent = None
         self._build()
-        for lam, beta in zip(np.asarray(lambdas, dtype=float).reshape(-1, 4),
-                             np.asarray(betas, dtype=float).reshape(-1)):
-            self.add_cut(lam, beta)
+        self._seed = None
+        basis = None if prev is None or prev._persistent is None else prev._persistent.basis()
+        if basis is not None and prev.s_count == self.s_count:
+            cols, rows = basis
+            self._seed = (cols, rows[:5 * self.s_count + 4])  # equality and box rows
 
     def _build(self):
         p, t, n, s_count = self.p, self.t, self.n, self.s_count
         delta = p.delta
         m, nmat, pw, g = linear_dynamics(t, p)
-        blocks = _BLOCK + _WIDTH * np.arange(s_count)
+        blocks = self._theta - 2
 
         # per scenario: the balance fne - spill - fb+ + fb- - ft - fh = d_el,
-        # then x'_s - (I + delta M) x - delta N u = delta (P w_s + g)
-        shared = np.zeros((5, _BLOCK))
-        shared[0, _U:_DCOMF] = (-1.0, 1.0, -1.0, -1.0)
-        shared[1:, :4] = -(np.eye(4) + delta * m)
-        shared[1:, _U:_DCOMF] = -delta * nmat
-        own = np.zeros((5, _WIDTH))
-        own[0, :2] = (1.0, -1.0)
-        own[1:, 3:] = np.eye(4)
-        a_eq = np.zeros((5 * s_count, n))
-        for s, base in enumerate(blocks):
-            a_eq[5 * s:5 * s + 5, :_BLOCK] = shared
-            a_eq[5 * s:5 * s + 5, base:base + _WIDTH] = own
-        self.a_eq = sp.csr_matrix(a_eq)
+        # then x'_s - (I + delta M) x - delta N u = delta (P w_s + g);
+        # columns [shared (9), the scenario's own (7)]
+        block = np.zeros((5, _BLOCK + _WIDTH))
+        block[0, _U:_DCOMF] = (-1.0, 1.0, -1.0, -1.0)
+        block[1:, :4] = -(np.eye(4) + delta * m)
+        block[1:, _U:_DCOMF] = -delta * nmat
+        block[0, _BLOCK:_BLOCK + 2] = (1.0, -1.0)
+        block[1:, _BLOCK + 3:] = np.eye(4)
+        r, c = np.nonzero(block)
+        eq_cols = np.where(c < _BLOCK, c, blocks[:, None] + (c - _BLOCK))
         self.b_eq = np.column_stack([self.points[:, 0],
                                      delta * (self.points @ pw.T + g)]).ravel()
 
         # admissible control box, written through the pinned state
-        a_box = np.zeros((4, n))
-        a_box[0, [_U, 0]] = (delta * p.rho_c, 1.0)
-        a_box[1, [_U + 1, 0]] = (delta / p.rho_d, -1.0)
-        a_box[2, [_U + 3, 1]] = (delta * p.beta_h, 1.0)
-        a_box[3, [_DCOMF, 3]] = (-1.0, -1.0)
-        self._a_box = sp.csr_matrix(a_box)
+        box_cols = (0, _U, 0, _U + 1, 1, _U + 3, 3, _DCOMF)
+        box_vals = (1.0, delta * p.rho_c, -1.0, delta / p.rho_d, 1.0, delta * p.beta_h,
+                    -1.0, -1.0)
         self._b_box = np.array([p.b_max, -p.b_min, p.h_max, -p.theta_set[t]])
+        counts = np.concatenate([np.tile(np.bincount(r, minlength=5), s_count), [2, 2, 2, 2]])
+        self._rows = (np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
+                      np.concatenate([eq_cols.ravel(), box_cols]).astype(np.int32),
+                      np.concatenate([np.tile(block[r, c], s_count), box_vals]))
 
         lower = np.full(n, -INF)
         upper = np.full(n, INF)
@@ -313,16 +330,30 @@ class OneStageDecision:
         self._lower_base = lower
         self._upper_base = upper
 
+    def _cut_arrays(self):
+        lambdas = np.array([lam for lam, _ in self._cuts.values()]).reshape(-1, 4)
+        return lambdas, np.array([beta for _, beta in self._cuts.values()])
+
     def _cut_rows(self, lambdas: np.ndarray, betas: np.ndarray):
-        """Rows lam_j . x'_s - theta_s <= -beta_j, cut-major."""
+        """Rows lam_j . x'_s - theta_s <= -beta_j, cut-major, as a CSR
+        triple, and their right-hand sides."""
         s_count = self.s_count
         n_rows = lambdas.shape[0] * s_count
         cols = np.tile(np.column_stack([self._theta, self._next]), (lambdas.shape[0], 1))
         vals = np.column_stack([np.full(n_rows, -1.0), np.repeat(lambdas, s_count, axis=0)])
         keep = vals != 0.0
-        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-        return (sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_rows, self.n)),
-                np.repeat(-betas, s_count))
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
+        return (indptr, cols[keep], vals[keep]), np.repeat(-betas, s_count)
+
+    def _seed_basis(self, x: State):
+        """The seed of a first solve at x: prev's columns, equality and box
+        rows, then per scenario the row of the cut maximal at x nonbasic (on
+        its bound) and the other cut rows basic."""
+        cols, rows = self._seed
+        lambdas, betas = self._cut_arrays()
+        cuts = np.full((betas.size, self.s_count), lpmod.BASIS_BASIC, dtype=np.int8)
+        cuts[np.argmax(lambdas @ x.as_array() + betas)] = lpmod.BASIS_UPPER
+        return cols, np.concatenate([rows, cuts.ravel()])
 
     @property
     def n_cuts(self) -> int:
@@ -363,13 +394,12 @@ class OneStageDecision:
         reach = x.h + p.delta * (p.beta_h * box.f_h_max - self.points[:, 1])
         lower[self._next[:, 1]] = np.minimum(p.h_floor, reach)
         if self._persistent is None:
-            lambdas = np.array([lam for lam, _ in self._cuts.values()]).reshape(-1, 4)
-            betas = np.array([beta for _, beta in self._cuts.values()])
-            a_cut, b_cut = self._cut_rows(lambdas, betas)
-            self._persistent = lpmod.PersistentLp(lpmod.LinearProgram(
-                c=self.c, a_eq=self.a_eq, rhs=self.b_eq, lower=lower, upper=upper,
-                a_ub=sp.vstack([self._a_box, a_cut]),
-                b_ub=np.concatenate([self._b_box, b_cut])))
+            self._persistent = lpmod.PersistentLp(self.c, lower, upper, self.b_eq,
+                                                  self._rows, self._b_box)
+            self._persistent.add_rows(*self._cut_rows(*self._cut_arrays()))
+            if self._seed is not None:
+                self._persistent.set_basis(*self._seed_basis(x))
+                self._seed = None
         sol = self._persistent.solve(lower=lower, upper=upper,
                                      cost=self._c_decide if prefer_storage else self.c,
                                      reduced_costs=not prefer_storage)

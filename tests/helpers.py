@@ -292,10 +292,24 @@ def grid_search_cost(p: SystemParams, x0: State, demands: np.ndarray,
 def pinned_row_stage_value(p: SystemParams, t: int, x: State, dist,
                            lambdas: np.ndarray, betas: np.ndarray):
     """Optimal value of the one-stage SDDP problem at x and its gradient in x,
-    read off the duals of four equality rows x = x_in.
+    read off the duals of four equality rows x = x_in."""
+    lp = loop_built_stage(p, t, x, dist, lambdas, betas)
+    res = linprog(lp["c"], A_ub=lp["a_ub"], b_ub=lp["b_ub"], A_eq=lp["a_eq"],
+                  b_eq=lp["b_eq"], bounds=np.column_stack([lp["lower"], lp["upper"]]),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun), np.asarray(res.eqlin.marginals[:4])
+
+
+def loop_built_stage(p: SystemParams, t: int, x: State, dist,
+                     lambdas: np.ndarray, betas: np.ndarray) -> dict:
+    """The one-stage SDDP problem at x, one row at a time.
 
     Variables: x(4), u = [fb+, fb-, ft, fh], discomfort, then per scenario
-    s: fne, spill, theta_s, x'_s(4). Dense assembly; small instances only.
+    s: fne, spill, theta_s, x'_s(4). Rows: four pinning rows x = x_in, then
+    per scenario a balance row and four dynamics rows; inequality rows: the
+    four control-box rows, then per scenario one row per cut. Dense
+    assembly; small instances only.
     """
     from microgrid_ems.model import admissible_controls, linear_dynamics
 
@@ -359,11 +373,8 @@ def pinned_row_stage_value(p: SystemParams, t: int, x: State, dist,
         # tank floor, relaxed to what full-rate reheating reaches
         reach = x.h + d * (p.beta_h * fh_cap - pts[s, 1])
         lower[blk[s] + 4], upper[blk[s] + 4] = min(p.h_floor, reach), p.h_max
-    res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub), A_eq=np.array(a_eq),
-                  b_eq=np.array(b_eq), bounds=np.column_stack([lower, upper]),
-                  method="highs")
-    assert res.status == 0, res.message
-    return float(res.fun), np.asarray(res.eqlin.marginals[:4])
+    return {"a_eq": np.array(a_eq), "b_eq": np.array(b_eq), "a_ub": np.array(a_ub),
+            "b_ub": np.array(b_ub), "c": c, "lower": lower, "upper": upper}
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,9 @@ class TestRunAssessment:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["n_scenarios"] == sim.n
         assert "sddp_vs_mpc" in doc
+        for name in policies:
+            entry = doc["policies"][name]
+            assert 0.0 < entry["p50_ms"] <= entry["p99_ms"]
         header = (tmp_path / "traj.csv").read_text().splitlines()[0]
         assert header == "policy,scenario,t,b,h,theta_w,theta_i,f_ne"
 

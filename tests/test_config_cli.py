@@ -214,6 +214,49 @@ class TestCli:
         assert res.exit_code == 2
         assert "absent.csv" in res.output
 
+    @pytest.mark.parametrize("option", ["--cuts", "--distributions"])
+    def test_missing_artifact_named_exit_2(self, tmp_path, option):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "o"
+        assert CliRunner().invoke(main, ["generate", "--config", str(cfg),
+                                         "--out", str(out)]).exit_code == 0
+        artifacts = {"--cuts": out / "cuts.json", "--distributions": out / "dists.json"}
+        for path in artifacts.values():
+            path.write_text("[]")
+        artifacts[option] = tmp_path / "absent.json"
+        res = CliRunner().invoke(main, [
+            "assess", "--config", str(cfg), "--scenarios", str(out / "scenarios.csv"),
+            *[str(v) for pair in artifacts.items() for v in pair], "--out", str(out)])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        what = option.lstrip("-")
+        assert lines == [f"missing {what} file: {tmp_path / 'absent.json'}"]
+
+    @pytest.mark.parametrize("stale", ["cuts.json", "distributions.json"])
+    def test_assess_horizon_mismatch_exit_2(self, tmp_path, stale):
+        runner = CliRunner()
+        outs = {}
+        for steps in (8, 6):
+            doc = tiny_doc()
+            doc["system"] = day_config("winter", horizon_steps=steps)["system"]
+            cfg = tmp_path / f"t{steps}.json"
+            cfg.write_text(json.dumps(doc))
+            outs[steps] = out = tmp_path / f"o{steps}"
+            assert runner.invoke(main, ["bench", "--config", str(cfg),
+                                        "--out", str(out)]).exit_code == 0
+        # the 6-step day's artifacts, but one of them from the 8-step day
+        artifacts = {name: outs[8 if name == stale else 6] / name
+                     for name in ("cuts.json", "distributions.json")}
+        res = runner.invoke(main, [
+            "assess", "--config", str(tmp_path / "t6.json"),
+            "--scenarios", str(outs[6] / "scenarios.csv"),
+            "--cuts", str(artifacts["cuts.json"]),
+            "--distributions", str(artifacts["distributions.json"]),
+            "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert lines == [f"{outs[8] / stale} covers 8 stages, but the configuration has 6"]
+
     def test_invalid_config_exit_2(self, tmp_path):
         doc = tiny_doc()
         doc["system"]["rho_c"] = 2.0

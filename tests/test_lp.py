@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from microgrid_ems.lp import (
     LinearProgram,
@@ -11,6 +12,14 @@ from microgrid_ems.lp import (
 )
 
 from helpers import random_bounded_lp, vertex_enumeration_optimum
+
+
+def persistent_lp(lp: LinearProgram) -> PersistentLp:
+    """The persistent LP of a validated program: its rows handed over as one
+    CSR triple, equalities first."""
+    a = lp.a_eq if lp.a_ub is None else sp.vstack([lp.a_eq, lp.a_ub], format="csr")
+    rows = (a.indptr.astype(np.int32), a.indices.astype(np.int32), a.data)
+    return PersistentLp(lp.c, lp.lower, lp.upper, lp.rhs, rows, lp.b_ub)
 
 
 def simple_pin(value: float) -> LinearProgram:
@@ -147,7 +156,7 @@ class TestPersistent:
             c, a_eq, rhs, lower, upper, a_ub, b_ub = random_bounded_lp(rng, 4)
         lp = LinearProgram(c=c, a_eq=a_eq, rhs=rhs, lower=lower,
                            upper=upper, a_ub=a_ub, b_ub=b_ub)
-        persistent = PersistentLp(lp)
+        persistent = persistent_lp(lp)
         for _ in range(10):
             new_rhs = rhs + rng.uniform(-0.05, 0.05, rhs.size)
             warm = persistent.solve(rhs=new_rhs)
@@ -162,7 +171,7 @@ class TestPersistent:
 
     def test_bound_updates(self):
         lp = simple_pin(3.0)
-        persistent = PersistentLp(lp)
+        persistent = persistent_lp(lp)
         assert persistent.solve().objective == pytest.approx(3.0, abs=1e-9)
         assert persistent.solve(rhs=np.array([4.0])).objective == pytest.approx(
             4.0, abs=1e-9)
@@ -171,7 +180,7 @@ class TestPersistent:
         assert sol.objective == pytest.approx(6.0, abs=1e-9)
 
     def test_cost_updates(self):
-        persistent = PersistentLp(simple_pin(3.0))
+        persistent = persistent_lp(simple_pin(3.0))
         assert persistent.solve().objective == pytest.approx(3.0, abs=1e-9)
         # a negative cost on the epigraph variable drives it to its upper bound
         assert persistent.solve(cost=np.array([0.0, -1.0])).objective == pytest.approx(
@@ -182,7 +191,7 @@ class TestPersistent:
             persistent.solve(cost=np.array([1.0]))
 
     def test_reads_only_what_is_asked(self):
-        persistent = PersistentLp(simple_pin(3.0))
+        persistent = persistent_lp(simple_pin(3.0))
         sol = persistent.solve()
         assert sol.duals is None and sol.reduced_costs is None
         sol = persistent.solve(reduced_costs=True)
@@ -195,12 +204,12 @@ class TestPersistent:
             c, a_eq, rhs, lower, upper, a_ub, b_ub = random_bounded_lp(rng, 5)
             lp = LinearProgram(c=c, a_eq=a_eq, rhs=rhs, lower=lower, upper=upper,
                                a_ub=a_ub, b_ub=b_ub)
-            first = PersistentLp(lp)
+            first = persistent_lp(lp)
             sol = first.solve()
             if not sol.optimal:
                 assert first.basis() is None
                 continue
-            second = PersistentLp(lp)
+            second = persistent_lp(lp)
             second.set_basis(*first.basis())
             again = second.solve()
             assert again.objective == pytest.approx(sol.objective, abs=1e-9)
@@ -209,7 +218,7 @@ class TestPersistent:
             handed += 1
 
     def test_rhs_shape_guard(self):
-        persistent = PersistentLp(simple_pin(3.0))
+        persistent = persistent_lp(simple_pin(3.0))
         with pytest.raises(LpError):
             persistent.solve(rhs=np.array([1.0, 2.0]))
 

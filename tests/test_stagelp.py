@@ -3,16 +3,18 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from microgrid_ems import lp as lpmod
 from microgrid_ems.assess import simulate_policy, split_scenarios
 from microgrid_ems.config import day_config, parse_config
 from microgrid_ems.model import State, admissible_controls
-from microgrid_ems.policies import MpcPolicy, StoppingRule, sddp_train
+from microgrid_ems.policies import MpcPolicy, SddpPolicy, StoppingRule, sddp_train
 from microgrid_ems.scenarios import (
     DiscreteDistribution,
     fit_ar,
     generate_scenarios,
+    quantize_stagewise,
     scenario_means,
     update_forecast,
 )
@@ -28,6 +30,7 @@ from helpers import (
     battery_x0,
     chain_labels,
     loop_built_chain,
+    loop_built_stage,
     pinned_row_stage_value,
     two_point_dists,
 )
@@ -49,13 +52,24 @@ def summer_mpc():
     return cfg, fit_ar(opt), scenario_means(opt), sim.data
 
 
+@pytest.fixture(scope="module")
+def summer_sddp():
+    """Summer config, cuts trained for 6 iterations on the stage laws of 20
+    scenarios, and 4 held-out scenarios."""
+    cfg = parse_config(day_config("summer"))
+    opt, sim = split_scenarios(generate_scenarios(cfg.generator, 24, 5), 20, 42)
+    dists = quantize_stagewise(opt, s=5, seed=3)
+    vf, _ = sddp_train(cfg.system, dists, cfg.initial_state,
+                       StoppingRule(max_iters=6, lb_tol=0.0), seed=1)
+    return cfg, vf, dists, sim.data
+
+
 class Recorder:
     """Passes decisions through and records each call."""
 
-    name = "mpc"
-
     def __init__(self, policy):
         self.policy = policy
+        self.name = policy.name
         self.calls = []
 
     def decide(self, t, x, w_obs):
@@ -64,9 +78,9 @@ class Recorder:
         return decision
 
 
-def iterations(chain):
-    """Simplex iterations of the chain's last solve."""
-    return chain._persistent._solver.getInfo().simplex_iteration_count
+def iterations(problem):
+    """Simplex iterations of a chain's or a stage LP's last solve."""
+    return problem._persistent._solver.getInfo().simplex_iteration_count
 
 
 def random_dist(rng, s=6):
@@ -89,7 +103,7 @@ def n_rows(problem):
     persistent = problem._persistent
     if persistent._solver is not None:
         return persistent._solver.getNumRow()
-    return persistent._template.n_eq + persistent._b_ub.size
+    return persistent._n_eq + persistent._b_ub.size
 
 
 def assert_same(a, b, tol=TOL):
@@ -111,6 +125,34 @@ def test_matches_pinned_row_formulation(summer):
         worst_value = max(worst_value, abs(sol.objective - value))
         worst_slope = max(worst_slope, float(np.abs(sol.duals - grad).max()))
     assert worst_value <= TOL and worst_slope <= TOL
+
+
+def test_stage_rows_match_loop_oracle(summer):
+    rng = np.random.default_rng(12)
+    p = summer
+    for t in (0, 1, p.horizon_steps // 2, p.horizon_steps - 1):
+        dist = random_dist(rng)
+        lambdas, betas = random_cuts(rng, 6)
+        stage = OneStageDecision(p, t, dist, lambdas, betas)
+        x = random_state(rng, p)
+        stage.solve(x)
+        oracle = loop_built_stage(p, t, x, dist, lambdas, betas)
+        s_count, n = stage.s_count, stage.n
+        cut_rows, cut_rhs = stage._cut_rows(*stage._cut_arrays())
+        indptr, indices, data = lpmod.stack_rows(stage._rows, cut_rows)
+        rows = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n))
+        # the oracle's cut rows are scenario-major, the stage LP's cut-major
+        oracle_cuts = oracle["a_ub"][4:].reshape(s_count, 6, n).transpose(1, 0, 2)
+        expected = np.vstack([oracle["a_eq"][4:], oracle["a_ub"][:4],
+                              oracle_cuts.reshape(-1, n)])
+        assert np.array_equal(rows.toarray(), expected), t
+        assert rows.nnz == np.count_nonzero(expected), t
+        np.testing.assert_allclose(stage.b_eq, oracle["b_eq"][4:], rtol=1e-14, atol=1e-14)
+        assert np.array_equal(stage._b_box, oracle["b_ub"][:4]), t
+        assert np.array_equal(cut_rhs, oracle["b_ub"][4:].reshape(s_count, 6).T.ravel()), t
+        for name, vector in (("c", stage.c), ("lower", stage._persistent._lower),
+                             ("upper", stage._persistent._upper)):
+            assert np.array_equal(vector[4:], oracle[name][4:]), (t, name)
 
 
 def test_appended_cuts_match_fresh_build(summer):
@@ -281,11 +323,11 @@ def test_seeded_first_solves_match_cold_chains(summer_mpc):
 
 
 class IndexBasis:
-    """Stands in for a solved chain's LP: each column's and each row's status
-    code is its own index, so a seed shows which entries it kept."""
+    """Stands in for a solved LP: each column's and each row's status code
+    is its own index, so a seed shows which entries it kept."""
 
-    def __init__(self, chain):
-        self.shape = (chain.c.size, chain.a_eq.shape[0] + chain.a_ub.shape[0])
+    def __init__(self, n_cols, n_rows):
+        self.shape = (n_cols, n_rows)
 
     def basis(self):
         return np.arange(self.shape[0]), np.arange(self.shape[1])
@@ -296,13 +338,55 @@ def test_seed_is_the_shifted_basis(summer):
     T = summer.horizon_steps
     for t0 in (1, 2, T // 2, T - 1):
         prev = DeterministicChain(template, t0 - 1)
-        prev._persistent = IndexBasis(prev)
+        prev._persistent = IndexBasis(prev.c.size, prev.a_eq.shape[0] + prev.a_ub.shape[0])
         chain = DeterministicChain(template, t0, prev)
         for prev_labels, labels, seed in zip(chain_labels(summer, t0 - 1),
                                              chain_labels(summer, t0), chain._seed):
             # each entry of the new chain starts from the status of the same
             # column or row of the chain at t0 - 1
             assert seed.tolist() == [prev_labels.index(label) for label in labels], t0
+
+
+def test_sddp_seeded_first_solves_match_cold_stages(summer_sddp):
+    cfg, vf, dists, scenarios = summer_sddp
+    p, x0 = cfg.system, cfg.initial_state
+    policy = SddpPolicy(p, vf, dists)
+    played = Recorder(policy)
+    simulate_policy(played, scenarios[0], x0, p)
+    seeded_iters = cold_iters = 0
+    for t, x, _, decision in played.calls:
+        # a stage LP built without a predecessor starts cold
+        cold = OneStageDecision(p, t, dists[t], *vf.arrays(t + 1))
+        assert decision.predicted_cost == pytest.approx(cold.solve(x).objective, abs=1e-9), t
+        if t > 0:
+            seeded_iters += iterations(policy._problems[t])
+            cold_iters += iterations(cold)
+    # the previous stage's basis is nearly optimal: 223 against 761
+    # iterations when this was written
+    assert seeded_iters * 2 < cold_iters
+
+
+def test_stage_seed_keeps_the_previous_basis(summer):
+    rng = np.random.default_rng(23)
+    for t in (1, 2, summer.horizon_steps // 2, summer.horizon_steps - 1):
+        prev = OneStageDecision(summer, t - 1, random_dist(rng), *random_cuts(rng, 7))
+        s_count = prev.s_count
+        fixed = 5 * s_count + 4  # equality and box rows
+        prev._persistent = IndexBasis(prev.n, fixed + 7 * s_count)
+        lambdas, betas = random_cuts(rng, 9)
+        stage = OneStageDecision(summer, t, random_dist(rng), lambdas, betas, prev)
+        x = random_state(rng, summer)
+        cols, rows = stage._seed_basis(x)
+        # the columns, equality rows and box rows keep their statuses at t - 1
+        assert cols.tolist() == list(range(stage.n)), t
+        assert rows[:fixed].tolist() == list(range(fixed)), t
+        # per scenario, the row of the cut maximal at x is nonbasic
+        expected = np.full((9, s_count), lpmod.BASIS_BASIC)
+        expected[np.argmax(lambdas @ x.as_array() + betas)] = lpmod.BASIS_UPPER
+        assert rows[fixed:].tolist() == expected.ravel().tolist(), t
+    # another scenario count is another column layout: no seed
+    stage = OneStageDecision(summer, t, random_dist(rng, s=5), lambdas, betas, prev)
+    assert stage._seed is None
 
 
 class TestColdPath:
@@ -357,6 +441,22 @@ class TestColdPath:
             chain = cold._chains[t]
             # seeding is a no-op: there is no basis to hand on or to set
             assert chain._seed is None and chain._persistent.basis() is None
+
+    def test_sddp_matches_warm_path(self, summer_sddp, monkeypatch):
+        cfg, vf, dists, scenarios = summer_sddp
+        p, x0 = cfg.system, cfg.initial_state
+        played = Recorder(SddpPolicy(p, vf, dists))
+        simulate_policy(played, scenarios[1], x0, p)
+        monkeypatch.setattr(lpmod, "_highs_core", None)
+        monkeypatch.setattr(lpmod, "_cold_path_warned", True)
+        cold = SddpPolicy(p, vf, dists)
+        # fed the same states, the cold path finds the same optima
+        for t, x, w_obs, decision in played.calls:
+            assert cold.decide(t, x, w_obs).predicted_cost == pytest.approx(
+                decision.predicted_cost, abs=1e-7), t
+            stage = cold._problems[t]
+            # seeding is a no-op: there is no basis to hand on or to set
+            assert stage._seed is None and stage._persistent.basis() is None
 
     def test_sddp_trains_on_cold_path(self, monkeypatch):
         monkeypatch.setattr(lpmod, "_highs_core", None)
