@@ -11,7 +11,9 @@ import csv
 import json
 import logging
 import os
+from contextlib import contextmanager
 from pathlib import Path
+from time import perf_counter
 
 import click
 
@@ -62,6 +64,24 @@ def _require_file(path: Path, what: str):
         raise click.exceptions.Exit(EXIT_CONFIG)
 
 
+def _read(reader, path, what: str):
+    """Parse an input file; a malformed one exits 2 with one line naming it."""
+    try:
+        return reader(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        click.echo(f"malformed {what} file {path}: {reason}", err=True)
+        raise click.exceptions.Exit(EXIT_CONFIG)
+
+
+@contextmanager
+def _phase(name: str):
+    """Log the wall time of one pipeline phase at INFO."""
+    tic = perf_counter()
+    yield
+    log.info("phase %s: %.3f s", name, perf_counter() - tic)
+
+
 def _require_horizon(path, horizon: int, cfg):
     """Artifacts trained for another horizon cannot be played on this one."""
     if horizon != cfg.system.horizon_steps:
@@ -95,13 +115,15 @@ def generate(config_path, seed, out_dir):
 
 
 def _train(cfg, opt, out: Path):
-    dists = scenarios_mod.quantize_stagewise(
-        opt, s=cfg.sddp_s_offline, seed=cfg.sddp_seed)
+    with _phase("quantize"):
+        dists = scenarios_mod.quantize_stagewise(
+            opt, s=cfg.sddp_s_offline, seed=cfg.sddp_seed)
     stop = policies_mod.StoppingRule(max_iters=cfg.sddp_max_iters,
                                      lb_tol=cfg.sddp_lb_tol,
                                      patience=cfg.sddp_patience)
-    vf, tlog = policies_mod.sddp_train(cfg.system, dists, cfg.initial_state,
-                                       stop=stop, seed=cfg.sddp_seed)
+    with _phase("train"):
+        vf, tlog = policies_mod.sddp_train(cfg.system, dists, cfg.initial_state,
+                                           stop=stop, seed=cfg.sddp_seed)
     vf.to_json(out / "cuts.json")
     scenarios_mod.save_distributions(dists, out / "distributions.json")
     with open(out / "training_log.csv", "w", newline="") as f:
@@ -126,7 +148,7 @@ def train(config_path, scenarios_path, seed, out_dir):
     _require_file(Path(scenarios_path), "scenario")
     out = Path(out_dir)
     _write_manifest(cfg, out)
-    pool = scenarios_mod.load_scenarios(scenarios_path)
+    pool = _read(scenarios_mod.load_scenarios, scenarios_path, "scenario")
     opt, _ = assess_mod.split_scenarios(pool, cfg.n_opt, cfg.split_seed)
     _, _, tlog = _train(cfg, opt, out)
     click.echo(f"trained {tlog.iterations} iterations, "
@@ -175,13 +197,13 @@ def assess(config_path, scenarios_path, cuts_path, dists_path, seed, threads,
     for path, what in ((scenarios_path, "scenario"), (cuts_path, "cuts"),
                        (dists_path, "distributions")):
         _require_file(Path(path), what)
-    vf = policies_mod.ValueFunctions.from_json(cuts_path)
-    dists = scenarios_mod.load_distributions(dists_path)
+    vf = _read(policies_mod.ValueFunctions.from_json, cuts_path, "cuts")
+    dists = _read(scenarios_mod.load_distributions, dists_path, "distributions")
     _require_horizon(cuts_path, vf.horizon, cfg)
     _require_horizon(dists_path, len(dists), cfg)
+    pool = _read(scenarios_mod.load_scenarios, scenarios_path, "scenario")
     out = Path(out_dir)
     _write_manifest(cfg, out)
-    pool = scenarios_mod.load_scenarios(scenarios_path)
     opt, sim = assess_mod.split_scenarios(pool, cfg.n_opt, cfg.split_seed)
     report = _assess(cfg, opt, sim, vf, dists, out, threads, trajectories)
     _echo_report(report)
@@ -198,14 +220,16 @@ def bench(config_path, seed, threads, trajectories, out_dir):
     cfg = _load(config_path, seed)
     out = Path(out_dir)
     _write_manifest(cfg, out)
-    pool = scenarios_mod.generate_scenarios(
-        cfg.generator, cfg.n_opt + cfg.n_sim, cfg.generator_seed)
-    scenarios_mod.save_scenarios(pool, out / "scenarios.csv")
+    with _phase("generate"):
+        pool = scenarios_mod.generate_scenarios(
+            cfg.generator, cfg.n_opt + cfg.n_sim, cfg.generator_seed)
+        scenarios_mod.save_scenarios(pool, out / "scenarios.csv")
     opt, sim = assess_mod.split_scenarios(pool, cfg.n_opt, cfg.split_seed)
     vf, dists, tlog = _train(cfg, opt, out)
     log.info("training done: %d iterations, lb %.6f",
              tlog.iterations, tlog.lower_bounds[-1])
-    report = _assess(cfg, opt, sim, vf, dists, out, threads, trajectories)
+    with _phase("assess"):
+        report = _assess(cfg, opt, sim, vf, dists, out, threads, trajectories)
     _echo_report(report)
 
 

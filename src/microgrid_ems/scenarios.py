@@ -339,8 +339,10 @@ class DiscreteDistribution:
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if points.ndim != 2 or points.shape[0] != weights.size or points.shape[0] < 1:
-            raise ScenarioError("distribution needs S >= 1 points with matching weights")
+        if (points.ndim != 2 or points.shape[1] != 2 or points.shape[0] != weights.size
+                or points.shape[0] < 1):
+            raise ScenarioError("distribution needs S >= 1 (d_el_net, d_hw) points "
+                                "with matching weights")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ScenarioError("weights must be nonnegative and sum to 1")
         if len({tuple(p) for p in points}) != points.shape[0]:
@@ -380,20 +382,133 @@ def _canonical(points, weights, collapsed) -> DiscreteDistribution:
     return DiscreteDistribution(np.array(keep_p), w / w.sum(), collapsed=collapsed)
 
 
-def _kmeanspp_init(points, s, rng):
-    n = points.shape[0]
-    centroids = np.empty((s, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+# Stages quantized together; bounds the (stages, N, S) temporaries of a round.
+_STAGE_BLOCK = 16
+
+
+def _sq_dist(clouds, centroids):
+    """Squared distances of each point to each centroid, shape (K, N, S),
+    accumulated as dx*dx + dy*dy without a (K, N, S, 2) intermediate."""
+    dx = clouds[:, :, None, 0] - centroids[:, None, :, 0]
+    dy = clouds[:, :, None, 1] - centroids[:, None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _distinct_counts(clouds):
+    """Number of distinct points in each of the (B, N, 2) clouds."""
+    order = np.lexsort((clouds[..., 1], clouds[..., 0]), axis=-1)
+    ranked = np.take_along_axis(clouds, order[..., None], axis=1)
+    return 1 + np.count_nonzero(np.any(ranked[:, 1:] != ranked[:, :-1], axis=2), axis=1)
+
+
+def _kmeanspp(clouds, s, rngs):
+    """k-means++ seeding of K clouds at once; stage k draws only from rngs[k],
+    in the order a single-cloud seeding would."""
+    k_stages, n, _ = clouds.shape
+    rows = np.arange(k_stages)
+    centroids = np.empty((k_stages, s, 2))
+    centroids[:, 0] = clouds[rows, [g.integers(n) for g in rngs]]
+    d2 = _sq_dist(clouds, centroids[:, :1])[:, :, 0]
     for k in range(1, s):
-        total = d2.sum()
-        if total <= 0:
-            centroids[k] = points[rng.integers(n)]
-            continue
-        idx = rng.choice(n, p=d2 / total)
-        centroids[k] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centroids[k]) ** 2, axis=1))
+        total = d2.sum(axis=1)
+        live = total > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        # rng.choice(n, p=d2 / total) is one uniform draw located in this cdf;
+        # a stage whose points all sit on centroids draws an index uniformly.
+        draws = np.array([g.random() if ok else g.integers(n)
+                          for g, ok in zip(rngs, live)], dtype=float)
+        idx = np.where(live, np.sum(cdf <= draws[:, None], axis=1),
+                       draws.astype(np.intp))
+        centroids[:, k] = clouds[rows, idx]
+        np.minimum(d2, _sq_dist(clouds, centroids[:, k:k + 1])[:, :, 0], out=d2)
     return centroids
+
+
+def _fill_empty_cells(dists, assign):
+    """Keep all S cells alive: hand the farthest point to any empty cell."""
+    n, s = dists.shape
+    for k in range(s):
+        if not np.any(assign == k):
+            far = int(np.argmax(dists[np.arange(n), assign]))
+            assign[far] = k
+            dists[far, :] = np.inf
+
+
+def _lloyd_rounds(clouds, centroids, tol, max_iter):
+    """Alternate partition and centroid steps on K clouds at once.
+
+    Each cloud stops on its own distortion test and leaves the batch.
+    Returns, per cloud, its final centroids, cell counts and distortions.
+    """
+    k_stages, n, _ = clouds.shape
+    s = centroids.shape[1]
+    history = np.empty((k_stages, max_iter))
+    out = [None] * k_stages
+    ids = np.arange(k_stages)
+    for rnd in range(max_iter):
+        k_live = ids.size
+        dists = _sq_dist(clouds, centroids)
+        assign = np.argmin(dists, axis=2)
+        cells = assign + s * np.arange(k_live)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=k_live * s).reshape(k_live, s)
+        for k in np.flatnonzero(np.any(counts == 0, axis=1)):
+            _fill_empty_cells(dists[k], assign[k])
+            cells[k] = assign[k] + s * k
+            counts[k] = np.bincount(assign[k], minlength=s)
+        flat = cells.ravel()
+        with np.errstate(invalid="ignore"):
+            centroids = np.stack(
+                [np.bincount(flat, clouds[:, :, j].ravel(), k_live * s) for j in (0, 1)],
+                axis=1) / counts.reshape(-1, 1)
+        resid = clouds - centroids[flat].reshape(k_live, n, 2)
+        d = np.sum((resid * resid).reshape(k_live, 2 * n), axis=1)
+        centroids = centroids.reshape(k_live, s, 2)
+        history[ids, rnd] = d
+        if rnd == max_iter - 1:
+            done = np.ones(k_live, dtype=bool)
+        elif rnd == 0:
+            done = np.zeros(k_live, dtype=bool)
+        else:
+            prev = history[ids, rnd - 1]
+            done = prev - d <= tol * np.maximum(prev, 1e-300)
+        for k in np.flatnonzero(done):
+            out[ids[k]] = (centroids[k], counts[k], history[ids[k], :rnd + 1].tolist())
+        if done.all():
+            break
+        keep = ~done
+        clouds, centroids, ids = clouds[keep], centroids[keep], ids[keep]
+    return out
+
+
+def _quantize(clouds, s: int, tol: float, max_iter: int, seeds) -> List[QuantizationResult]:
+    """Lloyd-Max laws of the (B, N, 2) clouds; cloud b seeds from seeds[b]."""
+    b_stages, n, _ = clouds.shape
+    if s < 1 or n < s:
+        raise ScenarioError(f"need N >= S >= 1, got N={n}, S={s}")
+    if max_iter < 1:
+        raise ScenarioError(f"max_iter must be >= 1, got {max_iter}")
+    results: List[Optional[QuantizationResult]] = [None] * b_stages
+    saturated = _distinct_counts(clouds) <= s
+    for b in np.flatnonzero(saturated):
+        # Saturated quantizer: cells are the distinct values themselves.
+        distinct, counts = np.unique(clouds[b], axis=0, return_counts=True)
+        results[b] = QuantizationResult(
+            _canonical(distinct, counts / n, distinct.shape[0] < s), [0.0])
+    lloyd = np.flatnonzero(~saturated)
+    for lo in range(0, len(lloyd), _STAGE_BLOCK):
+        block = lloyd[lo:lo + _STAGE_BLOCK]
+        batch = np.ascontiguousarray(clouds[block])
+        rngs = [np.random.default_rng(seeds[b]) for b in block]
+        rounds = _lloyd_rounds(batch, _kmeanspp(batch, s, rngs), tol, max_iter)
+        for b, (centroids, counts, distortions) in zip(block, rounds):
+            results[b] = QuantizationResult(
+                _canonical(centroids, counts / n, False), distortions)
+    return results
 
 
 def lloyd_max(points, s: int, tol: float = 1e-6, max_iter: int = 200,
@@ -401,65 +516,30 @@ def lloyd_max(points, s: int, tol: float = 1e-6, max_iter: int = 200,
     """Quantize a point cloud into S cells by alternating partition/centroid.
 
     Returns the discrete law (cell centroids weighted by cell counts) and the
-    recorded distortion sequence, which is non-increasing.
+    recorded distortion sequence, which is non-increasing. This is the batch
+    of one of `quantize_stagewise`.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = np.column_stack([points, np.zeros_like(points)])
-    n = points.shape[0]
-    if s < 1 or n < s:
-        raise ScenarioError(f"need N >= S >= 1, got N={n}, S={s}")
-    rng = np.random.default_rng(seed)
-
-    distinct = np.unique(points, axis=0)
-    collapsed = distinct.shape[0] < s
-    if collapsed:
-        s = distinct.shape[0]
-    if s == distinct.shape[0]:
-        # Saturated quantizer: cells are the distinct values themselves.
-        dists = np.sum((points[:, None, :] - distinct[None, :, :]) ** 2, axis=2)
-        assign = np.argmin(dists, axis=1)
-        counts = np.bincount(assign, minlength=s)
-        return QuantizationResult(
-            _canonical(distinct, counts / n, collapsed), [0.0])
-
-    centroids = _kmeanspp_init(points, s, rng)
-    distortions: List[float] = []
-    assign = None
-    for _ in range(max_iter):
-        dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        assign = np.argmin(dists, axis=1)
-        # Keep all S cells alive: hand the farthest point to any empty cell.
-        for k in range(s):
-            if not np.any(assign == k):
-                far = int(np.argmax(dists[np.arange(n), assign]))
-                assign[far] = k
-                dists[far, :] = np.inf
-        new_centroids = np.vstack([points[assign == k].mean(axis=0) for k in range(s)])
-        d = float(np.sum((points - new_centroids[assign]) ** 2))
-        centroids = new_centroids
-        if distortions and distortions[-1] - d <= tol * max(distortions[-1], 1e-300):
-            distortions.append(d)
-            break
-        distortions.append(d)
-    counts = np.bincount(assign, minlength=s)
-    return QuantizationResult(
-        _canonical(centroids, counts / n, collapsed), distortions)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ScenarioError(f"points must have shape (N,) or (N, 2), got {points.shape}")
+    return _quantize(points[None], s, tol, max_iter, [seed])[0]
 
 
 def quantize_stagewise(opt: ScenarioSet, s: int = 20, tol: float = 1e-6,
                        max_iter: int = 200, seed: Optional[int] = None
                        ) -> List[DiscreteDistribution]:
-    """Per-stage discrete laws for t = 1..T; entry k is the law of w_{k+1}."""
+    """Per-stage discrete laws for t = 1..T; entry k is the law of w_{k+1}.
+
+    All stages run as one batch; stage t seeds from the t-th child of `seed`,
+    so each law equals `lloyd_max(opt.data[:, t], ...)` with that child seed.
+    """
     _require_offline(opt, "quantize_stagewise")
     seeds = np.random.SeedSequence(seed).spawn(opt.horizon)
-    out = []
-    for t in range(1, opt.horizon + 1):
-        result = lloyd_max(opt.data[:, t, :], min(s, opt.n), tol=tol,
-                           max_iter=max_iter,
-                           seed=seeds[t - 1])
-        out.append(result.distribution)
-    return out
+    clouds = opt.data[:, 1:, :].transpose(1, 0, 2)
+    return [r.distribution for r in
+            _quantize(clouds, min(s, opt.n), tol, max_iter, seeds)]
 
 
 def save_distributions(dists: Sequence[DiscreteDistribution], path):
@@ -476,10 +556,21 @@ def save_distributions(dists: Sequence[DiscreteDistribution], path):
 
 
 def load_distributions(path) -> List[DiscreteDistribution]:
+    """Read the laws `save_distributions` wrote; entry k must be stage t = k + 1."""
     with open(path) as f:
         payload = json.load(f)
+    if not isinstance(payload, list):
+        raise ScenarioError("expected a list of stage laws")
     out = []
-    for entry in payload:
-        out.append(DiscreteDistribution(np.array(entry["points"]),
-                                        np.array(entry["weights"])))
+    for k, entry in enumerate(payload):
+        if not isinstance(entry, dict) or not {"t", "points", "weights"} <= entry.keys():
+            raise ScenarioError(f"entry {k} needs the keys t, points and weights")
+        t = entry["t"]
+        if type(t) is not int or t != k + 1:
+            raise ScenarioError(f"entry {k} has t = {t!r}, expected {k + 1}")
+        try:
+            out.append(DiscreteDistribution(np.array(entry["points"], dtype=float),
+                                            np.array(entry["weights"], dtype=float)))
+        except ValueError as exc:
+            raise ScenarioError(f"stage {t}: {exc}") from exc
     return out

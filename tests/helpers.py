@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from microgrid_ems.model import R6C2Params, State, SystemParams
-from microgrid_ems.scenarios import DiscreteDistribution
+from microgrid_ems.scenarios import DiscreteDistribution, ScenarioSet
 
 # ---------------------------------------------------------------------------
 # Battery-only small instance (thermal and tank disabled)
@@ -493,3 +493,88 @@ def chain_labels(p: SystemParams, t0: int):
             + [("epigraph", t) for t in range(t0 + 1, T)]
             + [("terminal", "b"), ("terminal", "h")])
     return cols, rows
+
+
+# ---------------------------------------------------------------------------
+# Lloyd-Max quantization, one cloud at a time
+#
+# A plain per-stage loop: k-means++ seeding through `rng.choice`, one
+# partition/centroid round per Python iteration, cell means taken cell by
+# cell. The package runs all stages as one batch and must agree exactly.
+
+
+def reference_kmeanspp(points, s, rng):
+    n = points.shape[0]
+    centroids = np.empty((s, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for k in range(1, s):
+        total = d2.sum()
+        if total <= 0:
+            centroids[k] = points[rng.integers(n)]
+            continue
+        idx = rng.choice(n, p=d2 / total)
+        centroids[k] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centroids[k]) ** 2, axis=1))
+    return centroids
+
+
+def reference_lloyd_rounds(points, centroids, tol, max_iter):
+    """Rounds from the given seeds; returns (centroids, counts, distortions)."""
+    n, s = points.shape[0], centroids.shape[0]
+    distortions = []
+    assign = None
+    for _ in range(max_iter):
+        dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        assign = np.argmin(dists, axis=1)
+        for k in range(s):
+            if not np.any(assign == k):
+                far = int(np.argmax(dists[np.arange(n), assign]))
+                assign[far] = k
+                dists[far, :] = np.inf
+        new_centroids = np.vstack([points[assign == k].mean(axis=0) for k in range(s)])
+        d = float(np.sum((points - new_centroids[assign]) ** 2))
+        centroids = new_centroids
+        if distortions and distortions[-1] - d <= tol * max(distortions[-1], 1e-300):
+            distortions.append(d)
+            break
+        distortions.append(d)
+    return centroids, np.bincount(assign, minlength=s), distortions
+
+
+def reference_law(points, weights):
+    """Sort the centroids lexicographically and merge identical ones."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    keep_p, keep_w = [], []
+    for p, w in zip(points[order], weights[order]):
+        if keep_p and np.array_equal(p, keep_p[-1]):
+            keep_w[-1] += w
+        else:
+            keep_p.append(p)
+            keep_w.append(w)
+    w = np.array(keep_w)
+    return np.array(keep_p), w / w.sum()
+
+
+def reference_lloyd_max(points, s, tol=1e-6, max_iter=200, seed=None):
+    """Returns (points, weights, collapsed, distortions) of one cloud's law."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    distinct = np.unique(points, axis=0)
+    collapsed = distinct.shape[0] < s
+    if distinct.shape[0] <= s:
+        dists = np.sum((points[:, None, :] - distinct[None, :, :]) ** 2, axis=2)
+        counts = np.bincount(np.argmin(dists, axis=1), minlength=distinct.shape[0])
+        return (*reference_law(distinct, counts / n), collapsed, [0.0])
+    rng = np.random.default_rng(seed)
+    centroids, counts, distortions = reference_lloyd_rounds(
+        points, reference_kmeanspp(points, s, rng), tol, max_iter)
+    return (*reference_law(centroids, counts / n), False, distortions)
+
+
+def reference_quantize_stagewise(opt: ScenarioSet, s, seed, tol=1e-6, max_iter=200):
+    """Per-stage loop over t = 1..T; stage t seeds from the t-th spawned child."""
+    seeds = np.random.SeedSequence(seed).spawn(opt.horizon)
+    return [reference_lloyd_max(opt.data[:, t, :], min(s, opt.n), tol, max_iter,
+                                seeds[t - 1])
+            for t in range(1, opt.horizon + 1)]

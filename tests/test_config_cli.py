@@ -1,5 +1,7 @@
 import csv
 import json
+import logging
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +159,88 @@ class TestConfig:
     def test_manifest_records_cold_path(self, monkeypatch):
         monkeypatch.setattr(lpmod, "_highs_core", None)
         assert manifest(parse_config(tiny_doc()))["solver_path"] == "cold-linprog"
+
+
+def _swap_first_stages(doc):
+    doc[0]["t"], doc[1]["t"] = doc[1]["t"], doc[0]["t"]
+
+
+def _drop_weights(doc):
+    del doc[0]["weights"]
+
+
+def _unbalance_weights(doc):
+    doc[0]["weights"][0] += 0.25
+
+
+def _drop_beta(doc):
+    del doc[0][0]["beta"]
+
+
+def _short_slope(doc):
+    doc[0][0]["lambda"] = doc[0][0]["lambda"][:3]
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A finished tiny `mgems bench` run: (config path, output directory)."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    cfg = root / "tiny.json"
+    cfg.write_text(json.dumps(tiny_doc()))
+    res = CliRunner().invoke(main, ["bench", "--config", str(cfg), "--out", str(root / "o")])
+    assert res.exit_code == 0, res.output
+    return cfg, root / "o"
+
+
+class TestMalformedArtifacts:
+    """A malformed input file exits 2 with one line naming it."""
+
+    def corrupt(self, tiny_run, tmp_path, name, edit):
+        _, out = tiny_run
+        for artifact in ("scenarios.csv", "cuts.json", "distributions.json"):
+            shutil.copy(out / artifact, tmp_path / artifact)
+        path = tmp_path / name
+        if isinstance(edit, str):
+            path.write_text(edit)
+        else:
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
+        return path
+
+    def assert_one_line(self, res, path):
+        assert res.exit_code == 2, res.output
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("malformed ") and str(path) in lines[0]
+
+    @pytest.mark.parametrize("name, edit", [
+        ("distributions.json", _swap_first_stages),
+        ("distributions.json", "[{\"t\": 1,"),
+        ("distributions.json", _drop_weights),
+        ("distributions.json", _unbalance_weights),
+        ("cuts.json", "{not json"),
+        ("cuts.json", _drop_beta),
+        ("cuts.json", _short_slope),
+        ("scenarios.csv", "scenario,t,d_el_net,d_hw\n0,0,oops,1\n"),
+    ], ids=["swapped-t", "dists-bad-json", "dists-missing-key", "dists-weights",
+            "cuts-bad-json", "cuts-missing-key", "cuts-bad-slope", "scenarios-bad-row"])
+    def test_assess_exit_2(self, tiny_run, tmp_path, name, edit):
+        cfg, _ = tiny_run
+        bad = self.corrupt(tiny_run, tmp_path, name, edit)
+        res = CliRunner().invoke(main, [
+            "assess", "--config", str(cfg), "--scenarios", str(tmp_path / "scenarios.csv"),
+            "--cuts", str(tmp_path / "cuts.json"),
+            "--distributions", str(tmp_path / "distributions.json"),
+            "--out", str(tmp_path / "o")])
+        self.assert_one_line(res, bad)
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_train_exit_2(self, tiny_run, tmp_path):
+        cfg, _ = tiny_run
+        bad = self.corrupt(tiny_run, tmp_path, "scenarios.csv", "scenario,t\n")
+        res = CliRunner().invoke(main, ["train", "--config", str(cfg),
+                                        "--scenarios", str(bad), "--out", str(tmp_path / "o")])
+        self.assert_one_line(res, bad)
 
 
 class TestCli:
@@ -323,6 +407,16 @@ class TestCli:
         a = (tmp_path / "a" / "scenarios.csv").read_bytes()
         b = (tmp_path / "b" / "scenarios.csv").read_bytes()
         assert a != b
+
+    def test_bench_logs_phase_times(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="microgrid_ems")
+        cfg = self._write_config(tmp_path)
+        res = CliRunner().invoke(main, ["bench", "--config", str(cfg),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+        phases = [r.getMessage().split(":")[0] for r in caplog.records
+                  if r.getMessage().startswith("phase ")]
+        assert phases == ["phase generate", "phase quantize", "phase train", "phase assess"]
 
     def test_assess_pipeline(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -1,6 +1,16 @@
+import json
+
 import numpy as np
 import pytest
+from helpers import (
+    reference_lloyd_max,
+    reference_lloyd_rounds,
+    reference_quantize_stagewise,
+)
 
+from microgrid_ems import scenarios as sc
+from microgrid_ems.assess import split_scenarios
+from microgrid_ems.config import day_config, parse_config
 from microgrid_ems.scenarios import (
     DiscreteDistribution,
     GeneratorConfig,
@@ -186,6 +196,10 @@ class TestLloydMax:
     def test_invalid_sizes(self):
         with pytest.raises(ScenarioError):
             lloyd_max(np.array([1.0]), s=2)
+        with pytest.raises(ScenarioError, match="shape"):
+            lloyd_max(np.zeros((4, 3)), s=2)
+        with pytest.raises(ScenarioError, match="max_iter"):
+            lloyd_max(np.arange(4.0), s=2, max_iter=0)
 
 
 class TestQuantizeStagewise:
@@ -215,11 +229,147 @@ class TestQuantizeStagewise:
             np.testing.assert_array_equal(da.weights, db.weights)
 
 
+def assert_same_law(dist, ref):
+    points, weights, collapsed, _ = ref
+    assert np.array_equal(dist.points, points)
+    assert np.array_equal(dist.weights, weights)
+    assert dist.collapsed == collapsed
+
+
+def day_optimization_set(day, seed, **grid):
+    doc = day_config(day, **grid)
+    for section in ("generator", "sddp", "assessment"):
+        doc[section]["seed"] = seed
+    cfg = parse_config(doc)
+    pool = generate_scenarios(cfg.generator, cfg.n_opt + cfg.n_sim, cfg.generator_seed)
+    opt, _ = split_scenarios(pool, cfg.n_opt, cfg.split_seed)
+    return cfg, opt
+
+
+class TestBatchMatchesPerStageLoop:
+    """The batched quantizer reproduces the per-stage loop bit for bit."""
+
+    @pytest.mark.parametrize("day, grid", [
+        ("summer", {}), ("winter", {}), ("spring", {}),
+        ("spring", {"horizon_steps": 48, "delta": 0.5})])
+    def test_bundled_days(self, day, grid):
+        for seed in range(1, 6):
+            cfg, opt = day_optimization_set(day, seed, **grid)
+            dists = quantize_stagewise(opt, s=cfg.sddp_s_offline, seed=cfg.sddp_seed)
+            ref = reference_quantize_stagewise(opt, cfg.sddp_s_offline, cfg.sddp_seed)
+            assert len(dists) == len(ref) == opt.horizon
+            for dist, law in zip(dists, ref):
+                assert_same_law(dist, law)
+
+    def test_random_clouds_same_distortions(self):
+        rng = np.random.default_rng(11)
+        saturated = 0
+        for trial in range(240):
+            n = int(rng.integers(2, 90))
+            s = int(rng.integers(1, min(n, 9) + 1))
+            pts = rng.standard_normal((n, 2)) * rng.uniform(0.05, 4.0, 2)
+            if trial % 4 == 0:
+                pts = np.round(pts, 0)  # repeated points, some clouds saturate
+            result = lloyd_max(pts, s=s, seed=trial)
+            ref = reference_lloyd_max(pts, s, seed=trial)
+            assert result.distortions == ref[3]
+            assert_same_law(result.distribution, ref)
+            saturated += ref[3] == [0.0]
+        assert saturated > 0
+
+    def test_mixed_batch(self):
+        # stage 1 holds two distinct values for S = 3 (collapsed), stage 2
+        # three tight clusters (stops early), stages 3-4 spread clouds that
+        # run into max_iter
+        rng = np.random.default_rng(5)
+        n, s, max_iter = 30, 3, 4
+        data = np.zeros((n, 5, 2))
+        data[:, 1] = [[1.0, 0.0], [2.0, 0.5]] * (n // 2)
+        data[:, 2] = (np.repeat([[0.0, 0.0], [5.0, 1.0], [10.0, 2.0]], n // 3, axis=0)
+                      + rng.uniform(0, 0.01, (n, 2)))
+        data[:, 3] = rng.uniform(0, 3, (n, 2))
+        data[:, 4] = rng.exponential(1.0, (n, 2))
+        opt = ScenarioSet(data=data, role="optimization")
+        dists = quantize_stagewise(opt, s=s, max_iter=max_iter, seed=9)
+        ref = reference_quantize_stagewise(opt, s, 9, max_iter=max_iter)
+        for dist, law in zip(dists, ref):
+            assert_same_law(dist, law)
+        rounds = [len(law[3]) for law in ref]
+        assert ref[0][2] and rounds[0] == 1
+        assert rounds[1] < max_iter and max_iter in rounds[2:]
+
+    def test_empty_cell_repair(self):
+        # a seed far from its cloud leaves its cell empty in the first round
+        rng = np.random.default_rng(2)
+        clouds = rng.uniform(0, 1, (3, 20, 2))
+        seeds = clouds[:, :4].copy()
+        seeds[0, 3] = [50.0, 50.0]
+        seeds[2, 0] = [-40.0, 3.0]
+        for k in (0, 2):
+            d = np.sum((clouds[k][:, None] - seeds[k][None]) ** 2, axis=2)
+            assert np.unique(np.argmin(d, axis=1)).size < 4
+        got = sc._lloyd_rounds(clouds.copy(), seeds.copy(), 1e-6, 50)
+        for k in range(3):
+            centroids, counts, distortions = reference_lloyd_rounds(
+                clouds[k], seeds[k], 1e-6, 50)
+            assert np.array_equal(got[k][0], centroids)
+            assert np.array_equal(got[k][1], counts)
+            assert got[k][2] == distortions
+            assert np.all(counts > 0)
+
+
+class TestLoadDistributions:
+    def write(self, tmp_path, payload):
+        path = tmp_path / "dists.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    def saved(self, tmp_path):
+        dists = quantize_stagewise(small_set("optimization"), s=3, seed=1)
+        path = tmp_path / "dists.json"
+        save_distributions(dists, path)
+        return json.loads(path.read_text())
+
+    def test_swapped_stages_rejected(self, tmp_path):
+        payload = self.saved(tmp_path)
+        payload[2]["t"], payload[3]["t"] = payload[3]["t"], payload[2]["t"]
+        with pytest.raises(ScenarioError, match="entry 2 has t = 4, expected 3"):
+            load_distributions(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize("t", [1.0, "1", True, None])
+    def test_t_must_be_an_integer(self, tmp_path, t):
+        payload = self.saved(tmp_path)
+        payload[0]["t"] = t
+        with pytest.raises(ScenarioError, match="entry 0 has t"):
+            load_distributions(self.write(tmp_path, payload))
+
+    @pytest.mark.parametrize("key", ["t", "points", "weights"])
+    def test_missing_key(self, tmp_path, key):
+        payload = self.saved(tmp_path)
+        del payload[1][key]
+        with pytest.raises(ScenarioError, match="entry 1 needs"):
+            load_distributions(self.write(tmp_path, payload))
+
+    def test_bad_law_names_stage(self, tmp_path):
+        payload = self.saved(tmp_path)
+        payload[4]["weights"][0] += 0.1
+        with pytest.raises(ScenarioError, match="stage 5: weights"):
+            load_distributions(self.write(tmp_path, payload))
+
+    def test_not_a_list(self, tmp_path):
+        with pytest.raises(ScenarioError, match="list"):
+            load_distributions(self.write(tmp_path, {"t": 1}))
+
+
 class TestDiscreteDistribution:
     def test_weight_validation(self):
         with pytest.raises(ScenarioError):
             DiscreteDistribution(points=np.zeros((2, 2)),
                                  weights=np.array([0.6, 0.6]))
+
+    def test_points_are_pairs(self):
+        with pytest.raises(ScenarioError, match="points"):
+            DiscreteDistribution(points=np.zeros((1, 3)), weights=np.array([1.0]))
 
     def test_distinct_points(self):
         with pytest.raises(ScenarioError):
