@@ -47,6 +47,15 @@ def _required(section: dict, fieldpath: str, key: str):
     return section[key]
 
 
+def _number(section: dict, key: str, default, prefix: str, kind=float):
+    """section[key] (or the default) as a float, or as an int if `kind` is int."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{prefix}{key}", f"expected a number, got {value!r}") from None
+
+
 def _series(value, n: int, fieldpath: str, base_dir: Path) -> list:
     if isinstance(value, str):
         path = base_dir / value
@@ -63,7 +72,10 @@ def _series(value, n: int, fieldpath: str, base_dir: Path) -> list:
                 raise ConfigError(fieldpath, f"{path}: malformed series row") from exc
     if not isinstance(value, list) or len(value) != n:
         raise ConfigError(fieldpath, f"expected a length-{n} array or a CSV path")
-    return [float(v) for v in value]
+    try:
+        return [float(v) for v in value]
+    except (TypeError, ValueError):
+        raise ConfigError(fieldpath, "expected an array of numbers") from None
 
 
 _R6C2_DEFAULTS = {
@@ -85,22 +97,25 @@ def _parse_system(section: dict, base_dir: Path) -> SystemParams:
                                             "p_ext", "pi_e", "pi_d", "theta_set"},
                     "system.")
     for key in fields:
-        fields[key] = section.get(key, fields[key])
+        fields[key] = _number(section, key, fields[key], "system.",
+                              int if key == "horizon_steps" else float)
 
     if "h_max" in section and "tank" in section:
         raise ConfigError("system.tank", "give the tank as system.h_max or as system.tank, "
                           "not both")
     if "h_max" in section:
-        h_max = float(section["h_max"])
+        h_max = _number(section, "h_max", None, "system.")
     elif "tank" in section:
         tank = section["tank"]
         _reject_unknown(tank, ("volume_l", "useful_range_degc", "c_p", "rho_water"),
                         "system.tank.")
+        for key in ("volume_l", "useful_range_degc"):
+            _required(tank, "system.tank", key)
         h_max = tank_capacity_kwh(
-            volume_l=float(_required(tank, "system.tank", "volume_l")),
-            useful_range_degc=float(_required(tank, "system.tank", "useful_range_degc")),
-            c_p=float(tank.get("c_p", 4.18e3)),
-            rho_water=float(tank.get("rho_water", 1.0)),
+            volume_l=_number(tank, "volume_l", None, "system.tank."),
+            useful_range_degc=_number(tank, "useful_range_degc", None, "system.tank."),
+            c_p=_number(tank, "c_p", 4.18e3, "system.tank."),
+            rho_water=_number(tank, "rho_water", 1.0, "system.tank."),
         )
     else:
         h_max = tank_capacity_kwh(120.0, 40.0)
@@ -112,7 +127,7 @@ def _parse_system(section: dict, base_dir: Path) -> SystemParams:
     except (TypeError, ValueError) as exc:
         raise ConfigError("system.r6c2", str(exc)) from exc
 
-    n = int(fields["horizon_steps"]) + 1
+    n = fields["horizon_steps"] + 1
     series = {}
     for name in ("theta_o", "p_int", "p_ext", "pi_e", "pi_d", "theta_set"):
         if name not in section:
@@ -121,17 +136,8 @@ def _parse_system(section: dict, base_dir: Path) -> SystemParams:
 
     try:
         return SystemParams(
-            delta=float(fields["delta"]),
-            horizon_steps=int(fields["horizon_steps"]),
-            rho_c=float(fields["rho_c"]), rho_d=float(fields["rho_d"]),
-            b_min=float(fields["b_min"]), b_max=float(fields["b_max"]),
-            f_b_max=float(fields["f_b_max"]), h_max=h_max,
-            f_h_max=float(fields["f_h_max"]), f_t_max=float(fields["f_t_max"]),
-            beta_h=float(fields["beta_h"]), r6c2=r6c2,
-            theta_o=np.array(series["theta_o"]), p_int=np.array(series["p_int"]),
-            p_ext=np.array(series["p_ext"]), pi_e=np.array(series["pi_e"]),
-            pi_d=np.array(series["pi_d"]), theta_set=np.array(series["theta_set"]),
-            kappa=float(fields["kappa"]), h_floor=float(fields["h_floor"]),
+            **fields, h_max=h_max, r6c2=r6c2,
+            **{name: np.array(values) for name, values in series.items()},
         )
     except ValueError as exc:
         raise ConfigError("system", str(exc)) from exc
@@ -181,10 +187,10 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
     init = doc.get("initial_state", {})
     _reject_unknown(init, ("b", "h", "theta_w", "theta_i"), "initial_state.")
     x0 = State(
-        b=float(init.get("b", system.b_min)),
-        h=float(init.get("h", system.h_max / 2.0)),
-        theta_w=float(init.get("theta_w", 20.0)),
-        theta_i=float(init.get("theta_i", 20.0)),
+        b=_number(init, "b", system.b_min, "initial_state."),
+        h=_number(init, "h", system.h_max / 2.0, "initial_state."),
+        theta_w=_number(init, "theta_w", 20.0, "initial_state."),
+        theta_i=_number(init, "theta_i", 20.0, "initial_state."),
     )
     try:
         system.check_state(x0)
@@ -192,12 +198,13 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
         raise ConfigError("initial_state", str(exc)) from exc
 
     gen_section = dict(doc.get("generator", {}))
-    generator_seed = int(gen_section.pop("seed", 1))
+    generator_seed = _number(gen_section, "seed", 1, "generator.", int)
+    gen_section.pop("seed", None)
     gen_section.setdefault("delta", system.delta)
     gen_section.setdefault("horizon_steps", system.horizon_steps)
     try:
         generator = GeneratorConfig.from_dict(gen_section)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("generator", str(exc)) from exc
     if generator.horizon_steps != system.horizon_steps:
         raise ConfigError("generator.horizon_steps", "must match system.horizon_steps")
@@ -216,23 +223,23 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
     sddp = doc.get("sddp", {})
     _reject_unknown(sddp, ("s_offline", "max_iters", "lb_tol", "patience", "seed"),
                     "sddp.")
-    s_offline = int(sddp.get("s_offline", 20))
+    s_offline = _number(sddp, "s_offline", 20, "sddp.", int)
     if s_offline < 1:
         raise ConfigError("sddp.s_offline", "quantization size must be >= 1")
-    max_iters = int(sddp.get("max_iters", 100))
+    max_iters = _number(sddp, "max_iters", 100, "sddp.", int)
     if max_iters < 1:
         raise ConfigError("sddp.max_iters", "must be >= 1")
-    lb_tol = float(sddp.get("lb_tol", 1e-4))
-    patience = int(sddp.get("patience", 10))
-    sddp_seed = int(sddp.get("seed", 0))
+    lb_tol = _number(sddp, "lb_tol", 1e-4, "sddp.")
+    patience = _number(sddp, "patience", 10, "sddp.", int)
+    sddp_seed = _number(sddp, "seed", 0, "sddp.", int)
     if not 0 <= sddp_seed < 2 ** 64 or not 0 <= generator_seed < 2 ** 64:
         raise ConfigError("sddp.seed", "seeds must be unsigned 64-bit integers")
 
     assessment = doc.get("assessment", {})
     _reject_unknown(assessment, ("n_opt", "n_sim", "seed"), "assessment.")
-    n_opt = int(assessment.get("n_opt", 1000))
-    n_sim = int(assessment.get("n_sim", 1000))
-    split_seed = int(assessment.get("seed", 42))
+    n_opt = _number(assessment, "n_opt", 1000, "assessment.", int)
+    n_sim = _number(assessment, "n_sim", 1000, "assessment.", int)
+    split_seed = _number(assessment, "seed", 42, "assessment.", int)
     if n_opt < 2 or n_sim < 2:
         raise ConfigError("assessment.n_opt", "n_opt and n_sim must be >= 2")
 
@@ -241,7 +248,7 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
     mpc_enabled = bool(mpc.get("enabled", True))
     heuristic = doc.get("heuristic", {})
     _reject_unknown(heuristic, ("margin_deg_c",), "heuristic.")
-    margin = float(heuristic.get("margin_deg_c", 1.0))
+    margin = _number(heuristic, "margin_deg_c", 1.0, "heuristic.")
 
     raw = _normalize(system, x0, generator, generator_seed, s_offline, max_iters,
                      lb_tol, patience, sddp_seed, mpc_enabled, margin, n_opt,

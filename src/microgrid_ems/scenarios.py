@@ -430,13 +430,14 @@ def _kmeanspp(clouds, s, rngs):
 
 
 def _fill_empty_cells(dists, assign):
-    """Keep all S cells alive: hand the farthest point to any empty cell."""
+    """Keep all S cells alive: hand the farthest point to any empty cell.
+    A point handed over is out of the running for the rest of the round."""
     n, s = dists.shape
     for k in range(s):
         if not np.any(assign == k):
             far = int(np.argmax(dists[np.arange(n), assign]))
             assign[far] = k
-            dists[far, :] = np.inf
+            dists[far, :] = -np.inf
 
 
 def _lloyd_rounds(clouds, centroids, tol, max_iter):

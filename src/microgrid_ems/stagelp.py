@@ -14,6 +14,11 @@ state is a block of four fixed columns (lower = upper = x), so a solve at a
 new state changes column bounds only, the reduced costs of those columns are
 the cut slope, and new cuts are appended as rows. Forward-pass decisions
 break ties between equally cheap controls towards storing energy.
+
+Both owners build their `PersistentLp` on first solve and seed it from
+`prev`, the LP of the step before, through `PersistentLp.seed`; each states
+only its map from the old LP's columns and rows to its own. The policies
+drop these LPs when pickled, so an owner is never pickled with its solver.
 """
 
 from __future__ import annotations
@@ -45,21 +50,22 @@ def canonical_control(fbp: float, fbm: float, ft: float, fh: float) -> Control:
     return Control(f_b=pos - neg, f_t=ft, f_h=fh)
 
 
-def cut_keys(lambdas: np.ndarray, betas: np.ndarray) -> list:
-    """Identity of each cut: slope and intercept rounded to 12 decimals."""
-    return list(map(tuple, np.round(np.column_stack([lambdas, betas]), 12).tolist()))
-
-
 def cut_key(lam: np.ndarray, beta: float) -> tuple:
-    """The identity of one cut, as `cut_keys` gives it."""
-    return cut_keys(lam[None, :], [beta])[0]
+    """Identity of a cut: slope and intercept rounded to 12 decimals."""
+    return tuple(np.round(np.append(lam, beta), 12).tolist())
 
 
 @dataclass
-class ChainSolution:
+class StageSolution:
     control: Control
     objective: float
-    status: lpmod.LpStatus
+    duals: Optional[np.ndarray] = None
+
+
+def _require_optimal(sol: lpmod.LpSolution, what: str):
+    if not sol.optimal:
+        raise lpmod.LpError(f"{what} is {sol.status.name.lower()}; the import/spill "
+                            "recourse should forbid this")
 
 
 class ChainTemplate:
@@ -133,8 +139,8 @@ class DeterministicChain:
 
     The matrix depends only on (params, t0); demands and the initial state
     enter through the rhs and the first-step control bounds. `prev`, the
-    chain at t0 - 1, hands its last basis, shifted by one step, to this
-    chain's first solve: by the principle of optimality it is nearly optimal
+    chain at t0 - 1, seeds this chain's first solve with its last basis,
+    shifted by one step: by the principle of optimality it is nearly optimal
     here (the "shift" initialisation of real-time MPC).
     """
 
@@ -160,25 +166,12 @@ class DeterministicChain:
         self._first_dyn = np.eye(4) + p.delta * linear_dynamics(t0, p)[0]
         self._h_cols = 7 * ns + 1 + 4 * np.arange(ns)   # tank level of x_{t0+1..T}
         self._persistent = None
-        self._seed = None
-        if prev is not None:
-            basis = None if prev._persistent is None else prev._persistent.basis()
-            if basis is not None:
-                # drop prev's first step: its 7 controls, the state x_{t0}, its
-                # balance and dynamics rows and its discomfort epigraph
-                k = prev.ns
-                col_status, row_status = basis
-                self._seed = (np.delete(col_status, np.r_[:7, 7 * k:7 * k + 4]),
-                              np.delete(row_status, np.r_[:5, 5 * k]))
+        self._prev = prev
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_persistent"] = None  # solver handle, rebuilt lazily
-        return state
-
-    def solve(self, x: State, demands: np.ndarray) -> ChainSolution:
+    def solve(self, x: State, demands: np.ndarray) -> StageSolution:
         """Solve against forecast demands (shape (ns, 2), entry k realized
-        over [t0+k, t0+k+1]); returns the first-step control."""
+        over [t0+k, t0+k+1]); returns the first-step control and the plan's
+        cost. Raises `LpError` if the LP is not optimal."""
         p = self.p
         demands = np.asarray(demands, dtype=float)
         if demands.shape != (self.ns, 2):
@@ -211,23 +204,17 @@ class DeterministicChain:
                 self.c, lower, upper, b_eq,
                 lpmod.stack_rows((a_eq.indptr, a_eq.indices, a_eq.data),
                                  (a_ub.indptr, a_ub.indices, a_ub.data)), self.b_ub)
-            if self._seed is not None:
-                self._persistent.set_basis(*self._seed)
-                self._seed = None
+            if self._prev is not None:
+                # drop prev's first step: its 7 controls, the state x_{t0}, its
+                # balance and dynamics rows and its discomfort epigraph
+                k = self._prev.ns
+                self._persistent.seed(self._prev._persistent, np.r_[:7, 7 * k:7 * k + 4],
+                                      np.r_[:5, 5 * k])
+                self._prev = None
         sol = self._persistent.solve(rhs=b_eq, lower=lower, upper=upper)
-        if not sol.optimal:
-            return ChainSolution(control=Control(0.0, 0.0, 0.0),
-                                 objective=np.nan, status=sol.status)
+        _require_optimal(sol, f"chain LP at t0={self.t0}")
         u = canonical_control(*sol.x_star[:4])
-        return ChainSolution(control=box.clip(u), objective=float(sol.objective),
-                             status=sol.status)
-
-
-@dataclass
-class StageSolution:
-    control: Control
-    objective: float
-    duals: Optional[np.ndarray] = None
+        return StageSolution(control=box.clip(u), objective=float(sol.objective))
 
 
 # column layout: pinned state x(4), control u = [fb+, fb-, ft, fh],
@@ -252,8 +239,8 @@ class OneStageDecision:
     `prev`, the stage LP solved one step earlier, seeds this LP's first
     solve. M and N are time-invariant, so every stage with as many scenarios
     has the same columns, equality rows and box rows, and their statuses
-    carry over unchanged. Of the cut rows, those of the cut maximal at the
-    incoming state are active (nonbasic), the others basic.
+    carry over unchanged. prev's cut rows are dropped; of this stage's, those
+    of the cut maximal at the incoming state start nonbasic, the others basic.
     """
 
     def __init__(self, p: SystemParams, t: int, dist, lambdas: np.ndarray,
@@ -269,18 +256,12 @@ class OneStageDecision:
         blocks = _BLOCK + _WIDTH * np.arange(self.s_count, dtype=np.int32)
         self._theta = blocks + 2
         self._next = blocks[:, None] + 3 + np.arange(4, dtype=np.int32)
-        lambdas = np.asarray(lambdas, dtype=float).reshape(-1, 4)
-        betas = np.asarray(betas, dtype=float).reshape(-1)
-        self._cuts = {}  # cut_key -> (lam, beta), in insertion order
-        for key, lam, beta in zip(cut_keys(lambdas, betas), lambdas, betas.tolist()):
-            self._cuts.setdefault(key, (lam, beta))
+        self._lambdas = np.asarray(lambdas, dtype=float).reshape(-1, 4)
+        self._betas = np.asarray(betas, dtype=float).reshape(-1)
         self._persistent = None
+        # another scenario count is another column layout
+        self._prev = prev if prev is not None and prev.s_count == self.s_count else None
         self._build()
-        self._seed = None
-        basis = None if prev is None or prev._persistent is None else prev._persistent.basis()
-        if basis is not None and prev.s_count == self.s_count:
-            cols, rows = basis
-            self._seed = (cols, rows[:5 * self.s_count + 4])  # equality and box rows
 
     def _build(self):
         p, t, n, s_count = self.p, self.t, self.n, self.s_count
@@ -330,10 +311,6 @@ class OneStageDecision:
         self._lower_base = lower
         self._upper_base = upper
 
-    def _cut_arrays(self):
-        lambdas = np.array([lam for lam, _ in self._cuts.values()]).reshape(-1, 4)
-        return lambdas, np.array([beta for _, beta in self._cuts.values()])
-
     def _cut_rows(self, lambdas: np.ndarray, betas: np.ndarray):
         """Rows lam_j . x'_s - theta_s <= -beta_j, cut-major, as a CSR
         triple, and their right-hand sides."""
@@ -345,36 +322,25 @@ class OneStageDecision:
         indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
         return (indptr, cols[keep], vals[keep]), np.repeat(-betas, s_count)
 
-    def _seed_basis(self, x: State):
-        """The seed of a first solve at x: prev's columns, equality and box
-        rows, then per scenario the row of the cut maximal at x nonbasic (on
-        its bound) and the other cut rows basic."""
-        cols, rows = self._seed
-        lambdas, betas = self._cut_arrays()
-        cuts = np.full((betas.size, self.s_count), lpmod.BASIS_BASIC, dtype=np.int8)
-        cuts[np.argmax(lambdas @ x.as_array() + betas)] = lpmod.BASIS_UPPER
-        return cols, np.concatenate([rows, cuts.ravel()])
+    def _cut_statuses(self, x: State) -> np.ndarray:
+        """Status codes of the cut rows at x: per scenario, the row of the
+        cut maximal at x nonbasic (on its bound), the other cut rows basic."""
+        cuts = np.full((self._betas.size, self.s_count), lpmod.BASIS_BASIC, dtype=np.int8)
+        cuts[np.argmax(self._lambdas @ x.as_array() + self._betas)] = lpmod.BASIS_UPPER
+        return cuts.ravel()
 
     @property
     def n_cuts(self) -> int:
-        return len(self._cuts)
+        return self._betas.size
 
-    def add_cut(self, lam: np.ndarray, beta: float) -> bool:
-        """Add theta_s >= lam . x'_s + beta for every scenario. A cut already
-        present (same `cut_key`) is skipped; returns whether it was new."""
-        lam = np.asarray(lam, dtype=float)
-        key = cut_key(lam, beta)
-        if key in self._cuts:
-            return False
-        self._cuts[key] = (lam, float(beta))
+    def add_cut(self, lam: np.ndarray, beta: float):
+        """Add theta_s >= lam . x'_s + beta for every scenario. The cut store
+        (`ValueFunctions`) passes on only cuts it did not hold."""
+        lam = np.asarray(lam, dtype=float).reshape(1, 4)
+        self._lambdas = np.vstack([self._lambdas, lam])
+        self._betas = np.append(self._betas, float(beta))
         if self._persistent is not None:
-            self._persistent.add_rows(*self._cut_rows(lam[None, :], np.array([beta])))
-        return True
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_persistent"] = None  # solver handle, rebuilt from the cuts
-        return state
+            self._persistent.add_rows(*self._cut_rows(lam, self._betas[-1:]))
 
     def solve(self, x: State, prefer_storage: bool = False) -> StageSolution:
         """Optimal control at incoming state x (clipped to the admissible
@@ -396,17 +362,17 @@ class OneStageDecision:
         if self._persistent is None:
             self._persistent = lpmod.PersistentLp(self.c, lower, upper, self.b_eq,
                                                   self._rows, self._b_box)
-            self._persistent.add_rows(*self._cut_rows(*self._cut_arrays()))
-            if self._seed is not None:
-                self._persistent.set_basis(*self._seed_basis(x))
-                self._seed = None
+            self._persistent.add_rows(*self._cut_rows(self._lambdas, self._betas))
+            if self._prev is not None:
+                # keep the columns, equality and box rows; replace the cut rows
+                self._persistent.seed(self._prev._persistent,
+                                      drop_rows=np.s_[5 * self.s_count + 4:],
+                                      more_rows=self._cut_statuses(x))
+                self._prev = None
         sol = self._persistent.solve(lower=lower, upper=upper,
                                      cost=self._c_decide if prefer_storage else self.c,
                                      reduced_costs=not prefer_storage)
-        if not sol.optimal:
-            raise lpmod.LpError(
-                f"one-stage problem at t={self.t} is {sol.status.value}; the "
-                "import/spill recourse should forbid this")
+        _require_optimal(sol, f"one-stage problem at t={self.t}")
         xs = sol.x_star
         u = canonical_control(*xs[_U:_U + 4])
         if prefer_storage:

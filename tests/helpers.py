@@ -531,7 +531,7 @@ def reference_lloyd_rounds(points, centroids, tol, max_iter):
             if not np.any(assign == k):
                 far = int(np.argmax(dists[np.arange(n), assign]))
                 assign[far] = k
-                dists[far, :] = np.inf
+                dists[far, :] = -np.inf
         new_centroids = np.vstack([points[assign == k].mean(axis=0) for k in range(s)])
         d = float(np.sum((points - new_centroids[assign]) ** 2))
         centroids = new_centroids
@@ -578,3 +578,61 @@ def reference_quantize_stagewise(opt: ScenarioSet, s, seed, tol=1e-6, max_iter=2
     return [reference_lloyd_max(opt.data[:, t, :], min(s, opt.n), tol, max_iter,
                                 seeds[t - 1])
             for t in range(1, opt.horizon + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Basis seeding: what a new persistent LP hands to HiGHS
+
+# base-4 digits that spell the index of any column or row of the LPs tested
+INDEX_DIGITS = 6
+
+
+class IndexBasis:
+    """Stands in for a solved LP. Status codes take four values, so its
+    basis spells each column's and each row's own index in base 4, one
+    digit per stand-in; the seeds built from `INDEX_DIGITS` of them show
+    which entries they kept, and in which order."""
+
+    def __init__(self, n_cols, n_rows, digit=0):
+        self.index = (np.arange(n_cols), np.arange(n_rows))
+        self.digit = digit
+
+    def basis(self):
+        return tuple((i >> 2 * self.digit & 3).astype(np.int8) for i in self.index)
+
+
+def seeded_indices(seeds):
+    """The index each column and row was seeded from, read from the seeds
+    built from the digits 0, 1, ... of an `IndexBasis`."""
+    cols = sum(4 ** d * np.array(c) for d, (c, _) in enumerate(seeds))
+    rows = sum(4 ** d * np.array(r) for d, (_, r) in enumerate(seeds))
+    return cols, rows
+
+
+class RecordingCore:
+    """Stands in for the bundled HiGHS bindings. Its solvers record each
+    basis they are handed, as lists of status codes in `seeds`, instead of
+    starting from it."""
+
+    def __init__(self, core):
+        self._core = core
+        self.seeds = []
+
+    def __getattr__(self, name):
+        return getattr(self._core, name)
+
+    def _Highs(self):
+        return _RecordingHighs(self._core._Highs(), self.seeds)
+
+
+class _RecordingHighs:
+    def __init__(self, highs, seeds):
+        self._highs = highs
+        self._seeds = seeds
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def setBasis(self, basis):
+        self._seeds.append(([int(s) for s in basis.col_status],
+                            [int(s) for s in basis.row_status]))

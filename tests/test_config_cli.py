@@ -373,6 +373,22 @@ class TestCli:
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and "sddp.s_online" in lines[0]
 
+    @pytest.mark.parametrize("fieldpath, value", [
+        ("sddp.max_iters", "ten"), ("initial_state.b", "full"), ("system.h_max", [1]),
+        ("assessment.n_opt", None), ("system.horizon_steps", "x")])
+    def test_non_numeric_value_exit_2(self, tmp_path, fieldpath, value):
+        doc = tiny_doc()
+        section, key = fieldpath.split(".")
+        doc.setdefault(section, {})[key] = value
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["generate", "--config", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert lines == [f"configuration error: {fieldpath}: expected a number, "
+                         f"got {value!r}"]
+
     def test_negative_seed_exit_2(self, tmp_path):
         res = CliRunner().invoke(main, ["generate", "--config",
                                         str(CONFIG_DIR / "winter.json"), "--seed", "-1",

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from microgrid_ems import lp as lpmod
 from microgrid_ems.lp import (
+    BASIS_BASIC,
+    BASIS_UPPER,
     LinearProgram,
     LpError,
     LpStatus,
@@ -11,7 +14,7 @@ from microgrid_ems.lp import (
     solve,
 )
 
-from helpers import random_bounded_lp, vertex_enumeration_optimum
+from helpers import IndexBasis, RecordingCore, random_bounded_lp, vertex_enumeration_optimum
 
 
 def persistent_lp(lp: LinearProgram) -> PersistentLp:
@@ -210,12 +213,34 @@ class TestPersistent:
                 assert first.basis() is None
                 continue
             second = persistent_lp(lp)
-            second.set_basis(*first.basis())
+            second.seed(first)
             again = second.solve()
             assert again.objective == pytest.approx(sol.objective, abs=1e-9)
             # the optimal basis needs no further pivots
             assert second._solver.getInfo().simplex_iteration_count == 0
             handed += 1
+
+    def test_seed_maps_the_basis(self, monkeypatch):
+        core = RecordingCore(lpmod._highs_core)
+        monkeypatch.setattr(lpmod, "_highs_core", core)
+        persistent = persistent_lp(simple_pin(3.0))  # 2 columns, 2 rows
+        # each status code of the stand-in is the entry's own index
+        prev = IndexBasis(4, 3)
+        persistent.seed(prev, drop_cols=[0, 2], drop_rows=[1])
+        persistent.seed(prev, drop_cols=np.s_[:2], drop_rows=np.s_[1:],
+                        more_rows=[BASIS_UPPER, BASIS_BASIC])
+        assert core.seeds == [([1, 3], [0, 2]), ([2, 3], [0, BASIS_UPPER, BASIS_BASIC])]
+        # nothing to hand on: no LP, or one without a basis
+        persistent.seed(None)
+        persistent.seed(persistent_lp(simple_pin(3.0)))
+        assert len(core.seeds) == 2
+
+    def test_seed_is_a_no_op_on_the_cold_path(self, monkeypatch):
+        monkeypatch.setattr(lpmod, "_highs_core", None)
+        monkeypatch.setattr(lpmod, "_cold_path_warned", True)
+        persistent = persistent_lp(simple_pin(3.0))
+        persistent.seed(IndexBasis(2, 2))
+        assert persistent.solve().objective == pytest.approx(3.0, abs=1e-9)
 
     def test_rhs_shape_guard(self):
         persistent = persistent_lp(simple_pin(3.0))

@@ -78,6 +78,17 @@ class TestValueFunctions:
         for t in range(p.horizon_steps + 1):
             assert loaded.evaluate(t, x) == vf.evaluate(t, x)
 
+    def test_cut_stored_once(self):
+        lam = np.array([0.1, -0.2, 0.0, 0.3])
+        cut = Cut(lam, 1.5)
+        # a duplicate inside the initial set is dropped too
+        vf = ValueFunctions([[cut, Cut(lam, 2.5), cut]])
+        assert vf.cut_counts() == [2]
+        # a slope equal up to rounding to 12 decimals is the same cut
+        assert not vf.add_cut(0, Cut(lam + 1e-14, 1.5))
+        assert vf.add_cut(0, Cut(lam, 3.5))
+        assert vf.cut_counts() == [3]
+
     def test_cut_validation(self):
         with pytest.raises(ValueError):
             Cut(np.array([1.0, 2.0]), 0.0)

@@ -318,6 +318,24 @@ class TestBatchMatchesPerStageLoop:
             assert np.all(counts > 0)
 
 
+    def test_two_empty_cells_repair(self):
+        # two seeds far from the cloud leave two cells empty in the first
+        # round: each must take its own far point, not the same one in turn
+        rng = np.random.default_rng(1)
+        clouds = rng.uniform(0, 10, (1, 20, 2))
+        seeds = clouds[:, :4].copy()
+        seeds[0, 2:] = [[50.0, 50.0], [60.0, 60.0]]
+        d = np.sum((clouds[0][:, None] - seeds[0][None]) ** 2, axis=2)
+        assert np.bincount(np.argmin(d, axis=1), minlength=4).tolist() == [13, 7, 0, 0]
+        centroids, counts, distortions = sc._lloyd_rounds(clouds.copy(), seeds.copy(),
+                                                          1e-6, 50)[0]
+        assert np.all(counts > 0) and np.all(np.isfinite(centroids))
+        assert all(b <= a for a, b in zip(distortions, distortions[1:]))
+        ref = reference_lloyd_rounds(clouds[0], seeds[0], 1e-6, 50)
+        assert np.array_equal(centroids, ref[0]) and np.array_equal(counts, ref[1])
+        assert distortions == ref[2]
+
+
 class TestLoadDistributions:
     def write(self, tmp_path, payload):
         path = tmp_path / "dists.json"

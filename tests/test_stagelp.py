@@ -1,3 +1,4 @@
+import functools
 import logging
 import pickle
 
@@ -26,12 +27,16 @@ from microgrid_ems.stagelp import (
 )
 
 from helpers import (
+    INDEX_DIGITS,
+    IndexBasis,
+    RecordingCore,
     battery_params,
     battery_x0,
     chain_labels,
     loop_built_chain,
     loop_built_stage,
     pinned_row_stage_value,
+    seeded_indices,
     two_point_dists,
 )
 
@@ -99,13 +104,6 @@ def random_state(rng, p):
                  rng.uniform(12, 26), rng.uniform(14, 26))
 
 
-def n_rows(problem):
-    persistent = problem._persistent
-    if persistent._solver is not None:
-        return persistent._solver.getNumRow()
-    return persistent._n_eq + persistent._b_ub.size
-
-
 def assert_same(a, b, tol=TOL):
     assert a.objective == pytest.approx(b.objective, abs=tol)
     np.testing.assert_allclose(a.duals, b.duals, atol=tol)
@@ -138,7 +136,7 @@ def test_stage_rows_match_loop_oracle(summer):
         stage.solve(x)
         oracle = loop_built_stage(p, t, x, dist, lambdas, betas)
         s_count, n = stage.s_count, stage.n
-        cut_rows, cut_rhs = stage._cut_rows(*stage._cut_arrays())
+        cut_rows, cut_rhs = stage._cut_rows(stage._lambdas, stage._betas)
         indptr, indices, data = lpmod.stack_rows(stage._rows, cut_rows)
         rows = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n))
         # the oracle's cut rows are scenario-major, the stage LP's cut-major
@@ -162,28 +160,12 @@ def test_appended_cuts_match_fresh_build(summer):
     grown = OneStageDecision(summer, 50, dist, lambdas[:1], betas[:1])
     for k in range(1, 25):
         grown.solve(random_state(rng, summer))
-        assert grown.add_cut(lambdas[k], betas[k])
+        grown.add_cut(lambdas[k], betas[k])
     fresh = OneStageDecision(summer, 50, dist, lambdas, betas)
     assert grown.n_cuts == fresh.n_cuts == 25
     for _ in range(20):
         x = random_state(rng, summer)
         assert_same(grown.solve(x), fresh.solve(x))
-
-
-def test_readding_a_cut_adds_no_rows(summer):
-    rng = np.random.default_rng(14)
-    lambdas, betas = random_cuts(rng, 5)
-    # a duplicate inside the initial set is dropped too
-    problem = OneStageDecision(summer, 10, random_dist(rng),
-                               np.vstack([lambdas, lambdas[2]]), np.append(betas, betas[2]))
-    problem.solve(random_state(rng, summer))
-    rows = n_rows(problem)
-    assert problem.n_cuts == 5
-    assert not problem.add_cut(lambdas[3], betas[3])
-    assert not problem.add_cut(lambdas[0] + 1e-14, betas[0])
-    assert problem.n_cuts == 5 and n_rows(problem) == rows
-    assert problem.add_cut(lambdas[0], betas[0] + 1.0)
-    assert n_rows(problem) == rows + problem.s_count
 
 
 def test_slope_is_a_subgradient(summer):
@@ -204,24 +186,6 @@ def test_slope_is_a_subgradient(summer):
         moved = problem.solve(State.from_array(y))
         assert moved.objective >= sol.objective + sol.duals @ d - TOL
         checked += 1
-
-
-def test_pickle_round_trip_rebuilds_from_cuts(summer):
-    rng = np.random.default_rng(16)
-    dist = random_dist(rng)
-    lambdas, betas = random_cuts(rng, 12)
-    problem = OneStageDecision(summer, 70, dist, lambdas[:4], betas[:4])
-    problem.solve(random_state(rng, summer))
-    for lam, beta in zip(lambdas[4:], betas[4:]):
-        problem.add_cut(lam, beta)
-    copy = pickle.loads(pickle.dumps(problem))
-    fresh = OneStageDecision(summer, 70, dist, lambdas, betas)
-    for _ in range(10):
-        x = random_state(rng, summer)
-        a, b = copy.solve(x), fresh.solve(x)
-        assert a.control == b.control
-        assert a.objective == b.objective
-        assert problem.solve(x).objective == pytest.approx(a.objective, abs=TOL)
 
 
 def test_control_is_admissible(summer):
@@ -322,26 +286,29 @@ def test_seeded_first_solves_match_cold_chains(summer_mpc):
     assert seeded_iters * 10 < cold_iters
 
 
-class IndexBasis:
-    """Stands in for a solved LP: each column's and each row's status code
-    is its own index, so a seed shows which entries it kept."""
-
-    def __init__(self, n_cols, n_rows):
-        self.shape = (n_cols, n_rows)
-
-    def basis(self):
-        return np.arange(self.shape[0]), np.arange(self.shape[1])
+@pytest.fixture
+def recording_core(monkeypatch):
+    """HiGHS bindings that record the basis each new LP is seeded with."""
+    core = RecordingCore(lpmod._highs_core)
+    monkeypatch.setattr(lpmod, "_highs_core", core)
+    return core
 
 
-def test_seed_is_the_shifted_basis(summer):
+def test_seed_is_the_shifted_basis(summer, recording_core):
     template = ChainTemplate(summer, State(1.0, 2.0, 20.0, 20.0))
     T = summer.horizon_steps
+    x = State(1.5, 2.0, 20.0, 20.0)
     for t0 in (1, 2, T // 2, T - 1):
-        prev = DeterministicChain(template, t0 - 1)
-        prev._persistent = IndexBasis(prev.c.size, prev.a_eq.shape[0] + prev.a_ub.shape[0])
-        chain = DeterministicChain(template, t0, prev)
+        demands = np.column_stack([np.ones(T - t0), np.full(T - t0, 0.1)])
+        del recording_core.seeds[:]
+        for digit in range(INDEX_DIGITS):
+            prev = DeterministicChain(template, t0 - 1)
+            prev._persistent = IndexBasis(prev.c.size,
+                                          prev.a_eq.shape[0] + prev.a_ub.shape[0], digit)
+            DeterministicChain(template, t0, prev).solve(x, demands)
         for prev_labels, labels, seed in zip(chain_labels(summer, t0 - 1),
-                                             chain_labels(summer, t0), chain._seed):
+                                             chain_labels(summer, t0),
+                                             seeded_indices(recording_core.seeds)):
             # each entry of the new chain starts from the status of the same
             # column or row of the chain at t0 - 1
             assert seed.tolist() == [prev_labels.index(label) for label in labels], t0
@@ -366,27 +333,51 @@ def test_sddp_seeded_first_solves_match_cold_stages(summer_sddp):
     assert seeded_iters * 2 < cold_iters
 
 
-def test_stage_seed_keeps_the_previous_basis(summer):
+def test_stage_seed_keeps_the_previous_basis(summer, recording_core):
     rng = np.random.default_rng(23)
     for t in (1, 2, summer.horizon_steps // 2, summer.horizon_steps - 1):
         prev = OneStageDecision(summer, t - 1, random_dist(rng), *random_cuts(rng, 7))
         s_count = prev.s_count
         fixed = 5 * s_count + 4  # equality and box rows
-        prev._persistent = IndexBasis(prev.n, fixed + 7 * s_count)
+        dist = random_dist(rng)
         lambdas, betas = random_cuts(rng, 9)
-        stage = OneStageDecision(summer, t, random_dist(rng), lambdas, betas, prev)
         x = random_state(rng, summer)
-        cols, rows = stage._seed_basis(x)
+        del recording_core.seeds[:]
+        for digit in range(INDEX_DIGITS):
+            prev._persistent = IndexBasis(prev.n, fixed + 7 * s_count, digit)
+            OneStageDecision(summer, t, dist, lambdas, betas, prev).solve(x)
+        cols, rows = seeded_indices(recording_core.seeds)
         # the columns, equality rows and box rows keep their statuses at t - 1
-        assert cols.tolist() == list(range(stage.n)), t
+        assert cols.tolist() == list(range(prev.n)), t
         assert rows[:fixed].tolist() == list(range(fixed)), t
-        # per scenario, the row of the cut maximal at x is nonbasic
+        # prev's cut rows are dropped; per scenario, the row of this stage's
+        # cut maximal at x is nonbasic and the other cut rows basic
         expected = np.full((9, s_count), lpmod.BASIS_BASIC)
         expected[np.argmax(lambdas @ x.as_array() + betas)] = lpmod.BASIS_UPPER
-        assert rows[fixed:].tolist() == expected.ravel().tolist(), t
+        for _, seeded_rows in recording_core.seeds:
+            assert seeded_rows[fixed:] == expected.ravel().tolist(), t
     # another scenario count is another column layout: no seed
-    stage = OneStageDecision(summer, t, random_dist(rng, s=5), lambdas, betas, prev)
-    assert stage._seed is None
+    OneStageDecision(summer, t, random_dist(rng, s=5), lambdas, betas, prev).solve(x)
+    assert len(recording_core.seeds) == INDEX_DIGITS
+
+
+@pytest.mark.parametrize("kind", ["mpc", "sddp"])
+def test_pickled_played_policy_bills_as_a_pickled_fresh_one(kind, request):
+    # a worker receives the policy pickled; one that has played already must
+    # not carry its LPs there, built or not
+    if kind == "mpc":
+        cfg, ar, means, scenarios = request.getfixturevalue("summer_mpc")
+        make = functools.partial(MpcPolicy, cfg.system, cfg.initial_state, ar, means)
+    else:
+        cfg, vf, dists, scenarios = request.getfixturevalue("summer_sddp")
+        make = functools.partial(SddpPolicy, cfg.system, vf, dists)
+    p, x0 = cfg.system, cfg.initial_state
+    played = make()
+    simulate_policy(played, scenarios[0], x0, p)
+    copy, fresh = pickle.loads(pickle.dumps(played)), pickle.loads(pickle.dumps(make()))
+    for scenario in scenarios[1:]:
+        assert (simulate_policy(copy, scenario, x0, p).total_cost
+                == simulate_policy(fresh, scenario, x0, p).total_cost)
 
 
 class TestColdPath:
@@ -438,9 +429,8 @@ class TestColdPath:
         for t, x, w_obs, decision in played.calls:
             assert cold.decide(t, x, w_obs).predicted_cost == pytest.approx(
                 decision.predicted_cost, abs=1e-7), t
-            chain = cold._chains[t]
             # seeding is a no-op: there is no basis to hand on or to set
-            assert chain._seed is None and chain._persistent.basis() is None
+            assert cold._chains[t]._persistent.basis() is None
 
     def test_sddp_matches_warm_path(self, summer_sddp, monkeypatch):
         cfg, vf, dists, scenarios = summer_sddp
@@ -454,9 +444,8 @@ class TestColdPath:
         for t, x, w_obs, decision in played.calls:
             assert cold.decide(t, x, w_obs).predicted_cost == pytest.approx(
                 decision.predicted_cost, abs=1e-7), t
-            stage = cold._problems[t]
             # seeding is a no-op: there is no basis to hand on or to set
-            assert stage._seed is None and stage._persistent.basis() is None
+            assert cold._problems[t]._persistent.basis() is None
 
     def test_sddp_trains_on_cold_path(self, monkeypatch):
         monkeypatch.setattr(lpmod, "_highs_core", None)
