@@ -1,6 +1,8 @@
 """Run configuration: JSON parsing, validation, normalization, manifests.
 
-System parameters come from a `system` section whose exogenous series are
+Each section is read against one table of defaults, and each default's type
+is its field's type; the normalized document is the parsed tables. System
+parameters come from a `system` section whose exogenous series are
 inline arrays (length horizon_steps + 1) or paths to single-column CSV files
 with header `value`. `day_config` builds the bundled winter/spring/summer
 example configurations with synthetic weather profiles.
@@ -12,7 +14,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,19 +43,39 @@ def _reject_unknown(section: dict, known, prefix: str = ""):
                           f"unknown field (known: {', '.join(sorted(known))})")
 
 
-def _required(section: dict, fieldpath: str, key: str):
-    if key not in section:
-        raise ConfigError(f"{fieldpath}.{key}", "missing required field")
-    return section[key]
+def _value(value, default, fieldpath: str):
+    """`value` checked against the type of `default`: an int takes an
+    integral number, a float a finite number, a bool true or false, a tuple
+    a pair of numbers (kept as a list) and a dict that table's fields. A
+    bool is never a number."""
+    if isinstance(default, dict):
+        return _fields(value, default, f"{fieldpath}.")
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(fieldpath, f"expected true or false, got {value!r}")
+        return value
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError(fieldpath, f"expected a pair of numbers, got {value!r}")
+        return [_value(v, 0.0, fieldpath) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(fieldpath, f"expected a number, got {value!r}")
+    if isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(fieldpath, f"expected an integer, got {value!r}")
+        return int(value)
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(fieldpath, f"expected a finite number, got {value!r}")
+    return float(value)
 
 
-def _number(section: dict, key: str, default, prefix: str, kind=float):
-    """section[key] (or the default) as a float, or as an int if `kind` is int."""
-    value = section.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{prefix}{key}", f"expected a number, got {value!r}") from None
+def _fields(section: dict, defaults: dict, prefix: str) -> dict:
+    """`section` read against its table of defaults: unknown keys are
+    rejected, missing ones take their default, and every value is checked
+    by its default's type."""
+    _reject_unknown(section, defaults, prefix)
+    return {key: _value(section.get(key, default), default, prefix + key)
+            for key, default in defaults.items()}
 
 
 def _series(value, n: int, fieldpath: str, base_dir: Path) -> list:
@@ -90,55 +112,58 @@ _SYSTEM_DEFAULTS = {
     "f_t_max": 6.0, "beta_h": 0.9, "kappa": 1.0, "h_floor": 0.0,
 }
 
+# without system.h_max or system.tank, the tank holds 120 l over 40 degC
+_TANK_DEFAULTS = {"volume_l": 120.0, "useful_range_degc": 40.0, "c_p": 4.18e3,
+                  "rho_water": 1.0}
 
-def _parse_system(section: dict, base_dir: Path) -> SystemParams:
-    fields = dict(_SYSTEM_DEFAULTS)
-    _reject_unknown(section, set(fields) | {"h_max", "tank", "r6c2", "theta_o", "p_int",
-                                            "p_ext", "pi_e", "pi_d", "theta_set"},
+_SERIES = ("theta_o", "p_int", "p_ext", "pi_e", "pi_d", "theta_set")
+
+# The generator samples on the system's time grid, so its table leaves out
+# delta and horizon_steps.
+_SECTIONS = {
+    "generator": {**{name: f.default for name, f in GeneratorConfig.__dataclass_fields__.items()
+                     if name not in ("delta", "horizon_steps")}, "seed": 1},
+    "sddp": {"s_offline": 20, "max_iters": 100, "lb_tol": 1e-4, "patience": 10, "seed": 0},
+    "mpc": {"enabled": True},
+    "heuristic": {"margin_deg_c": 1.0},
+    "assessment": {"n_opt": 1000, "n_sim": 1000, "seed": 42},
+}
+
+_MINIMUMS = {("sddp", "s_offline"): 1, ("sddp", "max_iters"): 1,
+             ("assessment", "n_opt"): 2, ("assessment", "n_sim"): 2}
+
+
+def _system_fields(section: dict, base_dir: Path) -> dict:
+    """The `system` table, with h_max (given, or from the tank) and the series."""
+    _reject_unknown(section, [*_SYSTEM_DEFAULTS, "h_max", "tank", "r6c2", *_SERIES],
                     "system.")
-    for key in fields:
-        fields[key] = _number(section, key, fields[key], "system.",
-                              int if key == "horizon_steps" else float)
-
     if "h_max" in section and "tank" in section:
         raise ConfigError("system.tank", "give the tank as system.h_max or as system.tank, "
                           "not both")
-    if "h_max" in section:
-        h_max = _number(section, "h_max", None, "system.")
-    elif "tank" in section:
-        tank = section["tank"]
-        _reject_unknown(tank, ("volume_l", "useful_range_degc", "c_p", "rho_water"),
-                        "system.tank.")
+    tank = section.get("tank", {})
+    h_max = tank_capacity_kwh(**_fields(tank, _TANK_DEFAULTS, "system.tank."))
+    if "tank" in section:
         for key in ("volume_l", "useful_range_degc"):
-            _required(tank, "system.tank", key)
-        h_max = tank_capacity_kwh(
-            volume_l=_number(tank, "volume_l", None, "system.tank."),
-            useful_range_degc=_number(tank, "useful_range_degc", None, "system.tank."),
-            c_p=_number(tank, "c_p", 4.18e3, "system.tank."),
-            rho_water=_number(tank, "rho_water", 1.0, "system.tank."),
-        )
-    else:
-        h_max = tank_capacity_kwh(120.0, 40.0)
-
-    r6c2_dict = dict(_R6C2_DEFAULTS)
-    r6c2_dict.update(section.get("r6c2", {}))
-    try:
-        r6c2 = R6C2Params(**r6c2_dict)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("system.r6c2", str(exc)) from exc
-
-    n = fields["horizon_steps"] + 1
-    series = {}
-    for name in ("theta_o", "p_int", "p_ext", "pi_e", "pi_d", "theta_set"):
+            if key not in tank:
+                raise ConfigError(f"system.tank.{key}", "missing required field")
+    table = {**_SYSTEM_DEFAULTS, "h_max": h_max, "r6c2": _R6C2_DEFAULTS}
+    fields = _fields({k: v for k, v in section.items() if k in table}, table, "system.")
+    for name in _SERIES:
         if name not in section:
             raise ConfigError(f"system.{name}", "missing required series")
-        series[name] = _series(section[name], n, f"system.{name}", base_dir)
+        fields[name] = _series(section[name], fields["horizon_steps"] + 1,
+                               f"system.{name}", base_dir)
+    return fields
 
+
+def _system_params(fields: dict) -> SystemParams:
     try:
-        return SystemParams(
-            **fields, h_max=h_max, r6c2=r6c2,
-            **{name: np.array(values) for name, values in series.items()},
-        )
+        r6c2 = R6C2Params(**fields["r6c2"])
+    except ValueError as exc:
+        raise ConfigError("system.r6c2", str(exc)) from exc
+    try:
+        return SystemParams(**{**fields, "r6c2": r6c2,
+                               **{name: np.array(fields[name]) for name in _SERIES}})
     except ValueError as exc:
         raise ConfigError("system", str(exc)) from exc
 
@@ -178,121 +203,57 @@ def load_config(path) -> RunConfig:
 
 
 def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
-    _reject_unknown(doc, ("system", "initial_state", "generator", "sddp", "mpc",
-                          "heuristic", "assessment"))
+    _reject_unknown(doc, ("system", "initial_state", *_SECTIONS))
     if "system" not in doc:
         raise ConfigError("system", "missing required section")
-    system = _parse_system(doc["system"], base_dir)
+    raw = {"system": _system_fields(doc["system"], base_dir)}
+    raw.update((name, _fields(doc.get(name, {}), defaults, f"{name}."))
+               for name, defaults in _SECTIONS.items())
+    for name in ("generator", "sddp", "assessment"):
+        if not 0 <= raw[name]["seed"] < 2 ** 64:
+            raise ConfigError(f"{name}.seed", "must be an unsigned 64-bit integer")
+    for (name, key), least in _MINIMUMS.items():
+        if raw[name][key] < least:
+            raise ConfigError(f"{name}.{key}", f"must be >= {least}")
 
-    init = doc.get("initial_state", {})
-    _reject_unknown(init, ("b", "h", "theta_w", "theta_i"), "initial_state.")
-    x0 = State(
-        b=_number(init, "b", system.b_min, "initial_state."),
-        h=_number(init, "h", system.h_max / 2.0, "initial_state."),
-        theta_w=_number(init, "theta_w", 20.0, "initial_state."),
-        theta_i=_number(init, "theta_i", 20.0, "initial_state."),
-    )
+    sys_doc, gen = raw["system"], raw["generator"]
+    # the tank must cover one full-rate hot-water spike over a step
+    min_floor = sys_doc["delta"] * gen["d_hw_cap"]
+    if "h_floor" not in doc["system"]:
+        sys_doc["h_floor"] = min_floor
+    elif sys_doc["h_floor"] < min_floor - 1e-9:
+        raise ConfigError("system.h_floor",
+                          f"{sys_doc['h_floor']} is below system.delta * generator.d_hw_cap"
+                          f" = {min_floor}; one hot-water spike could empty the tank")
+    system = _system_params(sys_doc)
+
+    raw["initial_state"] = _fields(
+        doc.get("initial_state", {}),
+        {"b": system.b_min, "h": system.h_max / 2.0, "theta_w": 20.0, "theta_i": 20.0},
+        "initial_state.")
+    x0 = State(**raw["initial_state"])
     try:
         system.check_state(x0)
     except ValueError as exc:
         raise ConfigError("initial_state", str(exc)) from exc
 
-    gen_section = dict(doc.get("generator", {}))
-    generator_seed = _number(gen_section, "seed", 1, "generator.", int)
-    gen_section.pop("seed", None)
-    gen_section.setdefault("delta", system.delta)
-    gen_section.setdefault("horizon_steps", system.horizon_steps)
     try:
-        generator = GeneratorConfig.from_dict(gen_section)
-    except (TypeError, ValueError) as exc:
+        generator = GeneratorConfig(
+            delta=system.delta, horizon_steps=system.horizon_steps,
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in gen.items() if k != "seed"})
+    except ValueError as exc:
         raise ConfigError("generator", str(exc)) from exc
-    if generator.horizon_steps != system.horizon_steps:
-        raise ConfigError("generator.horizon_steps", "must match system.horizon_steps")
-    # the tank must cover one full-rate hot-water spike over a step
-    min_floor = generator.delta * generator.d_hw_cap
-    if "h_floor" not in doc["system"]:
-        try:
-            system = replace(system, h_floor=min_floor)
-        except ValueError as exc:
-            raise ConfigError("system.h_floor", f"default {min_floor}: {exc}") from exc
-    elif system.h_floor < min_floor - 1e-9:
-        raise ConfigError("system.h_floor",
-                          f"{system.h_floor} is below generator.delta * d_hw_cap = "
-                          f"{min_floor}; one hot-water spike could empty the tank")
 
-    sddp = doc.get("sddp", {})
-    _reject_unknown(sddp, ("s_offline", "max_iters", "lb_tol", "patience", "seed"),
-                    "sddp.")
-    s_offline = _number(sddp, "s_offline", 20, "sddp.", int)
-    if s_offline < 1:
-        raise ConfigError("sddp.s_offline", "quantization size must be >= 1")
-    max_iters = _number(sddp, "max_iters", 100, "sddp.", int)
-    if max_iters < 1:
-        raise ConfigError("sddp.max_iters", "must be >= 1")
-    lb_tol = _number(sddp, "lb_tol", 1e-4, "sddp.")
-    patience = _number(sddp, "patience", 10, "sddp.", int)
-    sddp_seed = _number(sddp, "seed", 0, "sddp.", int)
-    if not 0 <= sddp_seed < 2 ** 64 or not 0 <= generator_seed < 2 ** 64:
-        raise ConfigError("sddp.seed", "seeds must be unsigned 64-bit integers")
-
-    assessment = doc.get("assessment", {})
-    _reject_unknown(assessment, ("n_opt", "n_sim", "seed"), "assessment.")
-    n_opt = _number(assessment, "n_opt", 1000, "assessment.", int)
-    n_sim = _number(assessment, "n_sim", 1000, "assessment.", int)
-    split_seed = _number(assessment, "seed", 42, "assessment.", int)
-    if n_opt < 2 or n_sim < 2:
-        raise ConfigError("assessment.n_opt", "n_opt and n_sim must be >= 2")
-
-    mpc = doc.get("mpc", {})
-    _reject_unknown(mpc, ("enabled",), "mpc.")
-    mpc_enabled = bool(mpc.get("enabled", True))
-    heuristic = doc.get("heuristic", {})
-    _reject_unknown(heuristic, ("margin_deg_c",), "heuristic.")
-    margin = _number(heuristic, "margin_deg_c", 1.0, "heuristic.")
-
-    raw = _normalize(system, x0, generator, generator_seed, s_offline, max_iters,
-                     lb_tol, patience, sddp_seed, mpc_enabled, margin, n_opt,
-                     n_sim, split_seed)
+    sddp, assessment = raw["sddp"], raw["assessment"]
     return RunConfig(
         system=system, initial_state=x0, generator=generator,
-        generator_seed=generator_seed, sddp_s_offline=s_offline,
-        sddp_max_iters=max_iters, sddp_lb_tol=lb_tol,
-        sddp_patience=patience, sddp_seed=sddp_seed, mpc_enabled=mpc_enabled,
-        heuristic_margin=margin, n_opt=n_opt, n_sim=n_sim,
-        split_seed=split_seed, raw=raw,
+        generator_seed=gen["seed"], sddp_s_offline=sddp["s_offline"],
+        sddp_max_iters=sddp["max_iters"], sddp_lb_tol=sddp["lb_tol"],
+        sddp_patience=sddp["patience"], sddp_seed=sddp["seed"],
+        mpc_enabled=raw["mpc"]["enabled"], heuristic_margin=raw["heuristic"]["margin_deg_c"],
+        n_opt=assessment["n_opt"], n_sim=assessment["n_sim"],
+        split_seed=assessment["seed"], raw=raw,
     )
-
-
-def _normalize(system, x0, generator, generator_seed, s_offline, max_iters,
-               lb_tol, patience, sddp_seed, mpc_enabled, margin, n_opt, n_sim,
-               split_seed) -> dict:
-    gen = {f: getattr(generator, f) for f in GeneratorConfig.__dataclass_fields__}
-    gen["hw_morning_window"] = list(gen["hw_morning_window"])
-    gen["hw_evening_window"] = list(gen["hw_evening_window"])
-    gen["seed"] = generator_seed
-    return {
-        "system": {
-            "delta": system.delta, "horizon_steps": system.horizon_steps,
-            "rho_c": system.rho_c, "rho_d": system.rho_d,
-            "b_min": system.b_min, "b_max": system.b_max,
-            "f_b_max": system.f_b_max, "h_max": system.h_max,
-            "f_h_max": system.f_h_max, "f_t_max": system.f_t_max,
-            "beta_h": system.beta_h, "kappa": system.kappa,
-            "h_floor": system.h_floor,
-            "r6c2": {f: getattr(system.r6c2, f) for f in R6C2Params.__dataclass_fields__},
-            "theta_o": list(system.theta_o), "p_int": list(system.p_int),
-            "p_ext": list(system.p_ext), "pi_e": list(system.pi_e),
-            "pi_d": list(system.pi_d), "theta_set": list(system.theta_set),
-        },
-        "initial_state": {"b": x0.b, "h": x0.h, "theta_w": x0.theta_w,
-                          "theta_i": x0.theta_i},
-        "generator": gen,
-        "sddp": {"s_offline": s_offline, "max_iters": max_iters, "lb_tol": lb_tol,
-                 "patience": patience, "seed": sddp_seed},
-        "mpc": {"enabled": mpc_enabled},
-        "heuristic": {"margin_deg_c": margin},
-        "assessment": {"n_opt": n_opt, "n_sim": n_sim, "seed": split_seed},
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ class GeneratorConfig:
 
     Amplitudes in kW, times in hours of day. ``d_hw_cap`` hard-limits hot
     water spikes so a tank kept above ``delta * d_hw_cap`` can never be
-    drained below zero within one step.
+    drained below zero within one step. ``delta`` and ``horizon_steps`` are
+    the time grid; a run configuration takes them from its ``system``.
     """
 
     delta: float = 0.25
@@ -123,25 +124,21 @@ class GeneratorConfig:
         if self.delta <= 0 or self.horizon_steps < 1:
             raise ScenarioError("delta must be > 0 and horizon_steps >= 1")
         for name in ("night_kw", "morning_kw", "midday_kw", "evening_kw",
-                     "pv_daily_kwh", "hw_kw_lo", "hw_kw_hi", "d_hw_cap"):
+                     "pv_daily_kwh", "hw_events_per_window", "hw_kw_lo", "hw_kw_hi",
+                     "d_hw_cap"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"generator.{name} must be nonnegative")
+        if not -1.0 < self.el_ar_rho < 1.0:
+            raise ScenarioError("generator.el_ar_rho must lie in (-1, 1) for a stationary AR(1)")
+        for name in ("hw_morning_window", "hw_evening_window"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi <= 24.0:
+                raise ScenarioError(f"generator.{name} must be hours of the day, "
+                                    "0 <= start <= end <= 24")
         if self.hw_kw_lo > self.hw_kw_hi:
             raise ScenarioError("hw_kw_lo must not exceed hw_kw_hi")
         if not self.sunrise_h < self.sunset_h:
             raise ScenarioError("sunrise must precede sunset")
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneratorConfig":
-        known = {f for f in GeneratorConfig.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ScenarioError(f"unknown generator fields: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("hw_morning_window", "hw_evening_window"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return GeneratorConfig(**d)
 
 
 _EL_BUMPS = ((8.0, 1.2), (12.5, 1.0), (20.0, 1.2))  # (center hour, width)
@@ -222,12 +219,12 @@ _CSV_HEADER = ["scenario", "t", "d_el_net", "d_hw"]
 
 
 def save_scenarios(s: ScenarioSet, path):
+    """Write the set as CSV with CRLF line ends, one scenario converted at a time."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_CSV_HEADER)
-        for i in range(s.n):
-            for t in range(s.horizon + 1):
-                w.writerow([i, t, repr(float(s.data[i, t, 0])), repr(float(s.data[i, t, 1]))])
+        f.write(",".join(_CSV_HEADER) + "\r\n")
+        f.writelines(f"{i},{t},{d_el!r},{d_hw!r}\r\n"
+                     for i, steps in enumerate(s.data)
+                     for t, (d_el, d_hw) in enumerate(steps.tolist()))
 
 
 def load_scenarios(path, role: str = ROLE_POOL) -> ScenarioSet:

@@ -66,7 +66,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("fieldpath", [
         "system.bogus", "bogus_section", "initial_state.bogus", "sddp.max_iter",
-        "mpc.enable", "heuristic.bogus", "assessment.nsim"])
+        "mpc.enable", "heuristic.bogus", "assessment.nsim", "generator.bogus"])
     def test_unknown_system_field(self, fieldpath):
         doc = tiny_doc()
         *section, key = fieldpath.split(".")
@@ -155,6 +155,15 @@ class TestConfig:
         assert m1["config_sha256"] == m2["config_sha256"]
         assert len(m1["config_sha256"]) == 64
         assert m1["solver_path"] == "warm-persistent"
+
+    @pytest.mark.parametrize("day, sha", [
+        ("winter", "e3254344708a647a91809291083a197e628ce98475bedf4b2ac9ce72cbe981a5"),
+        ("spring", "37cdc6f4456f448299992d9a2181f9f9061f0fd8affeb76ffa41405182019cba"),
+        ("summer", "9e2087dae92a2f3bcecfdf33b6bc96cec29c946b3b3b3612d59a677b0f85a324"),
+    ], ids=["winter", "spring", "summer"])
+    def test_bundled_config_hash_pinned(self, day, sha):
+        """A change to the normalized document shows as a new hash here."""
+        assert manifest(load_config(CONFIG_DIR / f"{day}.json"))["config_sha256"] == sha
 
     def test_manifest_records_cold_path(self, monkeypatch):
         monkeypatch.setattr(lpmod, "_highs_core", None)
@@ -388,6 +397,26 @@ class TestCli:
         lines = res.output.strip().splitlines()
         assert lines == [f"configuration error: {fieldpath}: expected a number, "
                          f"got {value!r}"]
+
+    @pytest.mark.parametrize("fieldpath, value", [
+        ("sddp.max_iters", 96.7), ("sddp.max_iters", True), ("system.horizon_steps", 96.5),
+        ("mpc.enabled", "false"), ("generator.el_ar_rho", "x"),
+        ("generator.hw_morning_window", ["a", "b"]), ("system.r6c2.r_i", "x"),
+        ("generator.seed", -1), ("assessment.seed", -1), ("generator.delta", 0.125)])
+    def test_mistyped_value_exit_2(self, tmp_path, fieldpath, value):
+        doc = tiny_doc()
+        *sections, key = fieldpath.split(".")
+        section = doc
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = value
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["generate", "--config", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"configuration error: {fieldpath}: ")
 
     def test_negative_seed_exit_2(self, tmp_path):
         res = CliRunner().invoke(main, ["generate", "--config",

@@ -1,0 +1,78 @@
+"""Property tests of the physical model on the winter system."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from microgrid_ems.config import day_config, parse_config
+from microgrid_ems.model import (
+    Control,
+    State,
+    Uncertainty,
+    admissible_controls,
+    continuous_dynamics,
+    linear_dynamics,
+    recourse,
+    split_flow,
+    step,
+)
+
+WINTER = parse_config(day_config("winter"))
+P = WINTER.system
+unit = st.floats(0.0, 1.0)
+temperature = st.floats(-10.0, 40.0)
+
+
+@st.composite
+def states(draw, h_min=0.0):
+    return State(b=P.b_min + draw(unit) * (P.b_max - P.b_min),
+                 h=h_min + draw(unit) * (P.h_max - h_min),
+                 theta_w=draw(temperature), theta_i=draw(temperature))
+
+
+@st.composite
+def admissible(draw, x):
+    """A control inside the admissible box at x."""
+    box = admissible_controls(x, P)
+    return Control(f_b=box.f_b_min + draw(unit) * (box.f_b_max - box.f_b_min),
+                   f_t=draw(unit) * box.f_t_max, f_h=draw(unit) * box.f_h_max)
+
+
+demands = st.builds(Uncertainty, d_el_net=st.floats(-5.0, 5.0),
+                    d_hw=st.floats(0.0, WINTER.generator.d_hw_cap))
+steps = st.integers(0, P.horizon_steps - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=steps, x=states(), w=demands, f_b=st.floats(-P.f_b_max, P.f_b_max),
+       f_t=st.floats(0.0, P.f_t_max), f_h=st.floats(0.0, P.f_h_max))
+def test_linear_dynamics_is_continuous_dynamics(t, x, w, f_b, f_t, f_h):
+    u = Control(f_b, f_t, f_h)
+    m, n, pw, g = linear_dynamics(t, P)
+    affine = m @ x.as_array() + n @ [*split_flow(f_b), f_t, f_h] + pw @ w.as_array() + g
+    np.testing.assert_allclose(affine, continuous_dynamics(t, x, u, w, P),
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t=steps, x=states(), w=demands)
+def test_step_keeps_battery_in_bounds(data, t, x, w):
+    nxt = step(t, x, data.draw(admissible(x)), w, P)
+    assert P.b_min - 1e-9 <= nxt.b <= P.b_max + 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t=steps, w=demands)
+def test_step_keeps_tank_in_bounds_above_one_draw(data, t, w):
+    # a tank holding at least one step's draw cannot be emptied by it
+    x = data.draw(states(h_min=P.delta * w.d_hw))
+    nxt = step(t, x, data.draw(admissible(x)), w, P)
+    assert -1e-9 <= nxt.h <= P.h_max + 1e-9
+
+
+@given(f_b=st.floats(-3.0, 3.0), f_t=st.floats(0.0, 6.0), f_h=st.floats(0.0, 3.0), w=demands)
+def test_recourse_closes_load_balance(f_b, f_t, f_h, w):
+    rec = recourse(Control(f_b, f_t, f_h), w)
+    assert rec.f_ne >= 0.0 and rec.spill >= 0.0 and rec.f_ne * rec.spill == 0.0
+    assert rec.f_ne - rec.spill == pytest.approx(f_b + f_t + f_h + w.d_el_net, abs=1e-12)

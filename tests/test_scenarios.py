@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -62,6 +63,14 @@ class TestScenarioSet:
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("field, value", [
+        ("hw_events_per_window", -1.0), ("el_ar_rho", 1.0), ("el_ar_rho", -5.0),
+        ("hw_morning_window", (-5.0, -1.0)), ("hw_evening_window", (30.0, 40.0)),
+        ("hw_evening_window", (21.5, 18.5))])
+    def test_bad_shape_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=f"generator.{field}"):
+            GeneratorConfig(**{field: value})
+
     def test_deterministic_given_seed(self):
         cfg = GeneratorConfig(pv_daily_kwh=10.0)
         a = generate_scenarios(cfg, 5, seed=4)
@@ -87,10 +96,6 @@ class TestGenerator:
         evening = s.data[:, 78:86, 0]   # around 19:30-21:30
         assert night.mean() < evening.mean() / 3
 
-    def test_from_dict_unknown_field(self):
-        with pytest.raises(ScenarioError, match="unknown"):
-            GeneratorConfig.from_dict({"bogus_field": 1})
-
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -99,6 +104,18 @@ class TestCsvRoundTrip:
         save_scenarios(s, path)
         loaded = load_scenarios(path)
         np.testing.assert_array_equal(s.data, loaded.data)
+
+    def test_file_is_what_csv_writer_writes(self, tmp_path):
+        s = generate_scenarios(GeneratorConfig(horizon_steps=12), 3, seed=4)
+        save_scenarios(s, tmp_path / "scen.csv")
+        with open(tmp_path / "ref.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["scenario", "t", "d_el_net", "d_hw"])
+            for i in range(s.n):
+                for t in range(s.horizon + 1):
+                    w.writerow([i, t, repr(float(s.data[i, t, 0])),
+                                repr(float(s.data[i, t, 1]))])
+        assert (tmp_path / "scen.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
