@@ -129,7 +129,7 @@ _SECTIONS = {
     "assessment": {"n_opt": 1000, "n_sim": 1000, "seed": 42},
 }
 
-_MINIMUMS = {("sddp", "s_offline"): 1, ("sddp", "max_iters"): 1,
+_MINIMUMS = {("sddp", "s_offline"): 1, ("sddp", "max_iters"): 1, ("sddp", "patience"): 1,
              ("assessment", "n_opt"): 2, ("assessment", "n_sim"): 2}
 
 

@@ -346,6 +346,8 @@ class DiscreteDistribution:
             raise ScenarioError("distribution points must be pairwise distinct")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
+        cdf = np.cumsum(weights)
+        object.__setattr__(self, "_cdf", cdf / cdf[-1])
 
     @property
     def size(self) -> int:
@@ -355,8 +357,9 @@ class DiscreteDistribution:
         return self.weights @ self.points
 
     def sample(self, rng) -> np.ndarray:
-        idx = rng.choice(self.size, p=self.weights)
-        return self.points[idx]
+        """One point, drawn as `rng.choice(self.size, p=self.weights)` draws
+        it (one uniform against the normalized cdf), with the cdf built once."""
+        return self.points[self._cdf.searchsorted(rng.random(), side="right")]
 
 
 class QuantizationResult(NamedTuple):

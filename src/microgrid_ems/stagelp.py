@@ -220,6 +220,7 @@ class DeterministicChain:
 # column layout: pinned state x(4), control u = [fb+, fb-, ft, fh],
 # discomfort, then per scenario s: fne, spill, theta_s, next state x'_s(4)
 _U, _DCOMF, _BLOCK, _WIDTH = 4, 8, 9, 7
+_PINNED = np.arange(4)
 
 # Reward per kWh of expected stored energy (battery and tank) in decision
 # solves. When prices are flat, charging now or a step later cost the same,
@@ -241,6 +242,13 @@ class OneStageDecision:
     has the same columns, equality rows and box rows, and their statuses
     carry over unchanged. prev's cut rows are dropped; of this stage's, those
     of the cut maximal at the incoming state start nonbasic, the others basic.
+
+    Exact solves (not `prefer_storage`) pin the state columns `_PINNED`, so
+    one may skip HiGHS: after a run with no pivot at these costs, the next
+    exact solves are answered from that basis as long as it stays primal
+    feasible at the new state (see `PersistentLp.solve`). Training keeps no
+    basis: each of its exact solves follows a `prefer_storage` solve, at
+    other costs, and `add_cut` drops a kept basis; so it does no added work.
     """
 
     def __init__(self, p: SystemParams, t: int, dist, lambdas: np.ndarray,
@@ -369,9 +377,11 @@ class OneStageDecision:
                                       drop_rows=np.s_[5 * self.s_count + 4:],
                                       more_rows=self._cut_statuses(x))
                 self._prev = None
-        sol = self._persistent.solve(lower=lower, upper=upper,
-                                     cost=self._c_decide if prefer_storage else self.c,
-                                     reduced_costs=not prefer_storage)
+        if prefer_storage:
+            sol = self._persistent.solve(lower=lower, upper=upper, cost=self._c_decide)
+        else:
+            sol = self._persistent.solve(lower=lower, upper=upper, cost=self.c,
+                                         reduced_costs=True, pinned=_PINNED)
         _require_optimal(sol, f"one-stage problem at t={self.t}")
         xs = sol.x_star
         u = canonical_control(*xs[_U:_U + 4])

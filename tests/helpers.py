@@ -636,3 +636,31 @@ class _RecordingHighs:
     def setBasis(self, basis):
         self._seeds.append(([int(s) for s in basis.col_status],
                             [int(s) for s in basis.row_status]))
+
+
+class CountingCore:
+    """Stands in for the bundled HiGHS bindings. Its solvers count their
+    runs in `runs`."""
+
+    def __init__(self, core):
+        self._core = core
+        self.runs = 0
+
+    def __getattr__(self, name):
+        return getattr(self._core, name)
+
+    def _Highs(self):
+        return _CountingHighs(self._core._Highs(), self)
+
+
+class _CountingHighs:
+    def __init__(self, highs, counter):
+        self._highs = highs
+        self._counter = counter
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        self._counter.runs += 1
+        return self._highs.run()

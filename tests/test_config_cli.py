@@ -418,6 +418,19 @@ class TestCli:
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"configuration error: {fieldpath}: ")
 
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_below_one_exit_2(self, tmp_path, patience):
+        # a patience below 1 would stop training after two iterations
+        doc = tiny_doc()
+        doc["sddp"]["patience"] = patience
+        path = tmp_path / "patience.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["generate", "--config", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert lines == ["configuration error: sddp.patience: must be >= 1"]
+
     def test_negative_seed_exit_2(self, tmp_path):
         res = CliRunner().invoke(main, ["generate", "--config",
                                         str(CONFIG_DIR / "winter.json"), "--seed", "-1",

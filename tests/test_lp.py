@@ -14,7 +14,13 @@ from microgrid_ems.lp import (
     solve,
 )
 
-from helpers import IndexBasis, RecordingCore, random_bounded_lp, vertex_enumeration_optimum
+from helpers import (
+    CountingCore,
+    IndexBasis,
+    RecordingCore,
+    random_bounded_lp,
+    vertex_enumeration_optimum,
+)
 
 
 def persistent_lp(lp: LinearProgram) -> PersistentLp:
@@ -35,6 +41,20 @@ def simple_pin(value: float) -> LinearProgram:
         upper=np.array([10.0, 10.0]),
         a_ub=np.array([[1.0, -1.0]]),
         b_ub=np.array([0.0]),
+    )
+
+
+def v_pin(value: float) -> LinearProgram:
+    # min y subject to y >= x and y >= 1 - x, z = x + y, with x pinned at
+    # `value` by its bounds; columns (x, y, z)
+    return LinearProgram(
+        c=np.array([0.0, 1.0, 0.0]),
+        a_eq=np.array([[-1.0, -1.0, 1.0]]),
+        rhs=np.array([0.0]),
+        lower=np.array([value, -10.0, -np.inf]),
+        upper=np.array([value, 10.0, np.inf]),
+        a_ub=np.array([[1.0, -1.0, 0.0], [-1.0, -1.0, 0.0]]),
+        b_ub=np.array([0.0, -1.0]),
     )
 
 
@@ -241,6 +261,70 @@ class TestPersistent:
         persistent = persistent_lp(simple_pin(3.0))
         persistent.seed(IndexBasis(2, 2))
         assert persistent.solve().objective == pytest.approx(3.0, abs=1e-9)
+
+    def test_logicals_are_minus_the_row_activities(self):
+        # a kept basis reads a row's logical variable as minus the row's
+        # activity: then -B^-1 a_x, HiGHS's basis solve, is the rate at which
+        # the basic values move with the pinned x
+        persistent = persistent_lp(v_pin(0.7))
+        persistent.solve()
+        solver = persistent._solver
+        _, basic = solver.getBasicVariables()
+        _, rate = solver.getReducedColumn(0)
+
+        def basic_values():
+            sol = solver.getSolution()
+            values = np.concatenate([sol.col_value, -np.asarray(sol.row_value)])
+            return values[np.where(basic >= 0, basic, 3 - 1 - basic)]
+
+        before = basic_values()
+        persistent.solve(lower=v_pin(0.8).lower, upper=v_pin(0.8).upper)
+        assert solver.getBasicVariables()[1].tolist() == basic.tolist()
+        # y, z and the logical of y >= 1 - x are basic, and all three move
+        assert np.count_nonzero(rate) == 3
+        np.testing.assert_allclose(basic_values() - before, -0.1 * rate, atol=1e-12)
+
+    def test_pinned_solves_skip_the_run_while_the_basis_holds(self, monkeypatch):
+        core = CountingCore(lpmod._highs_core)
+        monkeypatch.setattr(lpmod, "_highs_core", core)
+        persistent = persistent_lp(v_pin(0.7))
+        pinned = np.array([0])
+
+        def at(x, **kwargs):
+            lp = v_pin(x)
+            return persistent.solve(lower=lp.lower, upper=lp.upper, pinned=pinned, **kwargs)
+
+        def expect(x, value, runs, **kwargs):
+            sol = at(x, **kwargs)
+            assert sol.objective == pytest.approx(value, abs=1e-12), x
+            assert core.runs == runs, x
+            return sol
+
+        expect(0.7, 0.7, 1)
+        assert persistent._solver.getInfoValue("simplex_iteration_count")[1] == 0
+        # no pivot (presolve solved it): the basis is kept, and answers while it holds
+        for x in (0.75, 0.9, 0.6, 1.0, 0.5):
+            sol = expect(x, x, 1)
+            np.testing.assert_allclose(sol.x_star, [x, x, 2 * x], atol=1e-12)
+        # outside the basis's region: a run, with pivots, which keeps nothing
+        expect(0.2, 0.8, 2)
+        assert persistent._solver.getInfoValue("simplex_iteration_count")[1] > 0
+        expect(0.3, 0.7, 3)
+        expect(0.35, 0.65, 3)
+        # appended rows, new costs and a solve without `pinned` drop the basis
+        persistent.add_rows((np.array([0, 1], dtype=np.int32), np.array([1], dtype=np.int32),
+                             np.array([1.0])), np.array([5.0]))
+        expect(0.4, 0.6, 4)
+        expect(0.45, 0.55, 4)
+        expect(0.4, 1.2, 5, cost=np.array([0.0, 2.0, 0.0]))
+        expect(0.3, 1.4, 6, cost=np.array([0.0, 2.0, 0.0]))
+        expect(0.35, 1.3, 6, cost=np.array([0.0, 2.0, 0.0]))
+        persistent.solve(lower=v_pin(0.3).lower, upper=v_pin(0.3).upper)
+        expect(0.35, 1.3, 8, cost=np.array([0.0, 2.0, 0.0]))
+        # a basis kept without reduced costs does not answer for them
+        expect(0.3, 1.4, 8, cost=np.array([0.0, 2.0, 0.0]))
+        sol = expect(0.35, 1.3, 9, cost=np.array([0.0, 2.0, 0.0]), reduced_costs=True)
+        assert sol.reduced_costs is not None
 
     def test_rhs_shape_guard(self):
         persistent = persistent_lp(simple_pin(3.0))

@@ -417,3 +417,16 @@ class TestDiscreteDistribution:
         np.testing.assert_allclose(d.mean(), [1.5, 3.0])
         rng = np.random.default_rng(0)
         assert d.sample(rng).shape == (2,)
+
+    @pytest.mark.parametrize("size", [1, 3, 10])
+    def test_sample_draws_as_choice(self, size):
+        # training samples the forward-pass noise with `sample`; drawing as
+        # Generator.choice does keeps lower bounds and cuts bit-identical
+        gen = np.random.default_rng(size)
+        weights = gen.random(size) ** 3
+        dist = DiscreteDistribution(points=gen.random((size, 2)),
+                                    weights=weights / weights.sum())
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20000):
+            assert np.array_equal(dist.sample(ours),
+                                  dist.points[theirs.choice(size, p=dist.weights)])

@@ -10,7 +10,13 @@ from microgrid_ems import lp as lpmod
 from microgrid_ems.assess import simulate_policy, split_scenarios
 from microgrid_ems.config import day_config, parse_config
 from microgrid_ems.model import State, admissible_controls
-from microgrid_ems.policies import MpcPolicy, SddpPolicy, StoppingRule, sddp_train
+from microgrid_ems.policies import (
+    HeuristicPolicy,
+    MpcPolicy,
+    SddpPolicy,
+    StoppingRule,
+    sddp_train,
+)
 from microgrid_ems.scenarios import (
     DiscreteDistribution,
     fit_ar,
@@ -28,6 +34,7 @@ from microgrid_ems.stagelp import (
 
 from helpers import (
     INDEX_DIGITS,
+    CountingCore,
     IndexBasis,
     RecordingCore,
     battery_params,
@@ -378,6 +385,118 @@ def test_pickled_played_policy_bills_as_a_pickled_fresh_one(kind, request):
     for scenario in scenarios[1:]:
         assert (simulate_policy(copy, scenario, x0, p).total_cost
                 == simulate_policy(fresh, scenario, x0, p).total_cost)
+
+
+@pytest.fixture(scope="module")
+def summer_days(summer_sddp):
+    """Twelve more summer days, none of them seen in training."""
+    return generate_scenarios(summer_sddp[0].generator, 12, 9).data
+
+
+@pytest.fixture
+def counting_core(monkeypatch):
+    """HiGHS bindings that count the runs of every LP built afterwards."""
+    core = CountingCore(lpmod._highs_core)
+    monkeypatch.setattr(lpmod, "_highs_core", core)
+    return core
+
+
+def keep_no_basis(monkeypatch):
+    """Every pinned solve runs HiGHS, as before bases were kept."""
+    monkeypatch.setattr(lpmod._KeptBasis, "read", lambda kept, owner: False)
+
+
+def test_kept_basis_answers_as_a_forced_run(summer_sddp, summer_days, counting_core,
+                                            monkeypatch):
+    cfg, vf, dists, scenarios = summer_sddp
+    p, x0 = cfg.system, cfg.initial_state
+    policy = SddpPolicy(p, vf, dists)
+    simulate_policy(policy, scenarios[0], x0, p)  # builds the stage LPs
+    real_solve = lpmod.PersistentLp.solve
+    answers = []
+
+    def solve(self, *args, **kwargs):
+        runs = counting_core.runs
+        sol = real_solve(self, *args, **kwargs)
+        if counting_core.runs == runs:
+            # answered without a run: run HiGHS at the same bounds, from the
+            # same basis, which must then take no pivot
+            self._kept = None
+            answers.append((sol, real_solve(self, *args, **kwargs)))
+            assert counting_core.runs == runs + 1
+            assert self._solver.getInfoValue("simplex_iteration_count")[1] == 0
+        return sol
+
+    monkeypatch.setattr(lpmod.PersistentLp, "solve", solve)
+    for scenario in summer_days:
+        simulate_policy(policy, scenario, x0, p)
+    assert 2 * len(answers) >= len(summer_days) * p.horizon_steps
+    for sol, ref in answers:
+        assert sol.objective == pytest.approx(ref.objective, abs=TOL)
+        np.testing.assert_allclose(sol.x_star[4:8], ref.x_star[4:8], atol=TOL)  # control
+        np.testing.assert_allclose(sol.reduced_costs, ref.reduced_costs, atol=TOL)
+
+
+def test_kept_basis_falls_back_outside_its_region(summer_sddp, summer_days, counting_core):
+    cfg, vf, dists, _ = summer_sddp
+    p, x0 = cfg.system, cfg.initial_state
+    policy = SddpPolicy(p, vf, dists)
+    for scenario in summer_days[:3]:
+        simulate_policy(policy, scenario, x0, p)
+    t = 40
+    problem = policy._problems[t]
+    assert problem._persistent._kept is not None
+    # kept at a state the policy reached; this one is far from any of them
+    x = State(p.b_max, 0.1 * p.h_max, 28.0, 27.0)
+    runs = counting_core.runs
+    sol = problem.solve(x)
+    assert counting_core.runs == runs + 1
+    assert_same(sol, OneStageDecision(p, t, dists[t], *vf.arrays(t + 1)).solve(x))
+
+
+def test_training_keeps_no_basis(summer_sddp, monkeypatch):
+    # training flips the costs between its passes and appends cuts, so it
+    # never keeps a basis, and trains as it did without kept bases
+    cfg, _, dists, _ = summer_sddp
+    kept = []
+    real_init = lpmod._KeptBasis.__init__
+    monkeypatch.setattr(lpmod._KeptBasis, "__init__",
+                        lambda self, *args: kept.append(args) or real_init(self, *args))
+
+    def train():
+        return sddp_train(cfg.system, dists, cfg.initial_state,
+                          StoppingRule(max_iters=6, lb_tol=0.0), seed=1)
+
+    vf, log = train()
+    assert not kept
+    keep_no_basis(monkeypatch)
+    vf_off, log_off = train()
+    assert log.lower_bounds == log_off.lower_bounds
+    assert log.forward_costs == log_off.forward_costs
+    for t in range(cfg.system.horizon_steps + 1):
+        for a, b in zip(vf.arrays(t), vf_off.arrays(t)):
+            assert np.array_equal(a, b), t
+
+
+def test_bills_match_with_no_basis_kept(summer_sddp, summer_mpc, summer_days, monkeypatch):
+    cfg, vf, dists, _ = summer_sddp
+    _, ar, means, _ = summer_mpc
+    p, x0 = cfg.system, cfg.initial_state
+
+    def bills():
+        played = {"heuristic": HeuristicPolicy(p, x0), "mpc": MpcPolicy(p, x0, ar, means),
+                  "sddp": SddpPolicy(p, vf, dists)}
+        return {name: [simulate_policy(policy, scenario, x0, p).total_cost
+                       for scenario in summer_days[:8]] for name, policy in played.items()}
+
+    kept = bills()
+    keep_no_basis(monkeypatch)
+    run = bills()
+    assert kept["heuristic"] == run["heuristic"]
+    assert kept["mpc"] == run["mpc"]
+    # answers differ from HiGHS's by rounding only; on other days that can
+    # flip a later LP tie to another optimal vertex, which none of these has
+    np.testing.assert_allclose(kept["sddp"], run["sddp"], rtol=1e-9, atol=0.0)
 
 
 class TestColdPath:

@@ -10,6 +10,8 @@ import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
+
 import microgrid_ems
 from microgrid_ems import assess, config, lp, policies, scenarios, stagelp
 from microgrid_ems.policies import StoppingRule
@@ -72,3 +74,32 @@ def test_traced_training_opens_iteration_groups():
         patches.restore()
     assert tracer.groups.count("sddp.iteration") >= 1
     assert tracer.summary()[2]["stagelp.one_stage.build"] == battery_params().horizon_steps
+
+
+def test_traced_online_play_skips_runs():
+    # online SDDP stage LPs keep their bases through the tracer's HiGHS proxy
+    # (basis reads and basis solves pass through it), and restoring the
+    # patches still returns every attribute
+    tracing = load_tracing()
+    lib = library()
+    p, x0, dists = battery_params(), battery_x0(), two_point_dists()
+    vf, _ = policies.sddp_train(p, dists, x0, StoppingRule(max_iters=8, lb_tol=0.0), seed=0)
+    rng = np.random.default_rng(4)
+    days = np.zeros((8, p.horizon_steps + 1, 2))
+    days[:, 1:, 0] = rng.uniform(0.5, 2.0, (8, p.horizon_steps))
+    before = attributes(lib)
+    tracer = tracing.Tracer()
+    patches = tracing.instrument(lib, tracer)
+    try:
+        policy = policies.SddpPolicy(p, vf, dists)
+        for day in days:
+            assess.simulate_policy(policy, day, x0, p)
+    finally:
+        patches.restore()
+    after = attributes(lib)
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    calls = tracer.summary()[2]
+    assert calls["policies.sddp.decide"] == days.shape[0] * p.horizon_steps
+    # each stage LP runs HiGHS on its first solve; later ones may skip it
+    assert p.horizon_steps <= calls["highs.warm"] < calls["policies.sddp.decide"]
