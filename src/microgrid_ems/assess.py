@@ -180,13 +180,16 @@ def _simulate_many(policies, scenarios, x0, p, record):
 def run_assessment(policies: Dict[str, object], assessment: ScenarioSet,
                    x0: State, p: SystemParams, record_trajectories: bool = False,
                    threads: int = 1) -> AssessmentReport:
-    """Assess all policies on the same scenarios, in the same order."""
+    """Assess all policies on the same scenarios, in the same order, in
+    `threads` consecutive chunks, each played by one worker process when
+    `threads` > 1 (no more workers than scenarios)."""
     if assessment.n < 2:
         raise ValueError("assessment needs at least 2 scenarios")
     n = assessment.n
     if threads > 1:
         chunks = np.array_split(np.arange(n), threads)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the pool may start all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(threads, n)) as pool:
             futures = [
                 pool.submit(_simulate_many, policies,
                             assessment.data[chunk], x0, p, record_trajectories)

@@ -90,6 +90,14 @@ def _require_horizon(path, horizon: int, cfg):
         raise click.exceptions.Exit(EXIT_CONFIG)
 
 
+def _threads(ctx, param, value):
+    """The worker count: at least 1, or exit 2 with one line."""
+    if value < 1:
+        click.echo(f"--threads must be at least 1, got {value}", err=True)
+        raise click.exceptions.Exit(EXIT_CONFIG)
+    return value
+
+
 @click.group()
 def main():
     """Microgrid energy management: scenario generation, policy training
@@ -187,7 +195,7 @@ def _assess(cfg, opt, sim, vf, dists, out: Path, threads, trajectories):
 @click.option("--cuts", "cuts_path", required=True, type=click.Path())
 @click.option("--distributions", "dists_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
-@click.option("--threads", type=int, default=1)
+@click.option("--threads", type=int, default=1, callback=_threads)
 @click.option("--trajectories", is_flag=True, default=False)
 @click.option("--out", "out_dir", default="out", type=click.Path())
 def assess(config_path, scenarios_path, cuts_path, dists_path, seed, threads,
@@ -212,7 +220,7 @@ def assess(config_path, scenarios_path, cuts_path, dists_path, seed, threads,
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
-@click.option("--threads", type=int, default=1)
+@click.option("--threads", type=int, default=1, callback=_threads)
 @click.option("--trajectories", is_flag=True, default=False)
 @click.option("--out", "out_dir", default="out", type=click.Path())
 def bench(config_path, seed, threads, trajectories, out_dir):

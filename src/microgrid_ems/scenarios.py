@@ -148,12 +148,13 @@ def _hours(cfg: GeneratorConfig) -> np.ndarray:
     return (np.arange(cfg.horizon_steps + 1) * cfg.delta) % 24.0
 
 
-def _ar_noise(rng, n_steps, rho, sigma):
-    e = np.empty(n_steps)
-    z = rng.standard_normal(n_steps)
-    e[0] = z[0] * sigma / math.sqrt(max(1e-12, 1.0 - rho * rho))
-    for t in range(1, n_steps):
-        e[t] = rho * e[t - 1] + sigma * z[t]
+def _ar_noise(z, rho, sigma):
+    """exp of the stationary AR(1) paths driven by the standard normal rows
+    of z (one path per row), run over the steps for all rows at once."""
+    e = np.empty_like(z)
+    e[:, 0] = z[:, 0] * sigma / math.sqrt(max(1e-12, 1.0 - rho * rho))
+    for t in range(1, z.shape[1]):
+        e[:, t] = rho * e[:, t - 1] + sigma * z[:, t]
     return np.exp(e)
 
 
@@ -184,19 +185,18 @@ def generate_scenarios(cfg: GeneratorConfig, n: int, seed: int,
         bump_profiles.append(amp * np.exp(-0.5 * ((h - center) / width) ** 2))
     pv_shape = _pv_shape(cfg)
 
-    data = np.zeros((n, steps, 2))
+    # each scenario's draws in a fixed order; the AR(1) noise paths are then
+    # run for all scenarios at once
+    mult = np.empty((n, 3))
+    z_el = np.empty((n, steps))
+    cloud = np.empty(n)
+    z_pv = np.empty((n, steps))
+    d_hw = np.zeros((n, steps))
     for s in range(n):
-        mult = np.exp(cfg.el_noise_rel * rng.standard_normal(3))
-        d_el = base.copy()
-        for profile, m in zip(bump_profiles, mult):
-            d_el = d_el + m * profile
-        d_el *= _ar_noise(rng, steps, cfg.el_ar_rho, cfg.el_ar_sigma)
-
-        cloud = float(np.clip(np.exp(cfg.pv_noise_rel * rng.standard_normal()), 0.2, 1.5))
-        pv = cfg.pv_daily_kwh * cloud * pv_shape
-        pv = pv * _ar_noise(rng, steps, cfg.el_ar_rho, cfg.el_ar_sigma / 2.0)
-
-        d_hw = np.zeros(steps)
+        mult[s] = np.exp(cfg.el_noise_rel * rng.standard_normal(3))
+        z_el[s] = rng.standard_normal(steps)
+        cloud[s] = np.clip(np.exp(cfg.pv_noise_rel * rng.standard_normal()), 0.2, 1.5)
+        z_pv[s] = rng.standard_normal(steps)
         for window in (cfg.hw_morning_window, cfg.hw_evening_window):
             n_events = rng.poisson(cfg.hw_events_per_window)
             for _ in range(n_events):
@@ -204,11 +204,18 @@ def generate_scenarios(cfg: GeneratorConfig, n: int, seed: int,
                 start = int(start_h / cfg.delta)
                 duration = int(rng.integers(1, 4))
                 mag = rng.uniform(cfg.hw_kw_lo, cfg.hw_kw_hi)
-                d_hw[start:start + duration] += mag
-        d_hw = np.minimum(d_hw, cfg.d_hw_cap)
+                d_hw[s, start:start + duration] += mag
 
-        data[s, :, 0] = d_el - pv
-        data[s, :, 1] = d_hw
+    d_el = base
+    for profile, m in zip(bump_profiles, mult.T):
+        d_el = d_el + m[:, None] * profile
+    d_el = d_el * _ar_noise(z_el, cfg.el_ar_rho, cfg.el_ar_sigma)
+    pv = (cfg.pv_daily_kwh * cloud)[:, None] * pv_shape
+    pv = pv * _ar_noise(z_pv, cfg.el_ar_rho, cfg.el_ar_sigma / 2.0)
+
+    data = np.empty((n, steps, 2))
+    data[:, :, 0] = d_el - pv
+    data[:, :, 1] = np.minimum(d_hw, cfg.d_hw_cap)
     return ScenarioSet(data=data, role=role)
 
 

@@ -72,13 +72,15 @@ class ChainTemplate:
     """The chain over the whole horizon (t0 = 0), built once per reference
     state x_ref (the terminal penalty's stock levels) and tank floor.
 
-    The chain at t0 is a slice of it: rows 5 t0: of `a_eq`, rows t0: of
-    `a_ub`, and the columns of steps >= t0 and of states >= t0 + 1.
+    The chain at t0 is a slice of it: the equality rows 5 t0:, the
+    inequality rows t0:, and the columns of steps >= t0 and of states
+    >= t0 + 1.
 
     Column layout: per step t of T: [fbp, fbm, ft, fh, fne, spill, dcomf],
     then states x_t, t = 1..T (4 each), then zb, zh. Rows: per step a balance
     row and four dynamics rows; then a discomfort epigraph per step t >= 1
-    and the two terminal penalty rows.
+    and the two terminal penalty rows. `rows` holds them all as one CSR
+    triple with int32 indices, the equalities first.
     """
 
     def __init__(self, p: SystemParams, x_ref: State, h_floor: Optional[float] = None):
@@ -105,7 +107,7 @@ class ChainTemplate:
         rows = 5 * steps[:, None] + r
         vals = np.broadcast_to(block[r, c], cols.shape)
         keep = cols >= 0  # x_0 is not a column: it enters the rhs
-        self.a_eq = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(5 * T, n))
+        a_eq = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(5 * T, n))
         b_eq = np.zeros((T, 5))
         b_eq[:, 1:] = delta * g
         self.b_eq = b_eq.ravel()
@@ -118,8 +120,11 @@ class ChainTemplate:
         cols = np.concatenate([np.column_stack([u[1:, 6], x[:-1, 3]]).ravel(),
                                [n - 2, x[-1, 0], n - 1, x[-1, 1]]])
         vals = np.concatenate([np.full(2 * (T - 1), -1.0), [-1.0, -kap, -1.0, -kap]])
-        self.a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(T + 1, n))
+        a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(T + 1, n))
         self.b_ub = np.concatenate([-p.theta_set[1:T], [-kap * x_ref.b, -kap * x_ref.h]])
+        self.rows = lpmod.stack_rows((a_eq.indptr, a_eq.indices, a_eq.data),
+                                     (a_ub.indptr, a_ub.indices, a_ub.data))
+        self.first_dyn = np.eye(4) + delta * m  # x_t's coefficients in x_{t+1}
 
         lower = np.zeros(n)
         upper = np.full(n, INF)
@@ -154,16 +159,32 @@ class DeterministicChain:
         self.h_floor = template.h_floor
         T = p.horizon_steps
         self.ns = ns = T - t0
-        # steps t0..T-1, states x_{t0+1}..x_T, zb, zh
-        cols = np.r_[7 * t0:7 * T, 7 * T + 4 * t0:11 * T + 2]
-        self.a_eq = template.a_eq[5 * t0:][:, cols]
-        self.a_ub = template.a_ub[t0:][:, cols]
+        # keep steps t0..T-1, states x_{t0+1}..x_T, zb, zh: `cmap` renumbers
+        # them and sends the earlier controls and x_1..x_{t0} to -1
+        s_col = 7 * T + 4 * t0
+        cmap = np.full(11 * T + 2, -1, dtype=np.int32)
+        cmap[7 * t0:7 * T] = np.arange(7 * ns, dtype=np.int32)
+        cmap[s_col:] = np.arange(7 * ns, 11 * ns + 2, dtype=np.int32)
+        # equality rows 5 t0: and inequality rows t0: of the template; of
+        # their entries, only x_{t0}'s in step t0's dynamics rows drop out
+        indptr, indices, data = template.rows
+        n_eq = 5 * T
+        eq0, eq_end, ub0 = indptr[5 * t0], indptr[n_eq], indptr[n_eq + t0]
+        ptr = np.concatenate((indptr[5 * t0:n_eq] - eq0,
+                              indptr[n_eq + t0:] - ub0 + (eq_end - eq0)))
+        cols = cmap[np.concatenate((indices[eq0:eq_end], indices[ub0:]))]
+        keep = cols >= 0
+        dropped = np.concatenate(([0], np.cumsum(~keep, dtype=np.int32)))  # before each entry
+        self._rows = ((ptr - dropped[ptr]).astype(np.int32, copy=False), cols[keep],
+                      np.concatenate((data[eq0:eq_end], data[ub0:]))[keep])
         self._b_eq_base = template.b_eq[5 * t0:]
         self.b_ub = template.b_ub[t0:]
-        self.c = template.c[cols]
-        self._lower_base = template.lower[cols]
-        self._upper_base = template.upper[cols]
-        self._first_dyn = np.eye(4) + p.delta * linear_dynamics(t0, p)[0]
+        self.c = np.concatenate((template.c[7 * t0:7 * T], template.c[s_col:]))
+        self._lower_base = np.concatenate((template.lower[7 * t0:7 * T],
+                                           template.lower[s_col:]))
+        self._upper_base = np.concatenate((template.upper[7 * t0:7 * T],
+                                           template.upper[s_col:]))
+        self._first_dyn = template.first_dyn  # M is time-invariant
         self._h_cols = 7 * ns + 1 + 4 * np.arange(ns)   # tank level of x_{t0+1..T}
         self._persistent = None
         self._prev = prev
@@ -199,17 +220,15 @@ class DeterministicChain:
         lower[self._h_cols] = np.minimum(self.h_floor, list(reach))
 
         if self._persistent is None:
-            a_eq, a_ub = self.a_eq, self.a_ub
-            self._persistent = lpmod.PersistentLp(
-                self.c, lower, upper, b_eq,
-                lpmod.stack_rows((a_eq.indptr, a_eq.indices, a_eq.data),
-                                 (a_ub.indptr, a_ub.indices, a_ub.data)), self.b_ub)
+            self._persistent = lpmod.PersistentLp(self.c, lower, upper, b_eq, self._rows,
+                                                  self.b_ub)
             if self._prev is not None:
                 # drop prev's first step: its 7 controls, the state x_{t0}, its
                 # balance and dynamics rows and its discomfort epigraph
                 k = self._prev.ns
-                self._persistent.seed(self._prev._persistent, np.r_[:7, 7 * k:7 * k + 4],
-                                      np.r_[:5, 5 * k])
+                self._persistent.seed(self._prev._persistent,
+                                      [*range(7), *range(7 * k, 7 * k + 4)],
+                                      [*range(5), 5 * k])
                 self._prev = None
         sol = self._persistent.solve(rhs=b_eq, lower=lower, upper=upper)
         _require_optimal(sol, f"chain LP at t0={self.t0}")
@@ -238,10 +257,11 @@ class OneStageDecision:
     each scenario has a balance row and four dynamics rows.
 
     `prev`, the stage LP solved one step earlier, seeds this LP's first
-    solve. M and N are time-invariant, so every stage with as many scenarios
-    has the same columns, equality rows and box rows, and their statuses
-    carry over unchanged. prev's cut rows are dropped; of this stage's, those
-    of the cut maximal at the incoming state start nonbasic, the others basic.
+    solve. M, N and P are time-invariant, so every stage with as many
+    scenarios has the same columns, equality rows and box rows: this LP
+    shares prev's rows and base bounds, and their statuses carry over
+    unchanged. prev's cut rows are dropped; of this stage's, those of the cut
+    maximal at the incoming state start nonbasic, the others basic.
 
     Exact solves (not `prefer_storage`) pin the state columns `_PINNED`, so
     one may skip HiGHS: after a run with no pivot at these costs, the next
@@ -261,21 +281,28 @@ class OneStageDecision:
         self.weights = np.asarray(dist.weights, dtype=float)
         self.s_count = self.points.shape[0]
         self.n = _BLOCK + _WIDTH * self.s_count
-        blocks = _BLOCK + _WIDTH * np.arange(self.s_count, dtype=np.int32)
-        self._theta = blocks + 2
-        self._next = blocks[:, None] + 3 + np.arange(4, dtype=np.int32)
         self._lambdas = np.asarray(lambdas, dtype=float).reshape(-1, 4)
         self._betas = np.asarray(betas, dtype=float).reshape(-1)
         self._persistent = None
         # another scenario count is another column layout
         self._prev = prev if prev is not None and prev.s_count == self.s_count else None
-        self._build()
+        if self._prev is not None and prev.p is p:
+            # the layout, rows and base bounds depend on p and S alone
+            self._theta, self._next, self._rows = prev._theta, prev._next, prev._rows
+            self._lower_base, self._upper_base = prev._lower_base, prev._upper_base
+        else:
+            self._build_layout()
+        self._build_stage()
 
-    def _build(self):
-        p, t, n, s_count = self.p, self.t, self.n, self.s_count
+    def _build_layout(self):
+        """Columns, rows and base bounds: the same at every stage, since M, N
+        and P are time-invariant."""
+        p, n, s_count = self.p, self.n, self.s_count
         delta = p.delta
-        m, nmat, pw, g = linear_dynamics(t, p)
-        blocks = self._theta - 2
+        m, nmat, _, _ = linear_dynamics(0, p)
+        blocks = _BLOCK + _WIDTH * np.arange(s_count, dtype=np.int32)
+        self._theta = blocks + 2
+        self._next = blocks[:, None] + 3 + np.arange(4, dtype=np.int32)
 
         # per scenario: the balance fne - spill - fb+ + fb- - ft - fh = d_el,
         # then x'_s - (I + delta M) x - delta N u = delta (P w_s + g);
@@ -288,14 +315,11 @@ class OneStageDecision:
         block[1:, _BLOCK + 3:] = np.eye(4)
         r, c = np.nonzero(block)
         eq_cols = np.where(c < _BLOCK, c, blocks[:, None] + (c - _BLOCK))
-        self.b_eq = np.column_stack([self.points[:, 0],
-                                     delta * (self.points @ pw.T + g)]).ravel()
 
         # admissible control box, written through the pinned state
         box_cols = (0, _U, 0, _U + 1, 1, _U + 3, 3, _DCOMF)
         box_vals = (1.0, delta * p.rho_c, -1.0, delta / p.rho_d, 1.0, delta * p.beta_h,
                     -1.0, -1.0)
-        self._b_box = np.array([p.b_max, -p.b_min, p.h_max, -p.theta_set[t]])
         counts = np.concatenate([np.tile(np.bincount(r, minlength=5), s_count), [2, 2, 2, 2]])
         self._rows = (np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
                       np.concatenate([eq_cols.ravel(), box_cols]).astype(np.int32),
@@ -309,15 +333,24 @@ class OneStageDecision:
         lower[blocks + 1] = 0.0
         lower[self._next[:, 0]], upper[self._next[:, 0]] = p.b_min, p.b_max
         upper[self._next[:, 1]] = p.h_max  # the floor depends on x
-        c = np.zeros(n)
+        self._lower_base = lower
+        self._upper_base = upper
+
+    def _build_stage(self):
+        """What depends on t and the law: costs, equality rhs, box rhs."""
+        p, t = self.p, self.t
+        delta = p.delta
+        _, _, pw, g = linear_dynamics(t, p)
+        self.b_eq = np.column_stack([self.points[:, 0],
+                                     delta * (self.points @ pw.T + g)]).ravel()
+        self._b_box = np.array([p.b_max, -p.b_min, p.h_max, -p.theta_set[t]])
+        c = np.zeros(self.n)
         c[_DCOMF] = p.pi_d[t]
-        c[blocks] = self.weights * p.pi_e[t] * delta
+        c[self._theta - 2] = self.weights * p.pi_e[t] * delta
         c[self._theta] = self.weights
         self.c = c
         self._c_decide = c.copy()
         self._c_decide[self._next[:, :2]] -= STORAGE_TIE_BREAK * self.weights[:, None]
-        self._lower_base = lower
-        self._upper_base = upper
 
     def _cut_rows(self, lambdas: np.ndarray, betas: np.ndarray):
         """Rows lam_j . x'_s - theta_s <= -beta_j, cut-major, as a CSR

@@ -481,6 +481,23 @@ def loop_built_chain(p: SystemParams, t0: int, x_ref: State, h_floor: float,
     return out
 
 
+def strided_day_config(day: str, stride: int) -> dict:
+    """The bundled day config keeping every stride-th step of the day, with
+    the tank floor raised to cover one longer step's capped draw."""
+    from microgrid_ems.config import day_config
+
+    doc = day_config(day)
+    system = doc["system"]
+    if stride > 1:
+        system["horizon_steps"] //= stride
+        system["delta"] *= stride
+        for name in ("theta_o", "p_int", "p_ext", "pi_e", "pi_d", "theta_set"):
+            system[name] = system[name][::stride]
+        cap = doc.get("generator", {}).get("d_hw_cap", 2.6)
+        system["h_floor"] = max(system.get("h_floor", 0.0), system["delta"] * cap)
+    return doc
+
+
 def chain_labels(p: SystemParams, t0: int):
     """What each column and row of the chain at t0 stands for, in the layout
     of `loop_built_chain`, named by absolute step so that the chains at
@@ -493,6 +510,57 @@ def chain_labels(p: SystemParams, t0: int):
             + [("epigraph", t) for t in range(t0 + 1, T)]
             + [("terminal", "b"), ("terminal", "h")])
     return cols, rows
+
+
+# ---------------------------------------------------------------------------
+# Scenario generation, one scenario at a time
+#
+# Each scenario's draws come in a fixed order and its two AR(1) noise paths
+# are run step by step before the next scenario is drawn. The package draws
+# the same way and runs the paths for all scenarios at once; the pools must
+# be equal.
+
+
+def loop_generated_scenarios(cfg, n: int, seed: int) -> np.ndarray:
+    """The (n, T + 1, 2) pool of `generate_scenarios`, drawn scenario by
+    scenario."""
+    rng = np.random.default_rng(seed)
+    steps = cfg.horizon_steps + 1
+    h = (np.arange(steps) * cfg.delta) % 24.0
+    span = cfg.sunset_h - cfg.sunrise_h
+    pv_shape = np.where((h >= cfg.sunrise_h) & (h <= cfg.sunset_h),
+                        np.sin(np.pi * (h - cfg.sunrise_h) / span) ** 2, 0.0) / (span / 2.0)
+    bumps = [amp * np.exp(-0.5 * ((h - center) / width) ** 2)
+             for (center, width), amp in zip(((8.0, 1.2), (12.5, 1.0), (20.0, 1.2)),
+                                             (cfg.morning_kw, cfg.midday_kw, cfg.evening_kw))]
+
+    def ar_noise(rho, sigma):
+        e = np.empty(steps)
+        z = rng.standard_normal(steps)
+        e[0] = z[0] * sigma / math.sqrt(max(1e-12, 1.0 - rho * rho))
+        for t in range(1, steps):
+            e[t] = rho * e[t - 1] + sigma * z[t]
+        return np.exp(e)
+
+    data = np.zeros((n, steps, 2))
+    for s in range(n):
+        mult = np.exp(cfg.el_noise_rel * rng.standard_normal(3))
+        d_el = np.full(steps, cfg.night_kw)
+        for profile, m in zip(bumps, mult):
+            d_el = d_el + m * profile
+        d_el *= ar_noise(cfg.el_ar_rho, cfg.el_ar_sigma)
+        cloud = float(np.clip(np.exp(cfg.pv_noise_rel * rng.standard_normal()), 0.2, 1.5))
+        pv = cfg.pv_daily_kwh * cloud * pv_shape
+        pv = pv * ar_noise(cfg.el_ar_rho, cfg.el_ar_sigma / 2.0)
+        d_hw = np.zeros(steps)
+        for window in (cfg.hw_morning_window, cfg.hw_evening_window):
+            for _ in range(rng.poisson(cfg.hw_events_per_window)):
+                start = int(rng.uniform(window[0], window[1]) / cfg.delta)
+                duration = int(rng.integers(1, 4))
+                d_hw[start:start + duration] += rng.uniform(cfg.hw_kw_lo, cfg.hw_kw_hi)
+        data[s, :, 0] = d_el - pv
+        data[s, :, 1] = np.minimum(d_hw, cfg.d_hw_cap)
+    return data
 
 
 # ---------------------------------------------------------------------------

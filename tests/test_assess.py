@@ -1,9 +1,12 @@
+import functools
 import json
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from microgrid_ems import assess
 from microgrid_ems.assess import (
     AssessmentReport,
     run_assessment,
@@ -117,6 +120,25 @@ class TestStatistics:
         assert abs(var1 - var2) <= 1e-12
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its `max_workers` in
+    `made` and runs each submitted call in this process, starting none."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestRunAssessment:
     def _sddp_setup(self):
         p = battery_params()
@@ -175,6 +197,19 @@ class TestRunAssessment:
         for name in policies:
             np.testing.assert_allclose(seq.costs[name], par.costs[name],
                                        atol=1e-9)
+
+    @pytest.mark.parametrize("threads, n, workers", [(6, 2, 2), (64, 32, 32), (3, 8, 3)])
+    def test_no_more_workers_than_scenarios(self, monkeypatch, threads, n, workers):
+        p, x0 = battery_params(), battery_x0()
+        sim = self._scenarios(p, n=n)
+        policies = {"heuristic": HeuristicPolicy(p, x0)}
+        pools = []
+        monkeypatch.setattr(assess, "ProcessPoolExecutor",
+                            functools.partial(_InlinePool, pools))
+        par = run_assessment(policies, sim, x0, p, threads=threads)
+        assert pools == [workers]
+        seq = run_assessment(policies, sim, x0, p, threads=1)
+        assert np.array_equal(par.costs["heuristic"], seq.costs["heuristic"])
 
     def test_needs_two_scenarios(self):
         p, x0, vf, dists = self._sddp_setup()

@@ -439,6 +439,18 @@ class TestCli:
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and "configuration error" in lines[0] and "seed" in lines[0]
 
+    @pytest.mark.parametrize("command", ["bench", "assess"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, command, threads):
+        cfg = self._write_config(tmp_path)
+        paths = ["--scenarios", "s.csv", "--cuts", "c.json", "--distributions", "d.json"]
+        res = CliRunner().invoke(main, [command, "--config", str(cfg), "--threads", threads,
+                                        *(paths if command == "assess" else []),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == [f"--threads must be at least 1, got {threads}"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("tank", [TANK, {**TANK, "bogus": 1}])
     def test_tank_exit_2(self, tmp_path, tank):
         doc = tiny_doc()

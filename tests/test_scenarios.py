@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 from helpers import (
+    loop_generated_scenarios,
     reference_lloyd_max,
     reference_lloyd_rounds,
     reference_quantize_stagewise,
@@ -78,6 +79,18 @@ class TestGenerator:
         np.testing.assert_array_equal(a.data, b.data)
         c = generate_scenarios(cfg, 5, seed=5)
         assert not np.array_equal(a.data, c.data)
+
+    @pytest.mark.parametrize("cfg, n, seed, hot_water", [
+        (parse_config(day_config("summer")).generator, 60, 7, True),
+        (parse_config(day_config("winter")).generator, 40, 3, True),
+        # a 3-hour day: the events are drawn but end before the day starts them
+        (GeneratorConfig(horizon_steps=12, pv_daily_kwh=10.0), 50, 11, False),
+        (GeneratorConfig(horizon_steps=12, delta=2.0, hw_events_per_window=6.0), 30, 2,
+         True)])
+    def test_matches_per_scenario_loop(self, cfg, n, seed, hot_water):
+        pool = generate_scenarios(cfg, n, seed).data
+        assert np.array_equal(pool, loop_generated_scenarios(cfg, n, seed))
+        assert (np.count_nonzero(pool[:, :, 1]) > 0) == hot_water
 
     def test_hot_water_capped(self):
         cfg = GeneratorConfig(hw_events_per_window=6.0)

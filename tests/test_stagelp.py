@@ -44,6 +44,7 @@ from helpers import (
     loop_built_stage,
     pinned_row_stage_value,
     seeded_indices,
+    strided_day_config,
     two_point_dists,
 )
 
@@ -263,7 +264,10 @@ def test_sliced_chain_matches_loop_oracle(day):
                              ("lower_at_x", chain._persistent._lower),
                              ("upper_at_x", chain._persistent._upper)):
             assert np.array_equal(vector, oracle[name]), (t0, name)
-        for name, matrix in (("a_eq", chain.a_eq), ("a_ub", chain.a_ub)):
+        indptr, indices, data = chain._rows
+        rows = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, chain.c.size))
+        n_eq = 5 * chain.ns
+        for name, matrix in (("a_eq", rows[:n_eq]), ("a_ub", rows[n_eq:])):
             assert matrix.shape == oracle[name].shape, (t0, name)
             assert matrix.nnz == oracle[name].nnz, (t0, name)
             assert np.array_equal(matrix.toarray(), oracle[name].toarray()), (t0, name)
@@ -272,6 +276,30 @@ def test_sliced_chain_matches_loop_oracle(day):
                              ("upper", chain._upper_base)):
             assert np.array_equal(vector, oracle[name]), (t0, name)
     assert relaxed > 0
+
+
+@pytest.mark.parametrize("day, stride", [("summer", 1), ("spring", 2)])
+def test_chain_rows_are_the_sparse_slice(day, stride):
+    # the chain at t0 renumbers the template's columns instead of slicing a
+    # scipy matrix; the arrays handed to HiGHS are the slice's, dtypes included
+    cfg = parse_config(strided_day_config(day, stride))
+    p = cfg.system
+    T = p.horizon_steps
+    template = ChainTemplate(p, cfg.initial_state)
+    indptr, indices, data = template.rows
+    a = sp.csr_matrix((data, indices, indptr), shape=(6 * T + 1, 11 * T + 2))
+    for t0 in range(T):
+        chain = DeterministicChain(template, t0)
+        cols = np.r_[7 * t0:7 * T, 7 * T + 4 * t0:11 * T + 2]
+        a_eq, a_ub = a[:5 * T][5 * t0:][:, cols], a[5 * T:][t0:][:, cols]
+        expected = lpmod.stack_rows((a_eq.indptr, a_eq.indices, a_eq.data),
+                                    (a_ub.indptr, a_ub.indices, a_ub.data))
+        for got, want in zip(chain._rows, expected):
+            assert got.dtype == want.dtype, t0
+            assert np.array_equal(got, want), t0
+        for name, vector in (("c", template.c), ("_lower_base", template.lower),
+                             ("_upper_base", template.upper)):
+            assert np.array_equal(getattr(chain, name), vector[cols]), (t0, name)
 
 
 def test_seeded_first_solves_match_cold_chains(summer_mpc):
@@ -310,8 +338,7 @@ def test_seed_is_the_shifted_basis(summer, recording_core):
         del recording_core.seeds[:]
         for digit in range(INDEX_DIGITS):
             prev = DeterministicChain(template, t0 - 1)
-            prev._persistent = IndexBasis(prev.c.size,
-                                          prev.a_eq.shape[0] + prev.a_ub.shape[0], digit)
+            prev._persistent = IndexBasis(prev.c.size, prev._rows[0].size - 1, digit)
             DeterministicChain(template, t0, prev).solve(x, demands)
         for prev_labels, labels, seed in zip(chain_labels(summer, t0 - 1),
                                              chain_labels(summer, t0),
@@ -366,6 +393,35 @@ def test_stage_seed_keeps_the_previous_basis(summer, recording_core):
     # another scenario count is another column layout: no seed
     OneStageDecision(summer, t, random_dist(rng, s=5), lambdas, betas, prev).solve(x)
     assert len(recording_core.seeds) == INDEX_DIGITS
+
+
+STAGE_ARRAYS = ("c", "_c_decide", "b_eq", "_b_box", "_lower_base", "_upper_base",
+                "_theta", "_next")
+
+
+def test_stage_built_with_prev_shares_the_layout(summer):
+    rng = np.random.default_rng(24)
+    prev = OneStageDecision(summer, 0, random_dist(rng), *random_cuts(rng, 3))
+    for t in range(1, summer.horizon_steps):
+        dist = random_dist(rng)
+        lambdas, betas = random_cuts(rng, 4)
+        shared = OneStageDecision(summer, t, dist, lambdas, betas, prev)
+        fresh = OneStageDecision(summer, t, dist, lambdas, betas)
+        for name in STAGE_ARRAYS:
+            got, want = getattr(shared, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (t, name)
+        for got, want in zip(shared._rows, fresh._rows):
+            assert got.dtype == want.dtype and np.array_equal(got, want), t
+        assert shared._rows is prev._rows, t
+        prev = shared
+    # another scenario count is another layout, other params other rows:
+    # nothing is shared
+    winter = parse_config(day_config("winter")).system
+    theirs = [getattr(prev, name) for name in STAGE_ARRAYS] + list(prev._rows)
+    for p, dist in ((summer, random_dist(rng, s=5)), (winter, random_dist(rng))):
+        other = OneStageDecision(p, 5, dist, lambdas, betas, prev)
+        mine = [getattr(other, name) for name in STAGE_ARRAYS] + list(other._rows)
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
 
 @pytest.mark.parametrize("kind", ["mpc", "sddp"])
