@@ -17,12 +17,14 @@ shrinking-horizon chain from the previous step's basis, shifted by one step,
 and SDDP each new stage from the stage solved before it.
 
 A re-solve in which only some pinned columns moved can skip HiGHS. Moving
-bounds leaves the costs and the basis matrix B as they were, so the last
-optimal basis stays dual feasible; if its basic values, updated as
-v_B = v_B0 - B^-1 A_pin dx, still lie within their bounds, that basis is
-optimal at the new bounds, and its vertex is exactly what a warm run would
-return after zero pivots. `PersistentLp.solve(pinned=...)` checks this and
-runs HiGHS only when the check fails.
+bounds leaves the costs and every basis matrix B as they were, so an
+optimal basis found at other bounds stays dual feasible; if its basic
+values, updated as v_B = v_B0 - B^-1 A_pin dx, still lie within their
+bounds, that basis is optimal at the new bounds, and its vertex is exactly
+what a warm run from it would return after zero pivots. A PersistentLp keeps
+the last few such bases and tries them before it runs HiGHS (partial
+enumeration: Pannocchia, Rawlings & Wright 2007, "Fast, large-scale model
+predictive control by partial enumeration", Automatica 43(5)).
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ BASIS_LOWER, BASIS_BASIC, BASIS_UPPER, BASIS_ZERO = 0, 1, 2, 3
 # bound violation a basic value may show and still be read off a kept basis;
 # stricter than HiGHS's primal feasibility tolerance (1e-7)
 BASIS_PRIMAL_TOL = 1e-9
+
+# optimal bases a PersistentLp keeps for its pinned solves, most recently
+# useful first
+KEPT_BASES = 4
+
+_WIDEN = np.array([[-BASIS_PRIMAL_TOL], [BASIS_PRIMAL_TOL]])
 
 log = logging.getLogger(__name__)
 _cold_path_warned = False
@@ -251,8 +259,11 @@ class PersistentLp:
         self._core = _highs_core
         self._solver = None
         self._x = None  # primal solution of the last optimal warm solve
-        self._kept = None  # _KeptBasis of the last run, while it may answer a solve
+        self._answer = None  # the _KeptBasis that gave _x, when no run did
+        self._held = None  # _KeptBasis of the last run, while HiGHS holds it unread
+        self._kept = []  # read _KeptBasis entries, most recently useful first
         self._logicals = None  # bounds of the rows' logical variables, once read
+        self._pin_entries = None  # pinned columns and their entries, once read
         if self._core is not None:
             self._solver = self._build()
         elif not _cold_path_warned:
@@ -273,12 +284,17 @@ class PersistentLp:
                          np.zeros(n, dtype=np.int32))  # every column continuous
         return solver
 
+    def _forget(self):
+        """Drop every kept basis: the LP they were optimal for changed."""
+        self._held, self._kept = None, []
+
     def add_rows(self, rows, b_ub):
         """Append inequality rows a x <= b_ub, given as a CSR triple like the
         constructor's; later solves include them."""
         indptr, indices, data = rows
         self._b_ub = np.concatenate([self._b_ub, b_ub])
-        self._kept = self._logicals = None
+        self._forget()
+        self._logicals = self._pin_entries = None
         if self._solver is not None:
             self._solver.addRows(b_ub.size, np.full(b_ub.size, -np.inf), b_ub,
                                  data.size, indptr[:-1], indices, data)
@@ -293,16 +309,19 @@ class PersistentLp:
         duals.
 
         `pinned` names fixed columns (lower = upper) whose values are
-        expected to move from solve to solve. After a run that took zero
-        simplex iterations with them named, and no cost change, the next
-        solves with the same costs, rows and `pinned`, in which no other
-        nonbasic bound moved, are answered from that run's basis without
-        running HiGHS, as long as the basic values at the new pinned values
-        stay within their bounds (to BASIS_PRIMAL_TOL). The answer is that
-        basis's vertex: optimal, and the one a warm run would return after
-        zero pivots. The first such solve reads the basis off HiGHS (about
-        0.15 ms on a 224-row stage LP); any run, a cost or rhs change and
-        `add_rows` drop it.
+        expected to move from solve to solve. The optimal basis of every run
+        with them named, at unchanged costs, may answer later solves with
+        the same costs, rows and `pinned` without running HiGHS. Up to
+        KEPT_BASES such bases are kept, most recently useful first, and the
+        first one still optimal at the new bounds answers: no bound but the
+        pinned ones moved since it was found, and its basic values lie
+        within their bounds (to BASIS_PRIMAL_TOL). The answer is that
+        basis's vertex: optimal, and the one a warm run from it would return
+        after zero pivots. The table is tried first, then the basis of the
+        last run, which HiGHS still holds, with one basis solve; its reduced
+        columns are read only once it has answered, and a basis met twice is
+        read once. `add_rows`, a cost change and an rhs change drop every
+        kept basis. `cost=None` keeps the costs without comparing them.
         """
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=float)
@@ -328,30 +347,34 @@ class PersistentLp:
 
         solver = self._solver
         new_rhs = np.nonzero(rhs != self._rhs)[0] if rhs is not None else ()
-        new_cost = np.flatnonzero(c != self._cost)
+        new_cost = np.flatnonzero(c != self._cost) if cost is not None else ()
         if len(new_rhs):
-            self._kept = self._logicals = None
-        if new_cost.size:
-            self._kept = None
-        moved = (lo != self._lower) | (up != self._upper)
-        if pinned is not None and self._kept is not None:
-            sol = self._kept_answer(lo, up, moved, pinned, reduced_costs)
-            if sol is not None:
-                return sol
+            self._logicals = None
+        if len(new_rhs) or len(new_cost):
+            self._forget()
+        keep = pinned is not None and not len(new_cost)  # a basis found now may answer
+        if keep:
+            # the column bounds, lower then upper, with the pinned ones as 0
+            bounds = np.concatenate((lo, up))
+            bounds[pinned] = bounds[lo.size + pinned] = 0.0
+            if self._held is not None or self._kept:
+                sol = self._table_answer(lo, bounds, pinned, reduced_costs)
+                if sol is not None:
+                    return sol
         for r in new_rhs:
             solver.changeRowBounds(int(r), rhs[r], rhs[r])
         if rhs is not None:
             self._rhs = rhs.copy()
-        changed = np.flatnonzero(moved)
+        changed = np.flatnonzero((lo != self._lower) | (up != self._upper))
         if changed.size:
             solver.changeColsBounds(changed.size, changed.astype(np.int32),
                                     lo[changed], up[changed])
             self._lower, self._upper = lo.copy(), up.copy()
-        if new_cost.size:
+        if len(new_cost):
             solver.changeColsCost(new_cost.size, new_cost.astype(np.int32), c[new_cost])
             self._cost = c.copy()
 
-        self._x = self._kept = None
+        self._x = self._held = self._answer = None
         solver.run()
         hc = self._core
         model_status = solver.getModelStatus()
@@ -368,11 +391,8 @@ class PersistentLp:
         sol = solver.getSolution()
         self._x = np.asarray(sol.col_value, dtype=float)
         duals = np.asarray(sol.col_dual, dtype=float) if reduced_costs else None
-        if (pinned is not None and not new_cost.size
-                and solver.getInfoValue("simplex_iteration_count")[1] == 0):
-            # the basis held at these costs: keep it for the next solves; it
-            # is read off HiGHS when one of them first needs it
-            self._kept = _KeptBasis(pinned, self._x, sol.row_value, duals)
+        if keep:  # the next pinned solve may try it while HiGHS holds it
+            self._held = _KeptBasis(pinned, self._x, sol.row_value, duals, bounds)
         return LpSolution(
             x_star=self._x,
             objective=solver.getObjectiveValue(),
@@ -381,57 +401,113 @@ class PersistentLp:
             status=LpStatus.OPTIMAL,
         )
 
-    def _kept_answer(self, lo, up, moved, pinned, reduced_costs) -> Optional[LpSolution]:
-        """The optimum at bounds (lo, up), read off the kept basis, or None
-        when that basis cannot answer: a nonbasic bound other than a pinned
-        one moved (`moved` marks the bounds that differ from HiGHS's), or a
-        basic value leaves its bounds. HiGHS is not told of the new bounds;
-        the next run sends every bound that differs."""
-        kept = self._kept
-        if ((reduced_costs and kept.col_dual is None)
-                or (pinned is not kept.pinned and not np.array_equal(pinned, kept.pinned))):
-            return None
-        if kept.factor is None and not kept.read(self):
-            self._kept = None
-            return None
-        lower, upper = kept.lower, kept.upper
-        moved = moved & kept.unpinned
-        if moved.any():
-            if not np.isin(np.flatnonzero(moved), kept.cols).all():
-                return None
-            # only bounds of basic columns moved: check against the new ones
-            logical_lower, logical_upper = self._logicals
-            lower = np.concatenate([lo - BASIS_PRIMAL_TOL, logical_lower])[kept.ext]
-            upper = np.concatenate([up + BASIS_PRIMAL_TOL, logical_upper])[kept.ext]
+    def _table_answer(self, lo, bounds, pinned, reduced_costs) -> Optional[LpSolution]:
+        """The optimum at column lower bounds `lo` and `bounds` (as in
+        `_KeptBasis.holds`), read off a kept basis, or None when no kept
+        basis is optimal there: first the table in order, then the basis of
+        the last run. The entry that answers moves to the front. HiGHS is
+        not told of the new bounds; the next run sends every bound that
+        differs."""
+        n = self._cost.size
+        if self._logicals is None:
+            # a row's logical lies in [-row_upper, -row_lower], widened
+            n_ub = self._b_ub.size
+            self._logicals = np.stack((
+                np.concatenate([-self._rhs, -self._b_ub]) - BASIS_PRIMAL_TOL,
+                np.concatenate([-self._rhs, np.full(n_ub, np.inf)]) + BASIS_PRIMAL_TOL))
+        # bounds of the columns, then of the logicals, widened
+        limits = np.concatenate((bounds.reshape(2, n) + _WIDEN, self._logicals), axis=1)
         x_pin = lo[pinned]
-        basic = kept.vb0 - kept.factor @ (x_pin - kept.x[pinned])
-        if (basic < lower).any() or (basic > upper).any():
+        held, self._held = self._held, None
+        for i, entry in enumerate(self._kept):
+            if entry.fits(pinned, reduced_costs):
+                values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
+                if entry.holds(values, bounds, limits):
+                    self._kept.insert(0, self._kept.pop(i))
+                    return self._vertex(entry, values, x_pin, reduced_costs)
+        if held is not None and held.fits(pinned, reduced_costs):
+            return self._held_answer(held, bounds, limits, x_pin, reduced_costs)
+        return None
+
+    def _held_answer(self, held, bounds, limits, x_pin, reduced_costs) -> Optional[LpSolution]:
+        """The optimum read off `held`, the basis of the last run, which
+        HiGHS still holds, or None when it is not optimal here: its basic set
+        is read off HiGHS, and one basis solve gives its basic values.
+
+        Only once it has answered is the basis put at the front of the
+        table. If an entry has its basic set, that entry takes the run's
+        values; otherwise its reduced columns are read."""
+        status, basic = self._solver.getBasicVariables()
+        if status != self._core.HighsStatus.kOk:
             return None
-        x = kept.x.copy()
-        x[pinned] = x_pin
-        x[kept.cols] = basic[kept.col_pos]
-        self._x = x
+        n, pinned = self._cost.size, held.pinned
+        ext = np.where(basic >= 0, basic, n - 1 - basic)
+        vb0 = np.concatenate((held.x, np.negative(held.row_value)))[ext]
+        if self._pin_entries is None or not np.array_equal(self._pin_entries[0], pinned):
+            _, start, index, value = self._solver.getColsEntries(
+                pinned.size, pinned.astype(np.int32))
+            column = np.repeat(np.arange(pinned.size), np.diff(np.append(start, index.size)))
+            self._pin_entries = (pinned, index, value, column)
+        _, index, value, column = self._pin_entries
+        a_dx = np.bincount(index, weights=value * (x_pin - held.x_pin)[column],
+                           minlength=basic.size)
+        values = vb0 - self._solver.getBasisSolve(a_dx)[1]  # minus B^-1 A_pin dx
+        limits = limits[:, ext]
+        if (not ((limits[0] <= values) & (values <= limits[1])).all()
+                or (bounds != held.bounds).any() or (basic[:, None] == pinned).any()):
+            return None
+        order = np.argsort(ext)
+        held.arrange(ext[order], vb0[order], n)
+        entry = next((entry for entry in self._kept if entry.key == held.key
+                      and np.array_equal(entry.ext, held.ext)), None)
+        if entry is not None:  # met again: nothing to read
+            entry.take(held)
+            self._kept.remove(entry)
+        elif held.read(self._solver, self._core.HighsStatus.kOk, order):
+            entry = held
+        else:  # HiGHS gave no factor: the answer holds, but nothing is kept
+            return self._vertex(held, values[order], x_pin, reduced_costs)
+        self._kept.insert(0, entry)
+        del self._kept[KEPT_BASES:]
+        return self._vertex(entry, values[order], x_pin, reduced_costs)
+
+    def _vertex(self, entry, values, x_pin, reduced_costs) -> LpSolution:
+        """The vertex of kept basis `entry` with basic values `values`."""
+        x = entry.x.copy()
+        x[entry.pinned] = x_pin
+        x[entry.ext[:entry.n_cols]] = values[:entry.n_cols]
+        self._x, self._answer = x, entry
         return LpSolution(x_star=x, objective=float(self._cost @ x), duals=None,
-                          reduced_costs=kept.col_dual if reduced_costs else None,
+                          reduced_costs=entry.col_dual if reduced_costs else None,
                           status=LpStatus.OPTIMAL)
 
     def basis(self):
         """Status codes (BASIS_*) of the columns and rows in the basis of the
-        last optimal solve, or None on the cold path and before one."""
+        last optimal solve, or None on the cold path and before one: the
+        basis HiGHS holds after a run, the kept basis that answered
+        otherwise."""
         if self._x is None:
             return None
-        status, basic = self._solver.getBasicVariables()
-        if status != self._core.HighsStatus.kOk:  # no factored basis to read
-            return None
+        n, entry = self._cost.size, self._answer
+        if entry is None:
+            status, basic = self._solver.getBasicVariables()
+            if status != self._core.HighsStatus.kOk:  # no factored basis to read
+                return None
+            ext = np.where(basic >= 0, basic, n - 1 - basic)
+            lower, upper = self._lower, self._upper
+        else:  # at the bounds it was found at; a pinned column's read as 0
+            ext, lower, upper = entry.ext, entry.bounds[:n], entry.bounds[n:]
         # a nonbasic column sits on the bound nearer to its value
-        cols = np.where(np.abs(self._x - self._upper) < np.abs(self._x - self._lower),
+        cols = np.where(np.abs(self._x - upper) < np.abs(self._x - lower),
                         BASIS_UPPER, BASIS_LOWER).astype(np.int8)
-        cols[np.isinf(self._lower) & np.isinf(self._upper)] = BASIS_ZERO
-        # equality rows first, then the inequality rows a x <= b
-        rows = np.full(self._solver.getNumRow(), BASIS_UPPER, dtype=np.int8)
+        cols[np.isinf(lower) & np.isinf(upper)] = BASIS_ZERO
+        # equality rows first, then the inequality rows a x <= b; rows
+        # appended since the basis was found are basic, as HiGHS adds them
+        rows = np.full(self._n_eq + self._b_ub.size, BASIS_UPPER, dtype=np.int8)
         rows[:self._n_eq] = BASIS_LOWER
-        cols[basic[basic >= 0]] = BASIS_BASIC
-        rows[-1 - basic[basic < 0]] = BASIS_BASIC
+        rows[ext.size:] = BASIS_BASIC
+        cols[ext[ext < n]] = BASIS_BASIC
+        rows[ext[ext >= n] - n] = BASIS_BASIC
         return cols, rows
 
     def seed(self, prev, drop_cols=(), drop_rows=(), more_rows=()):
@@ -457,55 +533,72 @@ class PersistentLp:
 
 
 class _KeptBasis:
-    """The optimal basis of a PersistentLp's last run, with what it takes to
-    re-read its vertex at other values of the pinned columns.
+    """An optimal basis of a PersistentLp's pinned solves, with what it takes
+    to read its vertex at other values of the pinned columns.
 
     With logical variables s = -A x, [A I] (x, s) = 0, so the basic values
     are v_B = -B^-1 N v_N: moving the pinned columns by dx moves them by
     -B^-1 A_pin dx. `factor` is B^-1 A_pin, one solve with HiGHS's factor
-    of B per pinned column. Arrays indexed by basic variable follow HiGHS's
-    order of the basic variables, which its basis solves use too; `ext`
-    maps them to columns (j < n) and logicals (n + i).
+    of B per pinned column. The basic variables are kept sorted by `ext`,
+    which numbers columns j < n and logicals n + i; sorted, it also names
+    the basis in the table (`key` is its hash).
 
-    `read` takes the basis off HiGHS when a solve first tries it, not right
-    after the run that found it: HiGHS keeps that basis and factor until its
-    next run, and a decision that ran HiGHS does not pay for the read too.
-    Where fewer than half the decisions are answered (bench-spring), reading
-    right after the run slowed the median decision by about a third.
+    A basis is made from a run's values, while HiGHS holds it, and is
+    arranged and read (`read`, the factor) only once it has answered a
+    solve: HiGHS keeps the factor until its next run, and a decision that
+    runs HiGHS after a refused try does not also pay for the read. An entry
+    keeps the factor, the basic set and the reference values, not HiGHS's
+    solution.
+
+    It answers only at the column bounds it was found at, the pinned ones
+    apart (`bounds`: lower then upper, the pinned ones as 0). The stage
+    LPs' only other moving bounds, the relaxed tank floors, moved in 1 of
+    7,392 summer decisions.
     """
 
-    def __init__(self, pinned, x, row_value, col_dual):
-        self.pinned, self.x, self.row_value, self.col_dual = pinned, x, row_value, col_dual
-        self.factor = None
+    __slots__ = ("pinned", "x", "x_pin", "col_dual", "bounds", "row_value", "ext", "key",
+                 "n_cols", "vb0", "factor")
 
-    def read(self, owner: PersistentLp) -> bool:
-        """Take the basis off `owner`'s HiGHS; False when it cannot be kept
-        (a pinned column is basic, or HiGHS has no factor to read)."""
-        solver, ok, pinned = owner._solver, owner._core.HighsStatus.kOk, self.pinned
-        status, basic = solver.getBasicVariables()
-        if status != ok or (basic[:, None] == pinned).any():
-            return False
-        factor = np.empty((basic.size, pinned.size))
-        for k, j in enumerate(pinned):
+    def __init__(self, pinned, x, row_value, col_dual, bounds):
+        self.pinned, self.x, self.row_value, self.col_dual = pinned, x, row_value, col_dual
+        self.x_pin = x[pinned]
+        self.bounds = bounds
+
+    def arrange(self, ext, vb0, n):
+        """Take the basic set `ext`, sorted, and the basic values `vb0` at
+        the run's bounds, in its order."""
+        self.ext, self.vb0, self.row_value = ext, vb0, None
+        self.key = hash(ext.tobytes())
+        self.n_cols = int(np.searchsorted(ext, n))
+
+    def take(self, other: "_KeptBasis"):
+        """Take the values of `other`, a later run that found this basis."""
+        self.x, self.x_pin, self.bounds, self.vb0 = other.x, other.x_pin, other.bounds, other.vb0
+        if other.col_dual is not None:
+            self.col_dual = other.col_dual
+
+    def read(self, solver, ok, order) -> bool:
+        """Read the factor off `solver`, which holds this basis, its rows
+        taken in `order`; False when HiGHS cannot give it."""
+        factor = np.empty((self.ext.size, self.pinned.size))
+        for k, j in enumerate(self.pinned):
             status, factor[:, k] = solver.getReducedColumn(int(j))  # B^-1 a_j
             if status != ok:
                 return False
-        n = owner._cost.size
-        if owner._logicals is None:
-            # a row's logical lies in [-row_upper, -row_lower], widened
-            n_ub = owner._b_ub.size
-            owner._logicals = (
-                np.concatenate([-owner._rhs, -owner._b_ub]) - BASIS_PRIMAL_TOL,
-                np.concatenate([-owner._rhs, np.full(n_ub, np.inf)]) + BASIS_PRIMAL_TOL)
-        self.unpinned = np.ones(n, dtype=bool)
-        self.unpinned[pinned] = False
-        self.col_pos = np.flatnonzero(basic >= 0)
-        self.cols = basic[self.col_pos]
-        self.ext = np.where(basic >= 0, basic, n - 1 - basic)
-        self.vb0 = np.concatenate([self.x, np.negative(self.row_value)])[self.ext]
-        # HiGHS still holds the bounds of the run that found the basis
-        lower, upper = owner._logicals
-        self.lower = np.concatenate([owner._lower - BASIS_PRIMAL_TOL, lower])[self.ext]
-        self.upper = np.concatenate([owner._upper + BASIS_PRIMAL_TOL, upper])[self.ext]
-        self.factor = factor
+        self.factor = factor[order]
         return True
+
+    def fits(self, pinned, reduced_costs) -> bool:
+        """Whether this basis may answer a solve with `pinned` that wants the
+        reduced costs or not."""
+        return ((self.col_dual is not None or not reduced_costs)
+                and (pinned is self.pinned or np.array_equal(pinned, self.pinned)))
+
+    def holds(self, values, bounds, limits) -> bool:
+        """Whether this basis is optimal at column bounds `bounds` (laid out
+        as its own): its basic values there, `values`, lie within `limits`
+        (the widened bounds of the columns, then the logicals), and no
+        bound but the pinned ones moved since it was found."""
+        limits = limits[:, self.ext]
+        return bool(((limits[0] <= values) & (values <= limits[1])).all()
+                    and (bounds == self.bounds).all())

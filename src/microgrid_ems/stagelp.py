@@ -264,11 +264,11 @@ class OneStageDecision:
     maximal at the incoming state start nonbasic, the others basic.
 
     Exact solves (not `prefer_storage`) pin the state columns `_PINNED`, so
-    one may skip HiGHS: after a run with no pivot at these costs, the next
-    exact solves are answered from that basis as long as it stays primal
-    feasible at the new state (see `PersistentLp.solve`). Training keeps no
-    basis: each of its exact solves follows a `prefer_storage` solve, at
-    other costs, and `add_cut` drops a kept basis; so it does no added work.
+    one may skip HiGHS: the optimal bases of earlier exact runs are kept,
+    and one still primal feasible at the new state answers (see
+    `PersistentLp.solve`). Training keeps no basis: each of its exact
+    solves follows a `prefer_storage` solve, at other costs, and `add_cut`
+    drops the kept bases; so it does no added work.
     """
 
     def __init__(self, p: SystemParams, t: int, dist, lambdas: np.ndarray,
@@ -293,6 +293,11 @@ class OneStageDecision:
         else:
             self._build_layout()
         self._build_stage()
+        # bounds of the next solve, updated in place: the state and tank floors
+        self._lower, self._upper = self._lower_base.copy(), self._upper_base.copy()
+        self._relaxed = True  # some tank floor in _lower is not h_floor
+        self._hw_max = float(self.points[:, 1].max())
+        self._decide_costs = False  # the LP holds _c_decide, not c
 
     def _build_layout(self):
         """Columns, rows and base bounds: the same at every stage, since M, N
@@ -394,12 +399,17 @@ class OneStageDecision:
         """
         p = self.p
         box = admissible_controls(x, p)
-        lower = self._lower_base.copy()
-        upper = self._upper_base.copy()
+        lower, upper = self._lower, self._upper
         lower[:4] = upper[:4] = x.as_array()
-        # relax the tank floor when a scenario's draw makes it unreachable
-        reach = x.h + p.delta * (p.beta_h * box.f_h_max - self.points[:, 1])
-        lower[self._next[:, 1]] = np.minimum(p.h_floor, reach)
+        # relax the tank floor when a scenario's draw makes it unreachable;
+        # rounding is monotone, so if the largest draw leaves it reachable,
+        # every draw does
+        gain = p.beta_h * box.f_h_max
+        relax = x.h + p.delta * (gain - self._hw_max) < p.h_floor
+        if relax or self._relaxed:
+            reach = x.h + p.delta * (gain - self.points[:, 1])
+            lower[self._next[:, 1]] = np.minimum(p.h_floor, reach)
+            self._relaxed = relax
         if self._persistent is None:
             self._persistent = lpmod.PersistentLp(self.c, lower, upper, self.b_eq,
                                                   self._rows, self._b_box)
@@ -413,11 +423,13 @@ class OneStageDecision:
         if prefer_storage:
             sol = self._persistent.solve(lower=lower, upper=upper, cost=self._c_decide)
         else:
-            sol = self._persistent.solve(lower=lower, upper=upper, cost=self.c,
+            sol = self._persistent.solve(lower=lower, upper=upper,
+                                         cost=self.c if self._decide_costs else None,
                                          reduced_costs=True, pinned=_PINNED)
+        self._decide_costs = prefer_storage
         _require_optimal(sol, f"one-stage problem at t={self.t}")
         xs = sol.x_star
-        u = canonical_control(*xs[_U:_U + 4])
+        u = canonical_control(*xs[_U:_U + 4].tolist())
         if prefer_storage:
             return StageSolution(control=box.clip(u), objective=float(self.c @ xs))
         return StageSolution(control=box.clip(u), objective=float(sol.objective),

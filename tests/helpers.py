@@ -708,11 +708,14 @@ class _RecordingHighs:
 
 class CountingCore:
     """Stands in for the bundled HiGHS bindings. Its solvers count their
-    runs in `runs`."""
+    runs in `runs`, and their basis reads in `reads`, by accessor name."""
+
+    READS = ("getBasicVariables", "getReducedColumn", "getBasisSolve")
 
     def __init__(self, core):
         self._core = core
         self.runs = 0
+        self.reads = dict.fromkeys(self.READS, 0)
 
     def __getattr__(self, name):
         return getattr(self._core, name)
@@ -727,7 +730,15 @@ class _CountingHighs:
         self._counter = counter
 
     def __getattr__(self, name):
-        return getattr(self._highs, name)
+        attr = getattr(self._highs, name)
+        if name not in CountingCore.READS:
+            return attr
+        reads = self._counter.reads
+
+        def read(*args):
+            reads[name] += 1
+            return attr(*args)
+        return read
 
     def run(self):
         self._counter.runs += 1

@@ -171,6 +171,52 @@ class TestOracle:
             done += 1
 
 
+# pieces y >= slope * x + intercept of a convex function of x, with
+# breakpoints at -1.5, -0.5, 0.5 and 1.5; PIECE_AT[k] lies inside piece k
+SLOPES = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+INTERCEPTS = np.array([0.0, 1.5, 2.0, 1.5, 0.0])
+PIECE_AT = (-2.0, -1.0, 0.0, 1.0, 2.0)
+
+
+def fan_pin(value: float, shift: float = 0.0) -> LinearProgram:
+    # min y subject to y >= each piece at x, z = x + y + shift, with x pinned
+    # at `value` by its bounds; columns (x, y, z). The optimal basis at x
+    # makes the row of x's piece active: one basis per piece
+    return LinearProgram(
+        c=np.array([0.0, 1.0, 0.0]),
+        a_eq=np.array([[-1.0, -1.0, 1.0]]),
+        rhs=np.array([shift]),
+        lower=np.array([value, -100.0, -np.inf]),
+        upper=np.array([value, 100.0, np.inf]),
+        a_ub=np.column_stack([SLOPES, -np.ones(5), np.zeros(5)]),
+        b_ub=-INTERCEPTS,
+    )
+
+
+def fan_value(x: float) -> float:
+    return float(np.max(SLOPES * x + INTERCEPTS))
+
+
+class FanTable:
+    """A persistent fan LP on counting bindings, solved with x pinned."""
+
+    def __init__(self, monkeypatch):
+        self.core = CountingCore(lpmod._highs_core)
+        monkeypatch.setattr(lpmod, "_highs_core", self.core)
+        self.lp = persistent_lp(fan_pin(0.0))
+
+    def solve(self, x, **kwargs):
+        fan = fan_pin(x)
+        sol = self.lp.solve(lower=fan.lower, upper=fan.upper, pinned=np.array([0]), **kwargs)
+        assert sol.objective == pytest.approx(fan_value(x), abs=1e-12), x
+        return sol
+
+    def pieces(self):
+        """The piece whose row is active in each table entry, in order."""
+        return [int(np.setdiff1d(np.arange(5), entry.ext - 3 - 1)[0])
+                for entry in self.lp._kept]
+
+
 class TestPersistent:
     def test_matches_cold_solves(self):
         rng = np.random.default_rng(9)
@@ -306,25 +352,144 @@ class TestPersistent:
         for x in (0.75, 0.9, 0.6, 1.0, 0.5):
             sol = expect(x, x, 1)
             np.testing.assert_allclose(sol.x_star, [x, x, 2 * x], atol=1e-12)
-        # outside the basis's region: a run, with pivots, which keeps nothing
+        # outside the basis's region: a run, with pivots, whose basis is kept too
         expect(0.2, 0.8, 2)
         assert persistent._solver.getInfoValue("simplex_iteration_count")[1] > 0
-        expect(0.3, 0.7, 3)
-        expect(0.35, 0.65, 3)
-        # appended rows, new costs and a solve without `pinned` drop the basis
+        expect(0.3, 0.7, 2)
+        expect(0.35, 0.65, 2)
+        # appended rows and new costs drop the kept bases
         persistent.add_rows((np.array([0, 1], dtype=np.int32), np.array([1], dtype=np.int32),
                              np.array([1.0])), np.array([5.0]))
-        expect(0.4, 0.6, 4)
-        expect(0.45, 0.55, 4)
-        expect(0.4, 1.2, 5, cost=np.array([0.0, 2.0, 0.0]))
-        expect(0.3, 1.4, 6, cost=np.array([0.0, 2.0, 0.0]))
-        expect(0.35, 1.3, 6, cost=np.array([0.0, 2.0, 0.0]))
+        expect(0.4, 0.6, 3)
+        expect(0.45, 0.55, 3)
+        expect(0.4, 1.2, 4, cost=np.array([0.0, 2.0, 0.0]))
+        expect(0.3, 1.4, 5, cost=np.array([0.0, 2.0, 0.0]))
+        expect(0.35, 1.3, 5, cost=np.array([0.0, 2.0, 0.0]))
+        # a solve without `pinned` runs, and the kept bases outlive it
         persistent.solve(lower=v_pin(0.3).lower, upper=v_pin(0.3).upper)
-        expect(0.35, 1.3, 8, cost=np.array([0.0, 2.0, 0.0]))
+        expect(0.35, 1.3, 6, cost=np.array([0.0, 2.0, 0.0]))
         # a basis kept without reduced costs does not answer for them
-        expect(0.3, 1.4, 8, cost=np.array([0.0, 2.0, 0.0]))
-        sol = expect(0.35, 1.3, 9, cost=np.array([0.0, 2.0, 0.0]), reduced_costs=True)
+        expect(0.3, 1.4, 6, cost=np.array([0.0, 2.0, 0.0]))
+        sol = expect(0.35, 1.3, 7, cost=np.array([0.0, 2.0, 0.0]), reduced_costs=True)
         assert sol.reduced_costs is not None
+
+    def test_an_older_basis_answers_after_the_newest_refuses(self, monkeypatch):
+        fan = FanTable(monkeypatch)
+        fan.solve(-2.0)
+        fan.solve(-2.1)  # the run's basis answers and is read
+        assert (fan.core.runs, fan.pieces()) == (1, [0])
+        fan.solve(1.0)  # refused: a run, in piece 3
+        fan.solve(1.1)
+        assert (fan.core.runs, fan.pieces()) == (2, [3, 0])
+        # the newest basis refuses, the older one answers and moves up
+        sol = fan.solve(-1.9)
+        assert (fan.core.runs, fan.pieces()) == (2, [0, 3])
+        np.testing.assert_allclose(sol.x_star, [-1.9, 3.8, 1.9], atol=1e-12)
+
+    def test_the_table_keeps_the_most_recently_useful_bases(self, monkeypatch):
+        fan = FanTable(monkeypatch)
+        for x in PIECE_AT:
+            fan.solve(x)
+            fan.solve(x + 0.05)
+        # one run per piece; past four entries the least recently useful goes
+        assert (fan.core.runs, fan.pieces()) == (5, [4, 3, 2, 1])
+        fan.solve(0.1)
+        assert (fan.core.runs, fan.pieces()) == (5, [2, 4, 3, 1])
+        fan.solve(-1.2)
+        assert (fan.core.runs, fan.pieces()) == (5, [1, 2, 4, 3])
+        fan.solve(-2.0)  # piece 0 was evicted
+        assert fan.core.runs == 6
+
+    def test_a_basis_met_twice_is_read_once(self, monkeypatch):
+        fan = FanTable(monkeypatch)
+        for x in (-2.0, -2.1, 1.0, 1.1):
+            fan.solve(x)
+        assert fan.core.reads["getReducedColumn"] == 2
+        # kept without reduced costs, the entries cannot answer for them: a
+        # run finds piece 0's basis again, and the entry takes its values
+        fan.solve(-1.9, reduced_costs=True)
+        assert fan.core.runs == 3
+        solves = fan.core.reads["getBasisSolve"]
+        # it answers the next solve, tried with one basis solve and not read
+        sol = fan.solve(-2.2, reduced_costs=True)
+        assert (fan.core.runs, fan.pieces()) == (3, [0, 3])
+        assert fan.core.reads["getReducedColumn"] == 2
+        assert fan.core.reads["getBasisSolve"] == solves + 1
+        np.testing.assert_allclose(sol.reduced_costs, [-2.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("change", ["add_rows", "cost", "rhs"])
+    def test_new_rows_costs_or_rhs_empty_the_table(self, monkeypatch, change):
+        fan = FanTable(monkeypatch)
+        for x in (-2.0, -2.1, 1.0, 1.1, 1.2):
+            fan.solve(x)
+        assert (fan.core.runs, fan.pieces()) == (2, [3, 0])
+        lp = fan_pin(-2.0)
+        if change == "add_rows":
+            # y <= 50, which no optimum here meets
+            fan.lp.add_rows((np.array([0, 1], dtype=np.int32), np.array([1], dtype=np.int32),
+                             np.array([1.0])), np.array([50.0]))
+            assert fan.lp._kept == [] and fan.lp._held is None
+            fan.solve(-2.0)
+        elif change == "cost":
+            sol = fan.lp.solve(lower=lp.lower, upper=lp.upper, cost=np.array([0.0, 2.0, 0.0]),
+                               pinned=np.array([0]))
+            assert sol.objective == pytest.approx(2 * fan_value(-2.0), abs=1e-12)
+            # a run at new costs keeps nothing
+            assert fan.lp._kept == [] and fan.lp._held is None
+        else:
+            sol = fan.lp.solve(rhs=np.array([1.0]), lower=lp.lower, upper=lp.upper,
+                               pinned=np.array([0]))
+            assert sol.x_star[2] == pytest.approx(-2.0 + 4.0 + 1.0, abs=1e-12)
+        assert fan.core.runs == 3
+        assert fan.lp._kept == []
+
+    def test_a_kept_basis_answers_only_at_its_own_bounds(self, monkeypatch):
+        core = CountingCore(lpmod._highs_core)
+        monkeypatch.setattr(lpmod, "_highs_core", core)
+
+        def with_w(x, w_floor):
+            # v_pin and a column w >= w_floor, at cost 1 and in no row: w
+            # sits nonbasic on that bound
+            lp = v_pin(x)
+            return LinearProgram(
+                c=np.append(lp.c, 1.0), a_eq=sp.hstack([lp.a_eq, sp.csr_matrix((1, 1))]),
+                rhs=lp.rhs, lower=np.append(lp.lower, w_floor),
+                upper=np.append(lp.upper, 5.0),
+                a_ub=sp.hstack([lp.a_ub, sp.csr_matrix((2, 1))]), b_ub=lp.b_ub)
+
+        persistent = persistent_lp(with_w(0.7, 0.0))
+
+        def at(x, w_floor):
+            lp = with_w(x, w_floor)
+            return persistent.solve(lower=lp.lower, upper=lp.upper, pinned=np.array([0]))
+
+        for x in (0.7, 0.75, 0.8):
+            assert at(x, 0.0).objective == pytest.approx(x, abs=1e-12)
+        assert core.runs == 1 and len(persistent._kept) == 1
+        # w's bound moved: the kept basis does not answer, the run does
+        sol = at(0.8, 1.0)
+        assert core.runs == 2
+        assert sol.objective == pytest.approx(1.8, abs=1e-12)
+        assert sol.x_star[3] == pytest.approx(1.0, abs=1e-12)
+        # back at its bounds, it answers again
+        assert at(0.85, 0.0).objective == pytest.approx(0.85, abs=1e-12)
+        assert core.runs == 2
+        # nor does the basis of the last run answer, before it is read
+        persistent._forget()
+        at(0.7, 0.0)
+        assert core.runs == 3 and persistent._held is not None
+        assert at(0.75, 1.0).objective == pytest.approx(1.75, abs=1e-12)
+        assert core.runs == 4
+
+    def test_a_refused_first_try_reads_no_reduced_column(self, monkeypatch):
+        fan = FanTable(monkeypatch)
+        fan.solve(-2.0)
+        fan.solve(1.0)
+        # the run's basis was tried with one basis solve, refused, and not read
+        assert fan.core.runs == 2
+        assert fan.core.reads == {"getBasicVariables": 1, "getBasisSolve": 1,
+                                  "getReducedColumn": 0}
+        assert fan.lp._kept == []
 
     def test_rhs_shape_guard(self):
         persistent = persistent_lp(simple_pin(3.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import logging
 import pickle
@@ -112,6 +113,20 @@ def random_state(rng, p):
                  rng.uniform(12, 26), rng.uniform(14, 26))
 
 
+def set_basis(persistent, basis):
+    """Hand `persistent`'s HiGHS the status codes `basis`, as a basis that
+    needs no repair."""
+    cols, rows = basis
+    core = lpmod._highs_core
+    kinds = core.HighsBasisStatus
+    status = [kinds.kLower, kinds.kBasic, kinds.kUpper, kinds.kZero]
+    highs_basis = core.HighsBasis()
+    highs_basis.col_status = [status[c] for c in cols]
+    highs_basis.row_status = [status[r] for r in rows]
+    highs_basis.alien = False
+    persistent._solver.setBasis(highs_basis)
+
+
 def assert_same(a, b, tol=TOL):
     assert a.objective == pytest.approx(b.objective, abs=tol)
     np.testing.assert_allclose(a.duals, b.duals, atol=tol)
@@ -203,6 +218,39 @@ def test_control_is_admissible(summer):
     for _ in range(50):
         x = random_state(rng, summer)
         assert admissible_controls(x, summer).contains(problem.solve(x).control, tol=0.0)
+
+
+def test_solves_hand_over_the_bounds_a_fresh_copy_gave(summer, monkeypatch):
+    # the stage LP writes the state and the tank floors into its own bound
+    # vectors: the persistent LP gets, bit for bit, the bounds the base
+    # bounds' copy gave, and costs only when the previous solve used others
+    p = dataclasses.replace(summer, h_floor=0.5 * summer.h_max)  # floors often out of reach
+    rng = np.random.default_rng(25)
+    problem = OneStageDecision(p, 40, random_dist(rng), *random_cuts(rng, 6))
+    handed = []
+    real_solve = lpmod.PersistentLp.solve
+
+    def solve(self, **kwargs):
+        handed.append((kwargs["lower"].copy(), kwargs["upper"].copy(), kwargs["cost"]))
+        return real_solve(self, **kwargs)
+
+    monkeypatch.setattr(lpmod.PersistentLp, "solve", solve)
+    relaxed, prefer = 0, False
+    for k in range(40):
+        x = random_state(rng, p)
+        previous, prefer = prefer, k % 5 == 4
+        problem.solve(x, prefer_storage=prefer)
+        lower, upper = problem._lower_base.copy(), problem._upper_base.copy()
+        lower[:4] = upper[:4] = x.as_array()
+        reach = x.h + p.delta * (p.beta_h * admissible_controls(x, p).f_h_max
+                                 - problem.points[:, 1])
+        lower[problem._next[:, 1]] = np.minimum(p.h_floor, reach)
+        relaxed += bool((reach < p.h_floor).any())
+        got_lower, got_upper, cost = handed[-1]
+        assert np.array_equal(got_lower, lower) and np.array_equal(got_upper, upper), k
+        expected = problem._c_decide if prefer else problem.c if previous else None
+        assert cost is expected, k
+    assert 0 < relaxed < 40
 
 
 def test_storage_tie_break_charges_on_a_price_tie(summer):
@@ -395,6 +443,44 @@ def test_stage_seed_keeps_the_previous_basis(summer, recording_core):
     assert len(recording_core.seeds) == INDEX_DIGITS
 
 
+def test_stage_seed_is_the_basis_that_answered(summer_sddp, summer_days):
+    # after an answer from a kept basis other than the one HiGHS holds, the
+    # basis handed to the next stage LP is the one that answered: a fresh
+    # stage LP started from it takes no pivot
+    cfg, vf, dists, scenarios = summer_sddp
+    p, x0 = cfg.system, cfg.initial_state
+    policy = SddpPolicy(p, vf, dists)
+    handed = []
+
+    class Checked:
+        name = "sddp"
+
+        def decide(self, t, x, w_obs):
+            decision = policy.decide(t, x, w_obs)
+            persistent = policy._problems[t]._persistent
+            entry, n = persistent._answer, persistent._cost.size
+            if entry is not None:
+                _, basic = persistent._solver.getBasicVariables()
+                if not np.array_equal(np.sort(np.where(basic >= 0, basic, n - 1 - basic)),
+                                      entry.ext):
+                    handed.append((t, x, decision.predicted_cost, persistent.basis()))
+            return decision
+
+    for scenario in (scenarios[0], *summer_days[:4]):
+        simulate_policy(Checked(), scenario, x0, p)
+    assert len(handed) >= 10
+    for t, x, value, basis in handed[::len(handed) // 10][:10]:
+        cols, rows = basis
+        assert np.count_nonzero(cols == lpmod.BASIS_BASIC) + np.count_nonzero(
+            rows == lpmod.BASIS_BASIC) == rows.size, t
+        fresh = OneStageDecision(p, t, dists[t], *vf.arrays(t + 1))
+        fresh.solve(x)
+        set_basis(fresh._persistent, basis)
+        fresh._persistent._forget()
+        assert fresh.solve(x).objective == pytest.approx(value, abs=TOL), t
+        assert iterations(fresh) == 0, t
+
+
 STAGE_ARRAYS = ("c", "_c_decide", "b_eq", "_b_box", "_lower_base", "_upper_base",
                 "_theta", "_next")
 
@@ -459,7 +545,7 @@ def counting_core(monkeypatch):
 
 def keep_no_basis(monkeypatch):
     """Every pinned solve runs HiGHS, as before bases were kept."""
-    monkeypatch.setattr(lpmod._KeptBasis, "read", lambda kept, owner: False)
+    monkeypatch.setattr(lpmod.PersistentLp, "_table_answer", lambda *args: None)
 
 
 def test_kept_basis_answers_as_a_forced_run(summer_sddp, summer_days, counting_core,
@@ -475,12 +561,15 @@ def test_kept_basis_answers_as_a_forced_run(summer_sddp, summer_days, counting_c
         runs = counting_core.runs
         sol = real_solve(self, *args, **kwargs)
         if counting_core.runs == runs:
-            # answered without a run: run HiGHS at the same bounds, from the
-            # same basis, which must then take no pivot
-            self._kept = None
+            # answered without a run: run HiGHS at the same bounds from the
+            # basis that answered, which must then take no pivot
+            kept = self._kept
+            set_basis(self, self.basis())
+            self._forget()
             answers.append((sol, real_solve(self, *args, **kwargs)))
             assert counting_core.runs == runs + 1
             assert self._solver.getInfoValue("simplex_iteration_count")[1] == 0
+            self._kept, self._held = kept, None
         return sol
 
     monkeypatch.setattr(lpmod.PersistentLp, "solve", solve)
@@ -501,13 +590,35 @@ def test_kept_basis_falls_back_outside_its_region(summer_sddp, summer_days, coun
         simulate_policy(policy, scenario, x0, p)
     t = 40
     problem = policy._problems[t]
-    assert problem._persistent._kept is not None
-    # kept at a state the policy reached; this one is far from any of them
+    assert problem._persistent._kept
+    # kept at states the policy reached; this one is far from all of them
     x = State(p.b_max, 0.1 * p.h_max, 28.0, 27.0)
     runs = counting_core.runs
     sol = problem.solve(x)
     assert counting_core.runs == runs + 1
     assert_same(sol, OneStageDecision(p, t, dists[t], *vf.arrays(t + 1)).solve(x))
+
+
+def test_fresh_policies_answer_half_the_spring_decisions(counting_core):
+    # half-resolution spring played as two chunks of 16 days, each by a
+    # fresh policy: the stage LPs keep bases from their first days on
+    doc = strided_day_config("spring", 2)
+    for section in ("generator", "sddp", "assessment"):
+        doc.setdefault(section, {})["seed"] = 1
+    cfg = parse_config(doc)
+    p, x0 = cfg.system, cfg.initial_state
+    opt, sim = split_scenarios(generate_scenarios(cfg.generator, 232, cfg.generator_seed),
+                               200, cfg.split_seed)
+    dists = quantize_stagewise(opt, s=cfg.sddp_s_offline, seed=cfg.sddp_seed)
+    vf, _ = sddp_train(p, dists, x0, StoppingRule(max_iters=8, lb_tol=0.0),
+                       seed=cfg.sddp_seed)
+    runs = counting_core.runs
+    for chunk in np.array_split(sim.data, 2):
+        policy = SddpPolicy(p, vf, dists)
+        for scenario in chunk:
+            simulate_policy(policy, scenario, x0, p)
+    decisions = sim.n * p.horizon_steps
+    assert 2 * (decisions - (counting_core.runs - runs)) >= decisions
 
 
 def test_training_keeps_no_basis(summer_sddp, monkeypatch):
