@@ -1,14 +1,14 @@
-"""Linear programs with exact dual extraction.
+"""Linear programs, solved once or held in the solver across re-solves.
 
 The MPC controller solves one multi-period LP per step. SDDP keeps one
-persistent LP per stage: the incoming state is a block of fixed columns
-(lower = upper = x), new cuts are appended as rows, and the cut slopes are
-the reduced costs of the fixed columns.
+persistent LP per stage: the incoming state is a block of pinned columns
+(lower = upper = x), named when the LP is built, new cuts are appended as
+rows, and the cut slopes are the reduced costs of the pinned columns: for a
+pinned column at v, value(v + d) >= value(v) + reduced_cost * d.
 
 Problems are tiny (at most a few thousand rows), dense in spirit but stored
 sparse. One-shot solves go through scipy's `linprog`; a persistent LP hands
-its owner's row arrays to HiGHS as they are. The dual convention is fixed
-so that for an equality row a.x = b, value(b + d) >= value(b) + dual * d.
+its owner's row arrays to HiGHS as they are.
 
 A new persistent LP can start from the basis of a related one (one with rows
 and columns dropped or added) through one call, `PersistentLp.seed`, which
@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +46,6 @@ __all__ = [
     "PersistentLp",
     "stack_rows",
     "solve",
-    "parametric_duals",
 ]
 
 try:  # vendored HiGHS bindings; enable warm-started re-solves when present
@@ -61,7 +60,7 @@ BASIS_LOWER, BASIS_BASIC, BASIS_UPPER, BASIS_ZERO = 0, 1, 2, 3
 # stricter than HiGHS's primal feasibility tolerance (1e-7)
 BASIS_PRIMAL_TOL = 1e-9
 
-# optimal bases a PersistentLp keeps for its pinned solves, most recently
+# optimal bases a PersistentLp with pinned columns keeps, most recently
 # useful first
 KEPT_BASES = 4
 
@@ -151,12 +150,11 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A warm persistent re-solve leaves `duals` None, and `reduced_costs`
-    too unless asked for them."""
+    """A warm re-solve of a PersistentLp without pinned columns leaves
+    `reduced_costs` None."""
 
     x_star: np.ndarray
     objective: float
-    duals: Optional[np.ndarray]
     reduced_costs: Optional[np.ndarray]
     status: LpStatus
 
@@ -165,10 +163,9 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
     @staticmethod
-    def failed(n_vars: int, n_eq: int, status: LpStatus) -> "LpSolution":
+    def failed(n_vars: int, status: LpStatus) -> "LpSolution":
         """An infeasible or unbounded outcome: every value is NaN."""
         return LpSolution(x_star=np.full(n_vars, np.nan), objective=np.nan,
-                          duals=np.full(n_eq, np.nan),
                           reduced_costs=np.full(n_vars, np.nan), status=status)
 
 
@@ -191,34 +188,15 @@ def solve(lp: LinearProgram) -> LpSolution:
     if status is None:
         raise LpError(f"solver failure: {res.message}")
     if status is not LpStatus.OPTIMAL:
-        return LpSolution.failed(lp.n_vars, lp.n_eq, status)
-    duals = res.eqlin.marginals if lp.n_eq else np.zeros(0)
+        return LpSolution.failed(lp.n_vars, status)
     # on a fixed column the two bound marginals sum to its reduced cost
     reduced = res.lower.marginals + res.upper.marginals
     return LpSolution(
         x_star=res.x,
         objective=float(res.fun),
-        duals=np.asarray(duals, dtype=float),
         reduced_costs=np.asarray(reduced, dtype=float),
         status=LpStatus.OPTIMAL,
     )
-
-
-def parametric_duals(lp: LinearProgram, fixed_rows: Iterable[int],
-                     solution: Optional[LpSolution] = None):
-    """Optimal value and its subgradient w.r.t. the constants of pinning rows.
-
-    For any perturbation d of the pinned right-hand sides,
-    value(rhs + d) >= value + gradient . d.
-    """
-    if solution is None:
-        solution = solve(lp)
-    if not solution.optimal:
-        raise LpError(f"parametric_duals requires an optimal LP, got {solution.status}")
-    idx = np.asarray(list(fixed_rows), dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= lp.n_eq):
-        raise LpError("fixed_rows outside the equality row range")
-    return solution.objective, solution.duals[idx]
 
 
 def stack_rows(top, bottom):
@@ -243,11 +221,16 @@ class PersistentLp:
     as a CSR triple (indptr, indices, data) with int32 indices. The first
     `rhs.size` rows are the equalities a x = rhs, the others a x <= b_ub.
 
+    `pinned` names fixed columns (lower = upper) whose values move from
+    solve to solve. An LP with them returns the reduced costs of every
+    optimal solve and may answer one off a kept basis (see `solve`); a warm
+    solve of one without returns none and never tries a kept basis.
+
     Not picklable on purpose (holds solver state): the policies drop their
     stage LPs when pickled, and the owners rebuild them lazily.
     """
 
-    def __init__(self, c, lower, upper, rhs, rows, b_ub=None):
+    def __init__(self, c, lower, upper, rhs, rows, b_ub=None, pinned=None):
         global _cold_path_warned
         self._n_eq = rhs.size
         self._cost = c.copy()
@@ -256,6 +239,7 @@ class PersistentLp:
         self._b_ub = np.zeros(0) if b_ub is None else b_ub
         self._lower = lower.copy()
         self._upper = upper.copy()
+        self._pinned = pinned
         self._core = _highs_core
         self._solver = None
         self._x = None  # primal solution of the last optimal warm solve
@@ -263,7 +247,7 @@ class PersistentLp:
         self._held = None  # _KeptBasis of the last run, while HiGHS holds it unread
         self._kept = []  # read _KeptBasis entries, most recently useful first
         self._logicals = None  # bounds of the rows' logical variables, once read
-        self._pin_entries = None  # pinned columns and their entries, once read
+        self._pin_entries = None  # the pinned columns' entries, once read
         if self._core is not None:
             self._solver = self._build()
         elif not _cold_path_warned:
@@ -301,27 +285,22 @@ class PersistentLp:
         else:
             self._rows = stack_rows(self._rows, rows)
 
-    def solve(self, rhs=None, lower=None, upper=None, cost=None,
-              reduced_costs=False, pinned=None) -> LpSolution:
+    def solve(self, rhs=None, lower=None, upper=None, cost=None) -> LpSolution:
         """Re-solve with updated costs, equality rhs and/or variable bounds.
+        `cost=None` keeps the costs without comparing them.
 
-        A warm solve reads the reduced costs only when asked for, and no row
-        duals.
-
-        `pinned` names fixed columns (lower = upper) whose values are
-        expected to move from solve to solve. The optimal basis of every run
-        with them named, at unchanged costs, may answer later solves with
-        the same costs, rows and `pinned` without running HiGHS. Up to
-        KEPT_BASES such bases are kept, most recently useful first, and the
-        first one still optimal at the new bounds answers: no bound but the
-        pinned ones moved since it was found, and its basic values lie
-        within their bounds (to BASIS_PRIMAL_TOL). The answer is that
-        basis's vertex: optimal, and the one a warm run from it would return
-        after zero pivots. The table is tried first, then the basis of the
-        last run, which HiGHS still holds, with one basis solve; its reduced
-        columns are read only once it has answered, and a basis met twice is
-        read once. `add_rows`, a cost change and an rhs change drop every
-        kept basis. `cost=None` keeps the costs without comparing them.
+        On an LP with pinned columns, the optimal basis of every run at
+        unchanged costs may answer later solves with the same costs and rows
+        without running HiGHS. Up to KEPT_BASES such bases are kept, most
+        recently useful first, and the first one still optimal at the new
+        bounds answers: no bound but the pinned ones moved since it was
+        found, and its basic values lie within their bounds (to
+        BASIS_PRIMAL_TOL). The answer is that basis's vertex: optimal, and
+        the one a warm run from it would return after zero pivots. The table
+        is tried first, then the basis of the last run, which HiGHS still
+        holds, with one basis solve; its reduced columns are read only once
+        it has answered, and a basis met twice is read once. `add_rows`, a
+        cost change and an rhs change drop every kept basis.
         """
         if rhs is not None:
             rhs = np.asarray(rhs, dtype=float)
@@ -345,7 +324,7 @@ class PersistentLp:
                                        a_ub=a[n_eq:] if ub else None,
                                        b_ub=self._b_ub if ub else None))
 
-        solver = self._solver
+        solver, pinned = self._solver, self._pinned
         new_rhs = np.nonzero(rhs != self._rhs)[0] if rhs is not None else ()
         new_cost = np.flatnonzero(c != self._cost) if cost is not None else ()
         if len(new_rhs):
@@ -358,7 +337,7 @@ class PersistentLp:
             bounds = np.concatenate((lo, up))
             bounds[pinned] = bounds[lo.size + pinned] = 0.0
             if self._held is not None or self._kept:
-                sol = self._table_answer(lo, bounds, pinned, reduced_costs)
+                sol = self._table_answer(lo, bounds)
                 if sol is not None:
                     return sol
         for r in new_rhs:
@@ -387,21 +366,20 @@ class PersistentLp:
         else:
             raise LpError(f"solver failure: {model_status}")
         if status is not LpStatus.OPTIMAL:
-            return LpSolution.failed(c.size, self._n_eq, status)
+            return LpSolution.failed(c.size, status)
         sol = solver.getSolution()
         self._x = np.asarray(sol.col_value, dtype=float)
-        duals = np.asarray(sol.col_dual, dtype=float) if reduced_costs else None
-        if keep:  # the next pinned solve may try it while HiGHS holds it
-            self._held = _KeptBasis(pinned, self._x, sol.row_value, duals, bounds)
+        duals = None if pinned is None else np.asarray(sol.col_dual, dtype=float)
+        if keep:  # the next solve may try it while HiGHS holds it
+            self._held = _KeptBasis(self._x, self._x[pinned], sol.row_value, duals, bounds)
         return LpSolution(
             x_star=self._x,
             objective=solver.getObjectiveValue(),
-            duals=None,
             reduced_costs=duals,
             status=LpStatus.OPTIMAL,
         )
 
-    def _table_answer(self, lo, bounds, pinned, reduced_costs) -> Optional[LpSolution]:
+    def _table_answer(self, lo, bounds) -> Optional[LpSolution]:
         """The optimum at column lower bounds `lo` and `bounds` (as in
         `_KeptBasis.holds`), read off a kept basis, or None when no kept
         basis is optimal there: first the table in order, then the basis of
@@ -417,69 +395,64 @@ class PersistentLp:
                 np.concatenate([-self._rhs, np.full(n_ub, np.inf)]) + BASIS_PRIMAL_TOL))
         # bounds of the columns, then of the logicals, widened
         limits = np.concatenate((bounds.reshape(2, n) + _WIDEN, self._logicals), axis=1)
-        x_pin = lo[pinned]
+        x_pin = lo[self._pinned]
         held, self._held = self._held, None
         for i, entry in enumerate(self._kept):
-            if entry.fits(pinned, reduced_costs):
-                values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
-                if entry.holds(values, bounds, limits):
-                    self._kept.insert(0, self._kept.pop(i))
-                    return self._vertex(entry, values, x_pin, reduced_costs)
-        if held is not None and held.fits(pinned, reduced_costs):
-            return self._held_answer(held, bounds, limits, x_pin, reduced_costs)
+            values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
+            if entry.holds(values, bounds, limits):
+                self._kept.insert(0, self._kept.pop(i))
+                return self._vertex(entry, values, x_pin)
+        if held is not None:
+            return self._held_answer(held, bounds, limits, x_pin)
         return None
 
-    def _held_answer(self, held, bounds, limits, x_pin, reduced_costs) -> Optional[LpSolution]:
+    def _held_answer(self, held, bounds, limits, x_pin) -> Optional[LpSolution]:
         """The optimum read off `held`, the basis of the last run, which
         HiGHS still holds, or None when it is not optimal here: its basic set
         is read off HiGHS, and one basis solve gives its basic values.
 
         Only once it has answered is the basis put at the front of the
-        table. If an entry has its basic set, that entry takes the run's
-        values; otherwise its reduced columns are read."""
+        table. If an entry has its basic set, `held` replaces that entry and
+        takes its factor; otherwise its reduced columns are read."""
         status, basic = self._solver.getBasicVariables()
         if status != self._core.HighsStatus.kOk:
             return None
-        n, pinned = self._cost.size, held.pinned
-        ext = np.where(basic >= 0, basic, n - 1 - basic)
-        vb0 = np.concatenate((held.x, np.negative(held.row_value)))[ext]
-        if self._pin_entries is None or not np.array_equal(self._pin_entries[0], pinned):
+        n, pinned = self._cost.size, self._pinned
+        held.ext = np.where(basic >= 0, basic, n - 1 - basic)
+        vb0 = np.concatenate((held.x, np.negative(held.row_value)))[held.ext]
+        if self._pin_entries is None:
             _, start, index, value = self._solver.getColsEntries(
                 pinned.size, pinned.astype(np.int32))
             column = np.repeat(np.arange(pinned.size), np.diff(np.append(start, index.size)))
-            self._pin_entries = (pinned, index, value, column)
-        _, index, value, column = self._pin_entries
+            self._pin_entries = (index, value, column)
+        index, value, column = self._pin_entries
         a_dx = np.bincount(index, weights=value * (x_pin - held.x_pin)[column],
                            minlength=basic.size)
         values = vb0 - self._solver.getBasisSolve(a_dx)[1]  # minus B^-1 A_pin dx
-        limits = limits[:, ext]
-        if (not ((limits[0] <= values) & (values <= limits[1])).all()
-                or (bounds != held.bounds).any() or (basic[:, None] == pinned).any()):
+        if not held.holds(values, bounds, limits) or (basic[:, None] == pinned).any():
             return None
-        order = np.argsort(ext)
-        held.arrange(ext[order], vb0[order], n)
+        order = np.argsort(held.ext)
+        held.arrange(held.ext[order], vb0[order], n)
+        values = values[order]
         entry = next((entry for entry in self._kept if entry.key == held.key
                       and np.array_equal(entry.ext, held.ext)), None)
         if entry is not None:  # met again: nothing to read
-            entry.take(held)
+            held.factor = entry.factor
             self._kept.remove(entry)
-        elif held.read(self._solver, self._core.HighsStatus.kOk, order):
-            entry = held
-        else:  # HiGHS gave no factor: the answer holds, but nothing is kept
-            return self._vertex(held, values[order], x_pin, reduced_costs)
-        self._kept.insert(0, entry)
+        elif not held.read(self._solver, self._core.HighsStatus.kOk, pinned, order):
+            return self._vertex(held, values, x_pin)  # no factor: nothing is kept
+        self._kept.insert(0, held)
         del self._kept[KEPT_BASES:]
-        return self._vertex(entry, values[order], x_pin, reduced_costs)
+        return self._vertex(held, values, x_pin)
 
-    def _vertex(self, entry, values, x_pin, reduced_costs) -> LpSolution:
+    def _vertex(self, entry, values, x_pin) -> LpSolution:
         """The vertex of kept basis `entry` with basic values `values`."""
         x = entry.x.copy()
-        x[entry.pinned] = x_pin
+        x[self._pinned] = x_pin
         x[entry.ext[:entry.n_cols]] = values[:entry.n_cols]
         self._x, self._answer = x, entry
-        return LpSolution(x_star=x, objective=float(self._cost @ x), duals=None,
-                          reduced_costs=entry.col_dual if reduced_costs else None,
-                          status=LpStatus.OPTIMAL)
+        return LpSolution(x_star=x, objective=float(self._cost @ x),
+                          reduced_costs=entry.col_dual, status=LpStatus.OPTIMAL)
 
     def basis(self):
         """Status codes (BASIS_*) of the columns and rows in the basis of the
@@ -533,8 +506,8 @@ class PersistentLp:
 
 
 class _KeptBasis:
-    """An optimal basis of a PersistentLp's pinned solves, with what it takes
-    to read its vertex at other values of the pinned columns.
+    """An optimal basis of a PersistentLp with pinned columns, with what it
+    takes to read its vertex at other values of those columns.
 
     With logical variables s = -A x, [A I] (x, s) = 0, so the basic values
     are v_B = -B^-1 N v_N: moving the pinned columns by dx moves them by
@@ -543,12 +516,12 @@ class _KeptBasis:
     which numbers columns j < n and logicals n + i; sorted, it also names
     the basis in the table (`key` is its hash).
 
-    A basis is made from a run's values, while HiGHS holds it, and is
-    arranged and read (`read`, the factor) only once it has answered a
-    solve: HiGHS keeps the factor until its next run, and a decision that
-    runs HiGHS after a refused try does not also pay for the read. An entry
-    keeps the factor, the basic set and the reference values, not HiGHS's
-    solution.
+    A basis is made from a run's values, while HiGHS holds it; `holds`, the
+    check of every kept basis, tries it in HiGHS's order, and only once it
+    has answered a solve is it arranged and read (`read`, the factor): HiGHS
+    keeps the factor until its next run, and a decision that runs HiGHS
+    after a refused try does not also pay for the read. An entry keeps the
+    factor, the basic set and the reference values, not HiGHS's solution.
 
     It answers only at the column bounds it was found at, the pinned ones
     apart (`bounds`: lower then upper, the pinned ones as 0). The stage
@@ -556,12 +529,11 @@ class _KeptBasis:
     7,392 summer decisions.
     """
 
-    __slots__ = ("pinned", "x", "x_pin", "col_dual", "bounds", "row_value", "ext", "key",
-                 "n_cols", "vb0", "factor")
+    __slots__ = ("x", "x_pin", "col_dual", "bounds", "row_value", "ext", "key", "n_cols",
+                 "vb0", "factor")
 
-    def __init__(self, pinned, x, row_value, col_dual, bounds):
-        self.pinned, self.x, self.row_value, self.col_dual = pinned, x, row_value, col_dual
-        self.x_pin = x[pinned]
+    def __init__(self, x, x_pin, row_value, col_dual, bounds):
+        self.x, self.x_pin, self.row_value, self.col_dual = x, x_pin, row_value, col_dual
         self.bounds = bounds
 
     def arrange(self, ext, vb0, n):
@@ -571,34 +543,22 @@ class _KeptBasis:
         self.key = hash(ext.tobytes())
         self.n_cols = int(np.searchsorted(ext, n))
 
-    def take(self, other: "_KeptBasis"):
-        """Take the values of `other`, a later run that found this basis."""
-        self.x, self.x_pin, self.bounds, self.vb0 = other.x, other.x_pin, other.bounds, other.vb0
-        if other.col_dual is not None:
-            self.col_dual = other.col_dual
-
-    def read(self, solver, ok, order) -> bool:
-        """Read the factor off `solver`, which holds this basis, its rows
-        taken in `order`; False when HiGHS cannot give it."""
-        factor = np.empty((self.ext.size, self.pinned.size))
-        for k, j in enumerate(self.pinned):
+    def read(self, solver, ok, pinned, order) -> bool:
+        """Read the factor of the columns `pinned` off `solver`, which holds
+        this basis, rows taken in `order`; False when HiGHS cannot give it."""
+        factor = np.empty((self.ext.size, pinned.size))
+        for k, j in enumerate(pinned):
             status, factor[:, k] = solver.getReducedColumn(int(j))  # B^-1 a_j
             if status != ok:
                 return False
         self.factor = factor[order]
         return True
 
-    def fits(self, pinned, reduced_costs) -> bool:
-        """Whether this basis may answer a solve with `pinned` that wants the
-        reduced costs or not."""
-        return ((self.col_dual is not None or not reduced_costs)
-                and (pinned is self.pinned or np.array_equal(pinned, self.pinned)))
-
     def holds(self, values, bounds, limits) -> bool:
         """Whether this basis is optimal at column bounds `bounds` (laid out
-        as its own): its basic values there, `values`, lie within `limits`
-        (the widened bounds of the columns, then the logicals), and no
-        bound but the pinned ones moved since it was found."""
+        as its own): its basic values there, `values` (in the order of
+        `ext`), lie within `limits` (the widened bounds of the columns, then
+        the logicals), and no bound but the pinned ones moved since then."""
         limits = limits[:, self.ext]
         return bool(((limits[0] <= values) & (values <= limits[1])).all()
                     and (bounds == self.bounds).all())

@@ -263,12 +263,13 @@ class OneStageDecision:
     unchanged. prev's cut rows are dropped; of this stage's, those of the cut
     maximal at the incoming state start nonbasic, the others basic.
 
-    Exact solves (not `prefer_storage`) pin the state columns `_PINNED`, so
-    one may skip HiGHS: the optimal bases of earlier exact runs are kept,
-    and one still primal feasible at the new state answers (see
-    `PersistentLp.solve`). Training keeps no basis: each of its exact
-    solves follows a `prefer_storage` solve, at other costs, and `add_cut`
-    drops the kept bases; so it does no added work.
+    Its persistent LP pins the state columns `_PINNED`, so a solve may skip
+    HiGHS: the optimal bases of earlier runs at the same costs are kept, and
+    one still primal feasible at the new state answers (see
+    `PersistentLp.solve`). Online play solves exactly only. Training keeps
+    no basis: its solves alternate between the exact and the
+    `prefer_storage` costs, and `add_cut` drops the kept bases; so it does
+    no added work.
     """
 
     def __init__(self, p: SystemParams, t: int, dist, lambdas: np.ndarray,
@@ -412,7 +413,7 @@ class OneStageDecision:
             self._relaxed = relax
         if self._persistent is None:
             self._persistent = lpmod.PersistentLp(self.c, lower, upper, self.b_eq,
-                                                  self._rows, self._b_box)
+                                                  self._rows, self._b_box, pinned=_PINNED)
             self._persistent.add_rows(*self._cut_rows(self._lambdas, self._betas))
             if self._prev is not None:
                 # keep the columns, equality and box rows; replace the cut rows
@@ -424,8 +425,7 @@ class OneStageDecision:
             sol = self._persistent.solve(lower=lower, upper=upper, cost=self._c_decide)
         else:
             sol = self._persistent.solve(lower=lower, upper=upper,
-                                         cost=self.c if self._decide_costs else None,
-                                         reduced_costs=True, pinned=_PINNED)
+                                         cost=self.c if self._decide_costs else None)
         self._decide_costs = prefer_storage
         _require_optimal(sol, f"one-stage problem at t={self.t}")
         xs = sol.x_star

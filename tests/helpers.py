@@ -8,6 +8,7 @@ between the two is meaningful.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 
@@ -222,6 +223,15 @@ def random_bounded_lp(rng, n_max: int = 6):
         rhs = np.zeros(0)
     c = rng.standard_normal(n)
     return c, a_eq, rhs, lower, upper, a_ub, b_ub
+
+
+def pin_columns(c, lower, upper, a_ub, b_ub, values):
+    """The LP with no equality rows whose first `values.size` columns are
+    pinned (lower = upper) at `values`, as (c, a_eq, rhs, lower, upper,
+    a_ub, b_ub) like `random_bounded_lp`'s."""
+    lower, upper = lower.copy(), upper.copy()
+    lower[:values.size] = upper[:values.size] = values
+    return c, np.zeros((0, c.size)), np.zeros(0), lower, upper, a_ub, b_ub
 
 
 def vertex_enumeration_optimum(c, a_eq, rhs, lower, upper, a_ub, b_ub,
@@ -707,39 +717,33 @@ class _RecordingHighs:
 
 
 class CountingCore:
-    """Stands in for the bundled HiGHS bindings. Its solvers count their
-    runs in `runs`, and their basis reads in `reads`, by accessor name."""
-
-    READS = ("getBasicVariables", "getReducedColumn", "getBasisSolve")
+    """Stands in for the bundled HiGHS bindings. Its solvers count every
+    method call in `calls`, by method name."""
 
     def __init__(self, core):
         self._core = core
-        self.runs = 0
-        self.reads = dict.fromkeys(self.READS, 0)
+        self.calls = collections.Counter()
+
+    @property
+    def runs(self) -> int:
+        return self.calls["run"]
 
     def __getattr__(self, name):
         return getattr(self._core, name)
 
     def _Highs(self):
-        return _CountingHighs(self._core._Highs(), self)
+        return _CountingHighs(self._core._Highs(), self.calls)
 
 
 class _CountingHighs:
-    def __init__(self, highs, counter):
+    def __init__(self, highs, calls):
         self._highs = highs
-        self._counter = counter
+        self._calls = calls
 
     def __getattr__(self, name):
-        attr = getattr(self._highs, name)
-        if name not in CountingCore.READS:
-            return attr
-        reads = self._counter.reads
+        method, calls = getattr(self._highs, name), self._calls
 
-        def read(*args):
-            reads[name] += 1
-            return attr(*args)
-        return read
-
-    def run(self):
-        self._counter.runs += 1
-        return self._highs.run()
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+        return call

@@ -24,12 +24,13 @@ from microgrid_ems.policies import (
     sddp_train,
 )
 from microgrid_ems import scenarios as sc
-from microgrid_ems.lp import LinearProgram, solve, parametric_duals
+from microgrid_ems.lp import LinearProgram, solve
 from microgrid_ems import stagelp
 
 from helpers import (
     battery_params,
     battery_x0,
+    pin_columns,
     random_bounded_lp,
     tree_optimal_value,
     tree_policy_expected_cost,
@@ -200,18 +201,14 @@ def test_lp_solver_oracle(capsys):
     sub_worst = -np.inf
     while trials < 100:
         c, _, _, lower, upper, a_ub, b_ub = random_bounded_lp(rng, 5)
-        n = c.size
-        a_eq = np.eye(n)[:2]
-        rhs = lower[:2] + 0.5 * (upper - lower)[:2]
-        lp = LinearProgram(c=c, a_eq=a_eq, rhs=rhs, lower=lower,
-                           upper=upper, a_ub=a_ub, b_ub=b_ub)
-        sol = solve(lp)
+        # the slope in pinned columns (lower = upper) is their reduced cost
+        x_pin = lower[:2] + 0.5 * (upper - lower)[:2]
+        sol = solve(LinearProgram(*pin_columns(c, lower, upper, a_ub, b_ub, x_pin)))
         if not sol.optimal:
             continue
-        value, grad = parametric_duals(lp, [0, 1], sol)
+        value, grad = sol.objective, sol.reduced_costs[:2]
         d = rng.uniform(-0.05, 0.05, 2)
-        pert = solve(LinearProgram(c=c, a_eq=a_eq, rhs=rhs + d, lower=lower,
-                                   upper=upper, a_ub=a_ub, b_ub=b_ub))
+        pert = solve(LinearProgram(*pin_columns(c, lower, upper, a_ub, b_ub, x_pin + d)))
         if not pert.optimal:
             continue
         sub_worst = max(sub_worst, value + grad @ d - pert.objective)

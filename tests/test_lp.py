@@ -10,7 +10,6 @@ from microgrid_ems.lp import (
     LpError,
     LpStatus,
     PersistentLp,
-    parametric_duals,
     solve,
 )
 
@@ -18,17 +17,18 @@ from helpers import (
     CountingCore,
     IndexBasis,
     RecordingCore,
+    pin_columns,
     random_bounded_lp,
     vertex_enumeration_optimum,
 )
 
 
-def persistent_lp(lp: LinearProgram) -> PersistentLp:
+def persistent_lp(lp: LinearProgram, pinned=None) -> PersistentLp:
     """The persistent LP of a validated program: its rows handed over as one
     CSR triple, equalities first."""
     a = lp.a_eq if lp.a_ub is None else sp.vstack([lp.a_eq, lp.a_ub], format="csr")
     rows = (a.indptr.astype(np.int32), a.indices.astype(np.int32), a.data)
-    return PersistentLp(lp.c, lp.lower, lp.upper, lp.rhs, rows, lp.b_ub)
+    return PersistentLp(lp.c, lp.lower, lp.upper, lp.rhs, rows, lp.b_ub, pinned)
 
 
 def simple_pin(value: float) -> LinearProgram:
@@ -59,43 +59,54 @@ def v_pin(value: float) -> LinearProgram:
 
 
 class TestSolve:
+    # the slope of the optimal value in a pinned column (lower = upper) is
+    # that column's reduced cost
     def test_pinned_epigraph(self):
-        sol = solve(simple_pin(3.0))
+        # min y subject to y >= x, x pinned at 3 by its bounds
+        sol = solve(LinearProgram(
+            c=np.array([0.0, 1.0]),
+            a_eq=np.zeros((0, 2)),
+            rhs=np.zeros(0),
+            lower=np.array([3.0, -10.0]),
+            upper=np.array([3.0, 10.0]),
+            a_ub=np.array([[1.0, -1.0]]),
+            b_ub=np.array([0.0]),
+        ))
         assert sol.optimal
         assert sol.objective == pytest.approx(3.0, abs=1e-9)
-        _, grad = parametric_duals(simple_pin(3.0), [0])
-        assert grad[0] == pytest.approx(1.0, abs=1e-9)
+        assert sol.reduced_costs[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_gradient_zero_when_objective_independent(self):
         lp = LinearProgram(
             c=np.array([0.0, 1.0]),
-            a_eq=np.array([[1.0, 0.0]]),
-            rhs=np.array([3.0]),
-            lower=np.array([-10.0, 0.5]),
-            upper=np.array([10.0, 10.0]),
+            a_eq=np.zeros((0, 2)),
+            rhs=np.zeros(0),
+            lower=np.array([3.0, 0.5]),
+            upper=np.array([3.0, 10.0]),
         )
-        value, grad = parametric_duals(lp, [0])
-        assert value == pytest.approx(0.5, abs=1e-9)
-        assert grad[0] == pytest.approx(0.0, abs=1e-9)
+        sol = solve(lp)
+        assert sol.objective == pytest.approx(0.5, abs=1e-9)
+        assert sol.reduced_costs[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_two_piece_kink_subgradient(self):
         # min y s.t. y >= -x + 1, y >= x - 1, x pinned at the kink x = 1
         def make(pin):
             return LinearProgram(
                 c=np.array([0.0, 1.0]),
-                a_eq=np.array([[1.0, 0.0]]),
-                rhs=np.array([pin]),
-                lower=np.array([-10.0, -10.0]),
-                upper=np.array([10.0, 10.0]),
+                a_eq=np.zeros((0, 2)),
+                rhs=np.zeros(0),
+                lower=np.array([pin, -10.0]),
+                upper=np.array([pin, 10.0]),
                 a_ub=np.array([[-1.0, -1.0], [1.0, -1.0]]),
                 b_ub=np.array([-1.0, 1.0]),
             )
 
-        value, grad = parametric_duals(make(1.0), [0])
+        sol = solve(make(1.0))
+        value, grad = sol.objective, sol.reduced_costs
         assert value == pytest.approx(0.0, abs=1e-9)
         assert -1.0 - 1e-9 <= grad[0] <= 1.0 + 1e-9
         for d in (0.1, -0.1):
-            v_pert, _ = parametric_duals(make(1.0 + d), [0])
+            v_pert = solve(make(1.0 + d)).objective
             assert v_pert >= value + grad[0] * d - 1e-9
 
     def test_infeasible_reported(self):
@@ -109,8 +120,6 @@ class TestSolve:
         sol = solve(lp)
         assert sol.status is LpStatus.INFEASIBLE
         assert not sol.optimal
-        with pytest.raises(LpError):
-            parametric_duals(lp, [0], sol)
 
     def test_unbounded_reported(self):
         lp = LinearProgram(
@@ -130,7 +139,7 @@ class TestSolve:
         s1, s2 = solve(lp), solve(lp)
         assert s1.objective == s2.objective
         assert np.array_equal(s1.x_star, s2.x_star)
-        assert np.array_equal(s1.duals, s2.duals)
+        assert np.array_equal(s1.reduced_costs, s2.reduced_costs)
 
 
 class TestOracle:
@@ -151,21 +160,15 @@ class TestOracle:
         done = 0
         while done < 30:
             c, _, _, lower, upper, a_ub, b_ub = random_bounded_lp(rng, 5)
-            n = c.size
-            x_pin = lower + 0.5 * (upper - lower)
-            a_eq = np.eye(n)[:2]
-            rhs = x_pin[:2]
-            lp = LinearProgram(c=c, a_eq=a_eq, rhs=rhs, lower=lower,
-                               upper=upper, a_ub=a_ub, b_ub=b_ub)
-            sol = solve(lp)
+            x_pin = (lower + 0.5 * (upper - lower))[:2]
+            sol = solve(LinearProgram(*pin_columns(c, lower, upper, a_ub, b_ub, x_pin)))
             if not sol.optimal:
                 continue
-            value, grad = parametric_duals(lp, [0, 1], sol)
+            value, grad = sol.objective, sol.reduced_costs[:2]
             for _ in range(20):
                 d = rng.uniform(-0.05, 0.05, 2)
-                pert = LinearProgram(c=c, a_eq=a_eq, rhs=rhs + d, lower=lower,
-                                     upper=upper, a_ub=a_ub, b_ub=b_ub)
-                psol = solve(pert)
+                psol = solve(LinearProgram(*pin_columns(c, lower, upper, a_ub, b_ub,
+                                                        x_pin + d)))
                 if psol.optimal:
                     assert psol.objective >= value + grad @ d - 1e-7
             done += 1
@@ -178,16 +181,16 @@ INTERCEPTS = np.array([0.0, 1.5, 2.0, 1.5, 0.0])
 PIECE_AT = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
-def fan_pin(value: float, shift: float = 0.0) -> LinearProgram:
-    # min y subject to y >= each piece at x, z = x + y + shift, with x pinned
-    # at `value` by its bounds; columns (x, y, z). The optimal basis at x
-    # makes the row of x's piece active: one basis per piece
+def fan_pin(value: float, y_max: float = 100.0) -> LinearProgram:
+    # min y subject to y >= each piece at x, z = x + y, with x pinned at
+    # `value` by its bounds and y <= y_max; columns (x, y, z). The optimal
+    # basis at x makes the row of x's piece active: one basis per piece
     return LinearProgram(
         c=np.array([0.0, 1.0, 0.0]),
         a_eq=np.array([[-1.0, -1.0, 1.0]]),
-        rhs=np.array([shift]),
+        rhs=np.array([0.0]),
         lower=np.array([value, -100.0, -np.inf]),
-        upper=np.array([value, 100.0, np.inf]),
+        upper=np.array([value, y_max, np.inf]),
         a_ub=np.column_stack([SLOPES, -np.ones(5), np.zeros(5)]),
         b_ub=-INTERCEPTS,
     )
@@ -198,16 +201,16 @@ def fan_value(x: float) -> float:
 
 
 class FanTable:
-    """A persistent fan LP on counting bindings, solved with x pinned."""
+    """A persistent fan LP on counting bindings, with x pinned."""
 
     def __init__(self, monkeypatch):
         self.core = CountingCore(lpmod._highs_core)
         monkeypatch.setattr(lpmod, "_highs_core", self.core)
-        self.lp = persistent_lp(fan_pin(0.0))
+        self.lp = persistent_lp(fan_pin(0.0), pinned=np.array([0]))
 
-    def solve(self, x, **kwargs):
-        fan = fan_pin(x)
-        sol = self.lp.solve(lower=fan.lower, upper=fan.upper, pinned=np.array([0]), **kwargs)
+    def solve(self, x, y_max=100.0):
+        fan = fan_pin(x, y_max)
+        sol = self.lp.solve(lower=fan.lower, upper=fan.upper)
         assert sol.objective == pytest.approx(fan_value(x), abs=1e-12), x
         return sol
 
@@ -235,8 +238,8 @@ class TestPersistent:
             assert warm.status == cold.status
             if cold.optimal:
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-                row_dual = persistent._solver.getSolution().row_dual[:rhs.size]
-                np.testing.assert_allclose(row_dual, cold.duals, atol=1e-7)
+                col_dual = persistent._solver.getSolution().col_dual
+                np.testing.assert_allclose(col_dual, cold.reduced_costs, atol=1e-7)
 
     def test_bound_updates(self):
         lp = simple_pin(3.0)
@@ -259,12 +262,26 @@ class TestPersistent:
         with pytest.raises(LpError):
             persistent.solve(cost=np.array([1.0]))
 
-    def test_reads_only_what_is_asked(self):
-        persistent = persistent_lp(simple_pin(3.0))
-        sol = persistent.solve()
-        assert sol.duals is None and sol.reduced_costs is None
-        sol = persistent.solve(reduced_costs=True)
-        assert sol.duals is None and sol.reduced_costs.shape == (2,)
+    def test_reads_only_what_is_asked(self, monkeypatch):
+        core = CountingCore(lpmod._highs_core)
+        monkeypatch.setattr(lpmod, "_highs_core", core)
+        # without pinned columns: no reduced costs, and no basis is tried
+        persistent = persistent_lp(v_pin(0.7))
+        for x in (0.7, 0.75, 0.8):
+            lp = v_pin(x)
+            assert persistent.solve(lower=lp.lower, upper=lp.upper).reduced_costs is None
+        assert core.runs == 3
+        assert core.calls["getBasisSolve"] == core.calls["getReducedColumn"] == 0
+        # with them: reduced costs after a run, after answers off the held
+        # basis and off the table, and after a cost change
+        persistent = persistent_lp(v_pin(0.7), pinned=np.array([0]))
+        solves = [persistent.solve(lower=v_pin(x).lower, upper=v_pin(x).upper)
+                  for x in (0.7, 0.75, 0.8)]
+        assert core.runs == 4 and len(persistent._kept) == 1
+        solves.append(persistent.solve(cost=np.array([0.0, 2.0, 0.0])))
+        assert core.runs == 5
+        for sol, slope in zip(solves, (1.0, 1.0, 1.0, 2.0)):
+            np.testing.assert_allclose(sol.reduced_costs, [slope, 0.0, 0.0], atol=1e-12)
 
     def test_basis_hand_over(self):
         rng = np.random.default_rng(21)
@@ -333,12 +350,11 @@ class TestPersistent:
     def test_pinned_solves_skip_the_run_while_the_basis_holds(self, monkeypatch):
         core = CountingCore(lpmod._highs_core)
         monkeypatch.setattr(lpmod, "_highs_core", core)
-        persistent = persistent_lp(v_pin(0.7))
-        pinned = np.array([0])
+        persistent = persistent_lp(v_pin(0.7), pinned=np.array([0]))
 
         def at(x, **kwargs):
             lp = v_pin(x)
-            return persistent.solve(lower=lp.lower, upper=lp.upper, pinned=pinned, **kwargs)
+            return persistent.solve(lower=lp.lower, upper=lp.upper, **kwargs)
 
         def expect(x, value, runs, **kwargs):
             sol = at(x, **kwargs)
@@ -365,13 +381,6 @@ class TestPersistent:
         expect(0.4, 1.2, 4, cost=np.array([0.0, 2.0, 0.0]))
         expect(0.3, 1.4, 5, cost=np.array([0.0, 2.0, 0.0]))
         expect(0.35, 1.3, 5, cost=np.array([0.0, 2.0, 0.0]))
-        # a solve without `pinned` runs, and the kept bases outlive it
-        persistent.solve(lower=v_pin(0.3).lower, upper=v_pin(0.3).upper)
-        expect(0.35, 1.3, 6, cost=np.array([0.0, 2.0, 0.0]))
-        # a basis kept without reduced costs does not answer for them
-        expect(0.3, 1.4, 6, cost=np.array([0.0, 2.0, 0.0]))
-        sol = expect(0.35, 1.3, 7, cost=np.array([0.0, 2.0, 0.0]), reduced_costs=True)
-        assert sol.reduced_costs is not None
 
     def test_an_older_basis_answers_after_the_newest_refuses(self, monkeypatch):
         fan = FanTable(monkeypatch)
@@ -404,17 +413,17 @@ class TestPersistent:
         fan = FanTable(monkeypatch)
         for x in (-2.0, -2.1, 1.0, 1.1):
             fan.solve(x)
-        assert fan.core.reads["getReducedColumn"] == 2
-        # kept without reduced costs, the entries cannot answer for them: a
-        # run finds piece 0's basis again, and the entry takes its values
-        fan.solve(-1.9, reduced_costs=True)
+        assert fan.core.calls["getReducedColumn"] == 2
+        # y's bound moved, so the entries cannot answer: a run finds piece
+        # 0's basis again, and replaces the entry, taking its factor
+        fan.solve(-1.9, y_max=99.0)
         assert fan.core.runs == 3
-        solves = fan.core.reads["getBasisSolve"]
+        solves = fan.core.calls["getBasisSolve"]
         # it answers the next solve, tried with one basis solve and not read
-        sol = fan.solve(-2.2, reduced_costs=True)
+        sol = fan.solve(-2.2, y_max=99.0)
         assert (fan.core.runs, fan.pieces()) == (3, [0, 3])
-        assert fan.core.reads["getReducedColumn"] == 2
-        assert fan.core.reads["getBasisSolve"] == solves + 1
+        assert fan.core.calls["getReducedColumn"] == 2
+        assert fan.core.calls["getBasisSolve"] == solves + 1
         np.testing.assert_allclose(sol.reduced_costs, [-2.0, 0.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("change", ["add_rows", "cost", "rhs"])
@@ -431,14 +440,12 @@ class TestPersistent:
             assert fan.lp._kept == [] and fan.lp._held is None
             fan.solve(-2.0)
         elif change == "cost":
-            sol = fan.lp.solve(lower=lp.lower, upper=lp.upper, cost=np.array([0.0, 2.0, 0.0]),
-                               pinned=np.array([0]))
+            sol = fan.lp.solve(lower=lp.lower, upper=lp.upper, cost=np.array([0.0, 2.0, 0.0]))
             assert sol.objective == pytest.approx(2 * fan_value(-2.0), abs=1e-12)
             # a run at new costs keeps nothing
             assert fan.lp._kept == [] and fan.lp._held is None
         else:
-            sol = fan.lp.solve(rhs=np.array([1.0]), lower=lp.lower, upper=lp.upper,
-                               pinned=np.array([0]))
+            sol = fan.lp.solve(rhs=np.array([1.0]), lower=lp.lower, upper=lp.upper)
             assert sol.x_star[2] == pytest.approx(-2.0 + 4.0 + 1.0, abs=1e-12)
         assert fan.core.runs == 3
         assert fan.lp._kept == []
@@ -457,11 +464,11 @@ class TestPersistent:
                 upper=np.append(lp.upper, 5.0),
                 a_ub=sp.hstack([lp.a_ub, sp.csr_matrix((2, 1))]), b_ub=lp.b_ub)
 
-        persistent = persistent_lp(with_w(0.7, 0.0))
+        persistent = persistent_lp(with_w(0.7, 0.0), pinned=np.array([0]))
 
         def at(x, w_floor):
             lp = with_w(x, w_floor)
-            return persistent.solve(lower=lp.lower, upper=lp.upper, pinned=np.array([0]))
+            return persistent.solve(lower=lp.lower, upper=lp.upper)
 
         for x in (0.7, 0.75, 0.8):
             assert at(x, 0.0).objective == pytest.approx(x, abs=1e-12)
@@ -487,8 +494,8 @@ class TestPersistent:
         fan.solve(1.0)
         # the run's basis was tried with one basis solve, refused, and not read
         assert fan.core.runs == 2
-        assert fan.core.reads == {"getBasicVariables": 1, "getBasisSolve": 1,
-                                  "getReducedColumn": 0}
+        reads = ("getBasicVariables", "getBasisSolve", "getReducedColumn")
+        assert [fan.core.calls[name] for name in reads] == [1, 1, 0]
         assert fan.lp._kept == []
 
     def test_rhs_shape_guard(self):
