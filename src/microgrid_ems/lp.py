@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -151,9 +151,11 @@ class LinearProgram:
 @dataclass(frozen=True)
 class LpSolution:
     """A warm re-solve of a PersistentLp without pinned columns leaves
-    `reduced_costs` None."""
+    `reduced_costs` None, and gives `x_star` as the list of floats HiGHS
+    hands over: on a long MPC chain, an array copy of it costs more than
+    the read."""
 
-    x_star: np.ndarray
+    x_star: Sequence[float]
     objective: float
     reduced_costs: Optional[np.ndarray]
     status: LpStatus
@@ -237,8 +239,10 @@ class PersistentLp:
         self._rhs = rhs.copy()
         self._rows = rows
         self._b_ub = np.zeros(0) if b_ub is None else b_ub
-        self._lower = lower.copy()
+        self._lower = lower.copy()  # the bounds of the next solve
         self._upper = upper.copy()
+        self._sent_lower, self._sent_upper = lower.copy(), upper.copy()  # what HiGHS holds
+        self._unsent = []  # index arrays of the bounds set since the last run
         self._pinned = pinned
         self._core = _highs_core
         self._solver = None
@@ -285,9 +289,13 @@ class PersistentLp:
         else:
             self._rows = stack_rows(self._rows, rows)
 
-    def solve(self, rhs=None, lower=None, upper=None, cost=None) -> LpSolution:
-        """Re-solve with updated costs, equality rhs and/or variable bounds.
-        `cost=None` keeps the costs without comparing them.
+    def solve(self, rows=None, cols=None, cost=None) -> LpSolution:
+        """Re-solve after the owner's changes: `rows=(index, values)` sets
+        the rhs of equality rows `index`, `cols=(index, lower, upper)` the
+        bounds of columns `index` (arrays, each index ascending and without
+        repeats), and `cost` the costs; what is not named keeps its value, and
+        `cost=None` keeps the costs without comparing them. HiGHS is sent
+        only the entries that differ from what it holds, in ascending order.
 
         On an LP with pinned columns, the optimal basis of every run at
         unchanged costs may answer later solves with the same costs and rows
@@ -302,19 +310,31 @@ class PersistentLp:
         it has answered, and a basis met twice is read once. `add_rows`, a
         cost change and an rhs change drop every kept basis.
         """
-        if rhs is not None:
-            rhs = np.asarray(rhs, dtype=float)
-            if rhs.shape != self._rhs.shape:
-                raise LpError("rhs shape changed between re-solves")
         c = self._cost if cost is None else np.asarray(cost, dtype=float)
         if c.shape != self._cost.shape:
             raise LpError("cost shape changed between re-solves")
-        lo = self._lower if lower is None else np.asarray(lower, dtype=float)
-        up = self._upper if upper is None else np.asarray(upper, dtype=float)
-        if self._solver is None:
-            if rhs is not None:
-                self._rhs = rhs.copy()
-            self._lower, self._upper = lo.copy(), up.copy()
+        if rows is not None and (len(rows[0]) != len(rows[1])
+                                 or len(rows[0]) and rows[0][-1] >= self._n_eq):
+            raise LpError("rhs entries outside the equality rows")
+        if cols is not None and (not len(cols[0]) == len(cols[1]) == len(cols[2])
+                                 or len(cols[0]) and cols[0][-1] >= c.size):
+            raise LpError("bounds of columns the LP does not have")
+        solver, new_rhs = self._solver, None
+        if rows is not None:
+            index, values = rows
+            moved = (values != self._rhs[index]).nonzero()[0]
+            if moved.size:
+                new_rhs = index[moved], values[moved]
+                self._rhs[new_rhs[0]] = new_rhs[1]
+                self._logicals = None
+                self._forget()
+        if cols is not None:
+            index, lower, upper = cols
+            self._lower[index], self._upper[index] = lower, upper
+            # an owner passes the same index array solve after solve
+            if solver is not None and not (self._unsent and self._unsent[-1] is index):
+                self._unsent.append(index)
+        if solver is None:
             self._cost = c.copy()
             indptr, indices, data = self._rows
             a = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, c.size))
@@ -324,31 +344,25 @@ class PersistentLp:
                                        a_ub=a[n_eq:] if ub else None,
                                        b_ub=self._b_ub if ub else None))
 
-        solver, pinned = self._solver, self._pinned
-        new_rhs = np.nonzero(rhs != self._rhs)[0] if rhs is not None else ()
+        pinned = self._pinned
         new_cost = np.flatnonzero(c != self._cost) if cost is not None else ()
-        if len(new_rhs):
-            self._logicals = None
-        if len(new_rhs) or len(new_cost):
+        if len(new_cost):
             self._forget()
         keep = pinned is not None and not len(new_cost)  # a basis found now may answer
         if keep:
             # the column bounds, lower then upper, with the pinned ones as 0
-            bounds = np.concatenate((lo, up))
+            lo = self._lower
+            bounds = np.concatenate((lo, self._upper))
             bounds[pinned] = bounds[lo.size + pinned] = 0.0
             if self._held is not None or self._kept:
                 sol = self._table_answer(lo, bounds)
                 if sol is not None:
                     return sol
-        for r in new_rhs:
-            solver.changeRowBounds(int(r), rhs[r], rhs[r])
-        if rhs is not None:
-            self._rhs = rhs.copy()
-        changed = np.flatnonzero((lo != self._lower) | (up != self._upper))
-        if changed.size:
-            solver.changeColsBounds(changed.size, changed.astype(np.int32),
-                                    lo[changed], up[changed])
-            self._lower, self._upper = lo.copy(), up.copy()
+        if new_rhs is not None:
+            for r, v in zip(new_rhs[0].tolist(), new_rhs[1].tolist()):
+                solver.changeRowBounds(r, v, v)
+        if self._unsent:
+            self._send_bounds()
         if len(new_cost):
             solver.changeColsCost(new_cost.size, new_cost.astype(np.int32), c[new_cost])
             self._cost = c.copy()
@@ -357,19 +371,19 @@ class PersistentLp:
         solver.run()
         hc = self._core
         model_status = solver.getModelStatus()
-        if model_status == hc.HighsModelStatus.kInfeasible:
-            status = LpStatus.INFEASIBLE
-        elif model_status == hc.HighsModelStatus.kUnbounded:
-            status = LpStatus.UNBOUNDED
-        elif model_status == hc.HighsModelStatus.kOptimal:
-            status = LpStatus.OPTIMAL
-        else:
+        if model_status != hc.HighsModelStatus.kOptimal:
+            if model_status == hc.HighsModelStatus.kInfeasible:
+                return LpSolution.failed(c.size, LpStatus.INFEASIBLE)
+            if model_status == hc.HighsModelStatus.kUnbounded:
+                return LpSolution.failed(c.size, LpStatus.UNBOUNDED)
             raise LpError(f"solver failure: {model_status}")
-        if status is not LpStatus.OPTIMAL:
-            return LpSolution.failed(c.size, status)
         sol = solver.getSolution()
+        if pinned is None:  # the values as HiGHS hands them over
+            self._x = sol.col_value
+            return LpSolution(x_star=self._x, objective=solver.getObjectiveValue(),
+                              reduced_costs=None, status=LpStatus.OPTIMAL)
         self._x = np.asarray(sol.col_value, dtype=float)
-        duals = None if pinned is None else np.asarray(sol.col_dual, dtype=float)
+        duals = np.asarray(sol.col_dual, dtype=float)
         if keep:  # the next solve may try it while HiGHS holds it
             self._held = _KeptBasis(self._x, self._x[pinned], sol.row_value, duals, bounds)
         return LpSolution(
@@ -378,6 +392,20 @@ class PersistentLp:
             reduced_costs=duals,
             status=LpStatus.OPTIMAL,
         )
+
+    def _send_bounds(self):
+        """Send HiGHS, in one call, the column bounds set since the last run
+        that differ from the ones it holds."""
+        unsent, self._unsent = self._unsent, []
+        index = unsent[0] if len(unsent) == 1 else np.unique(np.concatenate(unsent))
+        lower, upper = self._lower[index], self._upper[index]
+        moved = ((lower != self._sent_lower[index])
+                 | (upper != self._sent_upper[index])).nonzero()[0]
+        if moved.size:
+            index, lower, upper = index[moved], lower[moved], upper[moved]
+            self._solver.changeColsBounds(index.size, index.astype(np.int32, copy=False),
+                                          lower, upper)
+            self._sent_lower[index], self._sent_upper[index] = lower, upper
 
     def _table_answer(self, lo, bounds) -> Optional[LpSolution]:
         """The optimum at column lower bounds `lo` and `bounds` (as in
@@ -471,7 +499,8 @@ class PersistentLp:
         else:  # at the bounds it was found at; a pinned column's read as 0
             ext, lower, upper = entry.ext, entry.bounds[:n], entry.bounds[n:]
         # a nonbasic column sits on the bound nearer to its value
-        cols = np.where(np.abs(self._x - upper) < np.abs(self._x - lower),
+        x = np.asarray(self._x, dtype=float)
+        cols = np.where(np.abs(x - upper) < np.abs(x - lower),
                         BASIS_UPPER, BASIS_LOWER).astype(np.int8)
         cols[np.isinf(lower) & np.isinf(upper)] = BASIS_ZERO
         # equality rows first, then the inequality rows a x <= b; rows

@@ -139,6 +139,12 @@ class ChainTemplate:
         self.c, self.lower, self.upper = c, lower, upper
 
 
+# the first step's rows (balance, dynamics) and its bounds set per state:
+# the upper bounds of fb+, fb- and fh and the lower bound of the discomfort
+_HEAD_ROWS = np.arange(5)
+_HEAD_COLS = np.array([0, 1, 3, 6])
+
+
 class DeterministicChain:
     """LP over steps t0..T-1 against a deterministic demand path.
 
@@ -147,6 +153,12 @@ class DeterministicChain:
     chain at t0 - 1, seeds this chain's first solve with its last basis,
     shifted by one step: by the principle of optimality it is nearly optimal
     here (the "shift" initialisation of real-time MPC).
+
+    A re-solve hands its LP only what moved. MPC forecasts differ only in
+    their first entry, so while the forecast tail is the one the LP holds,
+    the chain writes the first step's five rows and four bounds; it rewrites
+    every row only for another tail, and the tank floors only when they may
+    have moved.
     """
 
     def __init__(self, template: ChainTemplate, t0: int,
@@ -186,6 +198,14 @@ class DeterministicChain:
                                            template.upper[s_col:]))
         self._first_dyn = template.first_dyn  # M is time-invariant
         self._h_cols = 7 * ns + 1 + 4 * np.arange(ns)   # tank level of x_{t0+1..T}
+        self._floor_cols = np.concatenate((_HEAD_COLS, self._h_cols))
+        # the bounds of columns _HEAD_COLS, written in place at each state
+        self._head_lower = self._lower_base[_HEAD_COLS]
+        self._head_upper = self._upper_base[_HEAD_COLS]
+        self._tail = None  # bytes of the forecast tail the LP holds
+        self._gain = None  # per step of that tail, what full-rate reheating adds
+        self._floor_reach = INF  # lowest first reach seen to leave every floor at h_floor
+        self._relaxed = True  # some floor the LP holds is not h_floor
         self._persistent = None
         self._prev = prev
 
@@ -197,31 +217,54 @@ class DeterministicChain:
         demands = np.asarray(demands, dtype=float)
         if demands.shape != (self.ns, 2):
             raise ValueError(f"expected {self.ns} forecast entries, got {demands.shape}")
-        b_eq = self._b_eq_base.copy()
-        b_eq[0::5] = demands[:, 0]
-        b_eq[2::5] += -p.delta * demands[:, 1]
-        b_eq[1:5] += self._first_dyn @ x.as_array()
+        d_el, d_hw = demands[0].tolist()
+        head = self._b_eq_base[:5].copy()
+        head[0] = d_el
+        head[2] += -p.delta * d_hw
+        head[1:] += self._first_dyn @ x.as_array()
+        rows = (_HEAD_ROWS, head)
+        tail = demands[1:]
+        if tail.tobytes() != self._tail:  # another tail, bit for bit: rewrite every row
+            b_eq = self._b_eq_base.copy()
+            b_eq[5::5] = tail[:, 0]
+            b_eq[7::5] += -p.delta * tail[:, 1]
+            b_eq[:5] = head
+            rows = (np.arange(b_eq.size), b_eq)
+            self._tail = tail.tobytes()
+            self._gain = (p.delta * (p.beta_h * p.f_h_max - tail[:, 1])).tolist()
+            self._floor_reach, self._relaxed = INF, True
 
-        lower = self._lower_base.copy()
-        upper = self._upper_base.copy()
         box = admissible_controls(x, p)
-        upper[0] = box.f_b_max
-        upper[1] = -box.f_b_min
-        upper[3] = box.f_h_max
-        lower[6] = max(0.0, p.theta_set[self.t0] - x.theta_i)
+        lower, upper = self._head_lower, self._head_upper
+        upper[:3] = box.f_b_max, -box.f_b_min, box.f_h_max
+        lower[3] = max(0.0, p.theta_set[self.t0] - x.theta_i)
+        cols = (_HEAD_COLS, lower, upper)
 
         # The tank floor may be unreachable after an unusually large draw;
         # relax each planned level to what full-rate reheating can attain so
         # the plan stays feasible (and then reheats as fast as possible).
-        gain = p.delta * (p.beta_h * p.f_h_max - demands[1:, 1])
-        reach = itertools.accumulate(
-            gain.tolist(), lambda level, d: min(p.h_max, level + d),
-            initial=x.h + p.delta * (p.beta_h * box.f_h_max - demands[0, 1]))
-        lower[self._h_cols] = np.minimum(self.h_floor, list(reach))
+        # Every planned reach is monotone in the first, rounding included:
+        # once a first reach has left every floor at h_floor, any higher one
+        # does too, and the floors need writing only below it or after a
+        # relaxed solve.
+        h_max = p.h_max
+        first_reach = x.h + p.delta * (p.beta_h * box.f_h_max - d_hw)
+        if self._relaxed or first_reach < self._floor_reach:
+            reach = list(itertools.accumulate(
+                self._gain, lambda level, d: min(h_max, level + d), initial=first_reach))
+            self._relaxed = min(reach) < self.h_floor
+            if not self._relaxed:
+                self._floor_reach = min(self._floor_reach, first_reach)
+            cols = (self._floor_cols,
+                    np.concatenate((lower, np.minimum(self.h_floor, reach))),
+                    np.concatenate((upper, self._upper_base[self._h_cols])))
 
         if self._persistent is None:
-            self._persistent = lpmod.PersistentLp(self.c, lower, upper, b_eq, self._rows,
+            lower, upper = self._lower_base.copy(), self._upper_base.copy()
+            lower[cols[0]], upper[cols[0]] = cols[1], cols[2]
+            self._persistent = lpmod.PersistentLp(self.c, lower, upper, rows[1], self._rows,
                                                   self.b_ub)
+            rows = cols = None  # built at x: nothing to send
             if self._prev is not None:
                 # drop prev's first step: its 7 controls, the state x_{t0}, its
                 # balance and dynamics rows and its discomfort epigraph
@@ -230,7 +273,7 @@ class DeterministicChain:
                                       [*range(7), *range(7 * k, 7 * k + 4)],
                                       [*range(5), 5 * k])
                 self._prev = None
-        sol = self._persistent.solve(rhs=b_eq, lower=lower, upper=upper)
+        sol = self._persistent.solve(rows=rows, cols=cols)
         _require_optimal(sol, f"chain LP at t0={self.t0}")
         u = canonical_control(*sol.x_star[:4])
         return StageSolution(control=box.clip(u), objective=float(sol.objective))
@@ -290,13 +333,12 @@ class OneStageDecision:
         if self._prev is not None and prev.p is p:
             # the layout, rows and base bounds depend on p and S alone
             self._theta, self._next, self._rows = prev._theta, prev._next, prev._rows
+            self._floor_cols = prev._floor_cols
             self._lower_base, self._upper_base = prev._lower_base, prev._upper_base
         else:
             self._build_layout()
         self._build_stage()
-        # bounds of the next solve, updated in place: the state and tank floors
-        self._lower, self._upper = self._lower_base.copy(), self._upper_base.copy()
-        self._relaxed = True  # some tank floor in _lower is not h_floor
+        self._relaxed = True  # some tank floor the LP holds is not h_floor
         self._hw_max = float(self.points[:, 1].max())
         self._decide_costs = False  # the LP holds _c_decide, not c
 
@@ -309,6 +351,7 @@ class OneStageDecision:
         blocks = _BLOCK + _WIDTH * np.arange(s_count, dtype=np.int32)
         self._theta = blocks + 2
         self._next = blocks[:, None] + 3 + np.arange(4, dtype=np.int32)
+        self._floor_cols = np.concatenate((_PINNED, self._next[:, 1]))  # state, then floors
 
         # per scenario: the balance fne - spill - fb+ + fb- - ft - fh = d_el,
         # then x'_s - (I + delta M) x - delta N u = delta (P w_s + g);
@@ -400,8 +443,8 @@ class OneStageDecision:
         """
         p = self.p
         box = admissible_controls(x, p)
-        lower, upper = self._lower, self._upper
-        lower[:4] = upper[:4] = x.as_array()
+        state = x.as_array()
+        cols = (_PINNED, state, state)
         # relax the tank floor when a scenario's draw makes it unreachable;
         # rounding is monotone, so if the largest draw leaves it reachable,
         # every draw does
@@ -409,11 +452,15 @@ class OneStageDecision:
         relax = x.h + p.delta * (gain - self._hw_max) < p.h_floor
         if relax or self._relaxed:
             reach = x.h + p.delta * (gain - self.points[:, 1])
-            lower[self._next[:, 1]] = np.minimum(p.h_floor, reach)
+            cols = (self._floor_cols, np.concatenate((state, np.minimum(p.h_floor, reach))),
+                    np.concatenate((state, self._upper_base[self._next[:, 1]])))
             self._relaxed = relax
         if self._persistent is None:
+            lower, upper = self._lower_base.copy(), self._upper_base.copy()
+            lower[cols[0]], upper[cols[0]] = cols[1], cols[2]
             self._persistent = lpmod.PersistentLp(self.c, lower, upper, self.b_eq,
                                                   self._rows, self._b_box, pinned=_PINNED)
+            cols = None  # built at x: nothing to send
             self._persistent.add_rows(*self._cut_rows(self._lambdas, self._betas))
             if self._prev is not None:
                 # keep the columns, equality and box rows; replace the cut rows
@@ -422,10 +469,9 @@ class OneStageDecision:
                                       more_rows=self._cut_statuses(x))
                 self._prev = None
         if prefer_storage:
-            sol = self._persistent.solve(lower=lower, upper=upper, cost=self._c_decide)
+            sol = self._persistent.solve(cols=cols, cost=self._c_decide)
         else:
-            sol = self._persistent.solve(lower=lower, upper=upper,
-                                         cost=self.c if self._decide_costs else None)
+            sol = self._persistent.solve(cols=cols, cost=self.c if self._decide_costs else None)
         self._decide_costs = prefer_storage
         _require_optimal(sol, f"one-stage problem at t={self.t}")
         xs = sol.x_star

@@ -9,8 +9,10 @@ between the two is meaningful.
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
 import math
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -718,11 +720,14 @@ class _RecordingHighs:
 
 class CountingCore:
     """Stands in for the bundled HiGHS bindings. Its solvers count every
-    method call in `calls`, by method name."""
+    method call in `calls`, by method name, and fold each call, its method
+    and its arguments, into the SHA-256 `digest`, in call order: two runs
+    that make the same calls with the same values have the same digest."""
 
     def __init__(self, core):
         self._core = core
         self.calls = collections.Counter()
+        self.digest = hashlib.sha256()
 
     @property
     def runs(self) -> int:
@@ -732,18 +737,40 @@ class CountingCore:
         return getattr(self._core, name)
 
     def _Highs(self):
-        return _CountingHighs(self._core._Highs(), self.calls)
+        return _CountingHighs(self._core._Highs(), self.calls, self.digest)
+
+
+def call_bytes(arg) -> bytes:
+    """An argument of a HiGHS call as bytes, by value: integers as int64
+    and reals as float64, scalar or array alike, a basis by its status
+    codes, anything else by its repr."""
+    if isinstance(arg, (bool, str)) or arg is None:
+        return repr(arg).encode()
+    if isinstance(arg, numbers.Integral):
+        return b"i" + np.int64(arg).tobytes()
+    if isinstance(arg, numbers.Real):
+        return b"f" + np.float64(arg).tobytes()
+    if isinstance(arg, (np.ndarray, list, tuple)):
+        values = np.asarray(arg)
+        values = values.astype(np.int64 if values.dtype.kind in "iu" else np.float64)
+        return values.dtype.str.encode() + repr(values.shape).encode() + values.tobytes()
+    if hasattr(arg, "col_status"):  # a HighsBasis
+        return b"|".join((call_bytes([int(s) for s in arg.col_status]),
+                          call_bytes([int(s) for s in arg.row_status]), repr(arg.alien).encode()))
+    return repr(arg).encode()
 
 
 class _CountingHighs:
-    def __init__(self, highs, calls):
+    def __init__(self, highs, calls, digest):
         self._highs = highs
         self._calls = calls
+        self._digest = digest
 
     def __getattr__(self, name):
-        method, calls = getattr(self._highs, name), self._calls
+        method, calls, digest = getattr(self._highs, name), self._calls, self._digest
 
         def call(*args):
             calls[name] += 1
+            digest.update(b"|".join([name.encode(), *map(call_bytes, args)]) + b"\n")
             return method(*args)
         return call

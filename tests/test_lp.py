@@ -31,6 +31,11 @@ def persistent_lp(lp: LinearProgram, pinned=None) -> PersistentLp:
     return PersistentLp(lp.c, lp.lower, lp.upper, lp.rhs, rows, lp.b_ub, pinned)
 
 
+def all_cols(lp: LinearProgram):
+    """The bounds of every column of `lp`, as `PersistentLp.solve` takes them."""
+    return np.arange(lp.n_vars), lp.lower, lp.upper
+
+
 def simple_pin(value: float) -> LinearProgram:
     # min y subject to y >= x, x pinned at `value`
     return LinearProgram(
@@ -196,6 +201,16 @@ def fan_pin(value: float, y_max: float = 100.0) -> LinearProgram:
     )
 
 
+def v_pin_w(x: float, w_floor: float) -> LinearProgram:
+    # v_pin and a column w >= w_floor, at cost 1 and in no row: w sits
+    # nonbasic on that bound
+    lp = v_pin(x)
+    return LinearProgram(
+        c=np.append(lp.c, 1.0), a_eq=sp.hstack([lp.a_eq, sp.csr_matrix((1, 1))]),
+        rhs=lp.rhs, lower=np.append(lp.lower, w_floor), upper=np.append(lp.upper, 5.0),
+        a_ub=sp.hstack([lp.a_ub, sp.csr_matrix((2, 1))]), b_ub=lp.b_ub)
+
+
 def fan_value(x: float) -> float:
     return float(np.max(SLOPES * x + INTERCEPTS))
 
@@ -210,7 +225,7 @@ class FanTable:
 
     def solve(self, x, y_max=100.0):
         fan = fan_pin(x, y_max)
-        sol = self.lp.solve(lower=fan.lower, upper=fan.upper)
+        sol = self.lp.solve(cols=all_cols(fan))
         assert sol.objective == pytest.approx(fan_value(x), abs=1e-12), x
         return sol
 
@@ -231,7 +246,7 @@ class TestPersistent:
         persistent = persistent_lp(lp)
         for _ in range(10):
             new_rhs = rhs + rng.uniform(-0.05, 0.05, rhs.size)
-            warm = persistent.solve(rhs=new_rhs)
+            warm = persistent.solve(rows=(np.arange(rhs.size), new_rhs))
             cold = solve(LinearProgram(c=c, a_eq=a_eq, rhs=new_rhs,
                                        lower=lower, upper=upper,
                                        a_ub=a_ub, b_ub=b_ub))
@@ -245,10 +260,10 @@ class TestPersistent:
         lp = simple_pin(3.0)
         persistent = persistent_lp(lp)
         assert persistent.solve().objective == pytest.approx(3.0, abs=1e-9)
-        assert persistent.solve(rhs=np.array([4.0])).objective == pytest.approx(
+        assert persistent.solve(rows=(np.array([0]), np.array([4.0]))).objective == pytest.approx(
             4.0, abs=1e-9)
         # tighten the epigraph variable's lower bound above the pin
-        sol = persistent.solve(lower=np.array([-10.0, 6.0]))
+        sol = persistent.solve(cols=(np.array([1]), np.array([6.0]), np.array([10.0])))
         assert sol.objective == pytest.approx(6.0, abs=1e-9)
 
     def test_cost_updates(self):
@@ -269,13 +284,13 @@ class TestPersistent:
         persistent = persistent_lp(v_pin(0.7))
         for x in (0.7, 0.75, 0.8):
             lp = v_pin(x)
-            assert persistent.solve(lower=lp.lower, upper=lp.upper).reduced_costs is None
+            assert persistent.solve(cols=all_cols(lp)).reduced_costs is None
         assert core.runs == 3
         assert core.calls["getBasisSolve"] == core.calls["getReducedColumn"] == 0
         # with them: reduced costs after a run, after answers off the held
         # basis and off the table, and after a cost change
         persistent = persistent_lp(v_pin(0.7), pinned=np.array([0]))
-        solves = [persistent.solve(lower=v_pin(x).lower, upper=v_pin(x).upper)
+        solves = [persistent.solve(cols=all_cols(v_pin(x)))
                   for x in (0.7, 0.75, 0.8)]
         assert core.runs == 4 and len(persistent._kept) == 1
         solves.append(persistent.solve(cost=np.array([0.0, 2.0, 0.0])))
@@ -341,7 +356,7 @@ class TestPersistent:
             return values[np.where(basic >= 0, basic, 3 - 1 - basic)]
 
         before = basic_values()
-        persistent.solve(lower=v_pin(0.8).lower, upper=v_pin(0.8).upper)
+        persistent.solve(cols=all_cols(v_pin(0.8)))
         assert solver.getBasicVariables()[1].tolist() == basic.tolist()
         # y, z and the logical of y >= 1 - x are basic, and all three move
         assert np.count_nonzero(rate) == 3
@@ -354,7 +369,7 @@ class TestPersistent:
 
         def at(x, **kwargs):
             lp = v_pin(x)
-            return persistent.solve(lower=lp.lower, upper=lp.upper, **kwargs)
+            return persistent.solve(cols=all_cols(lp), **kwargs)
 
         def expect(x, value, runs, **kwargs):
             sol = at(x, **kwargs)
@@ -440,12 +455,12 @@ class TestPersistent:
             assert fan.lp._kept == [] and fan.lp._held is None
             fan.solve(-2.0)
         elif change == "cost":
-            sol = fan.lp.solve(lower=lp.lower, upper=lp.upper, cost=np.array([0.0, 2.0, 0.0]))
+            sol = fan.lp.solve(cols=all_cols(lp), cost=np.array([0.0, 2.0, 0.0]))
             assert sol.objective == pytest.approx(2 * fan_value(-2.0), abs=1e-12)
             # a run at new costs keeps nothing
             assert fan.lp._kept == [] and fan.lp._held is None
         else:
-            sol = fan.lp.solve(rhs=np.array([1.0]), lower=lp.lower, upper=lp.upper)
+            sol = fan.lp.solve(rows=(np.array([0]), np.array([1.0])), cols=all_cols(lp))
             assert sol.x_star[2] == pytest.approx(-2.0 + 4.0 + 1.0, abs=1e-12)
         assert fan.core.runs == 3
         assert fan.lp._kept == []
@@ -453,22 +468,11 @@ class TestPersistent:
     def test_a_kept_basis_answers_only_at_its_own_bounds(self, monkeypatch):
         core = CountingCore(lpmod._highs_core)
         monkeypatch.setattr(lpmod, "_highs_core", core)
-
-        def with_w(x, w_floor):
-            # v_pin and a column w >= w_floor, at cost 1 and in no row: w
-            # sits nonbasic on that bound
-            lp = v_pin(x)
-            return LinearProgram(
-                c=np.append(lp.c, 1.0), a_eq=sp.hstack([lp.a_eq, sp.csr_matrix((1, 1))]),
-                rhs=lp.rhs, lower=np.append(lp.lower, w_floor),
-                upper=np.append(lp.upper, 5.0),
-                a_ub=sp.hstack([lp.a_ub, sp.csr_matrix((2, 1))]), b_ub=lp.b_ub)
-
-        persistent = persistent_lp(with_w(0.7, 0.0), pinned=np.array([0]))
+        persistent = persistent_lp(v_pin_w(0.7, 0.0), pinned=np.array([0]))
 
         def at(x, w_floor):
-            lp = with_w(x, w_floor)
-            return persistent.solve(lower=lp.lower, upper=lp.upper)
+            lp = v_pin_w(x, w_floor)
+            return persistent.solve(cols=all_cols(lp))
 
         for x in (0.7, 0.75, 0.8):
             assert at(x, 0.0).objective == pytest.approx(x, abs=1e-12)
@@ -488,6 +492,20 @@ class TestPersistent:
         assert at(0.75, 1.0).objective == pytest.approx(1.75, abs=1e-12)
         assert core.runs == 4
 
+    def test_a_run_sends_the_bounds_answered_solves_set(self, monkeypatch):
+        # an answered solve sends HiGHS nothing: the next run sends every
+        # bound set since the last one that differs, even one its own solve
+        # left alone
+        core = CountingCore(lpmod._highs_core)
+        monkeypatch.setattr(lpmod, "_highs_core", core)
+        persistent = persistent_lp(v_pin_w(0.7, 0.0), pinned=np.array([0]))
+        for x, w_floor in ((0.7, 0.0), (0.75, 0.0), (0.8, 1.0), (0.85, 0.0)):
+            persistent.solve(cols=all_cols(v_pin_w(x, w_floor)))
+        assert core.runs == 2  # HiGHS still holds w >= 1
+        sol = persistent.solve(cols=(np.array([0]), np.array([0.2]), np.array([0.2])))
+        assert core.runs == 3
+        assert sol.objective == pytest.approx(0.8, abs=1e-12)  # max(x, 1 - x) + w
+
     def test_a_refused_first_try_reads_no_reduced_column(self, monkeypatch):
         fan = FanTable(monkeypatch)
         fan.solve(-2.0)
@@ -499,9 +517,18 @@ class TestPersistent:
         assert fan.lp._kept == []
 
     def test_rhs_shape_guard(self):
-        persistent = persistent_lp(simple_pin(3.0))
-        with pytest.raises(LpError):
-            persistent.solve(rhs=np.array([1.0, 2.0]))
+        # entries the LP does not have, or indices without values
+        persistent = persistent_lp(simple_pin(3.0))  # 2 columns, 1 equality row
+        rows = (np.array([0]), np.array([5.0]))
+        for changes in ({"rows": (np.arange(2), np.array([1.0, 2.0]))},
+                        {"rows": (np.arange(1), np.array([1.0, 2.0]))},
+                        {"rows": rows, "cols": (np.array([2]), np.zeros(1), np.ones(1))},
+                        {"rows": rows, "cols": (np.arange(2), np.zeros(2), np.ones(1))}):
+            with pytest.raises(LpError):
+                persistent.solve(**changes)
+        # a refused call changes nothing, not even its valid rhs
+        assert persistent._rhs.tolist() == [3.0]
+        assert persistent.solve().objective == pytest.approx(3.0, abs=1e-9)
 
 
 class TestValidationAndDump:

@@ -1,4 +1,7 @@
-"""Property tests of the physical model on the winter system."""
+"""Property tests of the physical model on the winter system, and of the
+tank floors an MPC chain holds across re-solves."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from microgrid_ems.model import (
     split_flow,
     step,
 )
+from microgrid_ems.stagelp import ChainTemplate, DeterministicChain
 
 WINTER = parse_config(day_config("winter"))
 P = WINTER.system
@@ -76,3 +80,50 @@ def test_recourse_closes_load_balance(f_b, f_t, f_h, w):
     rec = recourse(Control(f_b, f_t, f_h), w)
     assert rec.f_ne >= 0.0 and rec.spill >= 0.0 and rec.f_ne * rec.spill == 0.0
     assert rec.f_ne - rec.spill == pytest.approx(f_b + f_t + f_h + w.d_el_net, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Tank floors of an MPC chain across re-solves
+
+CHAIN_STEPS = 12
+CHAIN_P = dataclasses.replace(P, h_floor=0.5 * P.h_max)  # floors often out of reach
+CHAIN_TEMPLATE = ChainTemplate(CHAIN_P, WINTER.initial_state)
+# draws on both sides of full-rate reheating, so planned reach rises and falls
+draws = st.floats(0.0, 2.0 * P.beta_h * P.f_h_max)
+
+
+def sequential_floors(p, x, demands):
+    """Each planned tank floor: h_floor, relaxed to the level full-rate
+    reheating reaches, step after step, capped at h_max."""
+    reach = x.h + p.delta * (p.beta_h * admissible_controls(x, p).f_h_max - demands[0, 1])
+    floors = [min(p.h_floor, reach)]
+    for d in demands[1:, 1]:
+        reach = min(p.h_max, reach + p.delta * (p.beta_h * p.f_h_max - d))
+        floors.append(min(p.h_floor, reach))
+    return floors
+
+
+# tank level moves between re-solves: across the tank, or a nudge
+moves = st.lists(st.floats(-1.0, 1.0) | st.floats(-0.05, 0.05), min_size=2, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), path=st.lists(draws, min_size=CHAIN_STEPS, max_size=CHAIN_STEPS),
+       x=states(h_min=0.3 * P.h_max), moves=moves)
+def test_chain_floors_are_the_sequential_reach(data, path, x, moves):
+    # across re-solves of one chain the tank level, and with it the first
+    # planned reach, rises and falls; the chain rewrites its
+    # floors only below the lowest first reach seen to leave them all at
+    # h_floor, or after a relaxed solve, and must hold the sequential ones
+    # after every solve
+    chain = DeterministicChain(CHAIN_TEMPLATE, P.horizon_steps - CHAIN_STEPS)
+    tail = path[1:]
+    for move in moves:
+        if data.draw(st.integers(0, 4)) == 0:  # now and then another tail
+            tail = data.draw(st.lists(draws, min_size=CHAIN_STEPS - 1,
+                                      max_size=CHAIN_STEPS - 1))
+        x = dataclasses.replace(x, h=min(max(x.h + move, 0.0), P.h_max))
+        demands = np.column_stack([np.ones(CHAIN_STEPS), [path[0], *tail]])
+        chain.solve(x, demands)
+        floors = chain._persistent._lower[chain._h_cols]
+        assert np.array_equal(floors, sequential_floors(CHAIN_P, x, demands))

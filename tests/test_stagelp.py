@@ -221,9 +221,9 @@ def test_control_is_admissible(summer):
 
 
 def test_solves_hand_over_the_bounds_a_fresh_copy_gave(summer, monkeypatch):
-    # the stage LP writes the state and the tank floors into its own bound
-    # vectors: the persistent LP gets, bit for bit, the bounds the base
-    # bounds' copy gave, and costs only when the previous solve used others
+    # the stage LP hands its persistent LP the state and the tank floors it
+    # rewrote: the LP holds, bit for bit, the bounds the base bounds' copy
+    # gave, and gets costs only when the previous solve used others
     p = dataclasses.replace(summer, h_floor=0.5 * summer.h_max)  # floors often out of reach
     rng = np.random.default_rng(25)
     problem = OneStageDecision(p, 40, random_dist(rng), *random_cuts(rng, 6))
@@ -231,10 +231,11 @@ def test_solves_hand_over_the_bounds_a_fresh_copy_gave(summer, monkeypatch):
     real_solve = lpmod.PersistentLp.solve
 
     def solve(self, **kwargs):
-        handed.append((kwargs["lower"].copy(), kwargs["upper"].copy(), kwargs["cost"]))
+        handed.append((kwargs["cols"], kwargs["cost"]))
         return real_solve(self, **kwargs)
 
     monkeypatch.setattr(lpmod.PersistentLp, "solve", solve)
+    moving = np.concatenate([np.arange(4), problem._next[:, 1]])
     relaxed, prefer = 0, False
     for k in range(40):
         x = random_state(rng, p)
@@ -246,8 +247,12 @@ def test_solves_hand_over_the_bounds_a_fresh_copy_gave(summer, monkeypatch):
                                  - problem.points[:, 1])
         lower[problem._next[:, 1]] = np.minimum(p.h_floor, reach)
         relaxed += bool((reach < p.h_floor).any())
-        got_lower, got_upper, cost = handed[-1]
-        assert np.array_equal(got_lower, lower) and np.array_equal(got_upper, upper), k
+        held = problem._persistent
+        assert np.array_equal(held._lower, lower) and np.array_equal(held._upper, upper), k
+        cols, cost = handed[-1]
+        assert (cols is None) == (k == 0), k  # the first solve builds the LP at x
+        if cols is not None:
+            assert np.isin(cols[0], moving).all(), k
         expected = problem._c_decide if prefer else problem.c if previous else None
         assert cost is expected, k
     assert 0 < relaxed < 40
@@ -348,6 +353,54 @@ def test_chain_rows_are_the_sparse_slice(day, stride):
         for name, vector in (("c", template.c), ("_lower_base", template.lower),
                              ("_upper_base", template.upper)):
             assert np.array_equal(getattr(chain, name), vector[cols]), (t0, name)
+
+
+def test_chain_solves_hand_over_what_a_loop_built_chain_gives(summer_mpc, counting_core):
+    # a re-solve writes the first step's rows and bounds, every row after
+    # another forecast tail, and the tank floors only when they may have
+    # moved: after each solve the LP holds, bit for bit, the rhs and bounds
+    # of the chain assembled entry by entry at that state and forecast
+    cfg, ar, means, _ = summer_mpc
+    p = dataclasses.replace(cfg.system, h_floor=0.5 * cfg.system.h_max)  # often out of reach
+    x0 = cfg.initial_state
+    t0 = 60
+    chain = DeterministicChain(ChainTemplate(p, x0), t0)
+    rng = np.random.default_rng(31)
+    relaxed = restored = head_only = 0
+    was_relaxed, tail = False, None
+    for k in range(40):
+        x = random_state(rng, p)
+        demands = update_forecast(ar, t0, rng.uniform((-2.0, 0.0), (3.0, 2.0)), means)
+        if k % 10 == 9:
+            demands[1:] *= 1.25  # another tail
+        calls = counting_core.calls.copy()
+        chain.solve(x, demands)
+        oracle = loop_built_chain(p, t0, x0, p.h_floor, x, demands)
+        held, n_eq = chain._persistent, 5 * chain.ns
+        in_highs = held._solver.getLp()  # what HiGHS solved
+        for name, vector in (("rhs", held._rhs), ("lower_at_x", held._lower),
+                             ("upper_at_x", held._upper), ("rhs", in_highs.row_lower_[:n_eq]),
+                             ("rhs", in_highs.row_upper_[:n_eq]),
+                             ("lower_at_x", in_highs.col_lower_),
+                             ("upper_at_x", in_highs.col_upper_)):
+            assert np.array_equal(vector, oracle[name]), (k, name)
+        is_relaxed = bool((oracle["lower_at_x"] < oracle["lower"]).any())
+        relaxed += is_relaxed
+        restored += was_relaxed and not is_relaxed
+        was_relaxed = is_relaxed
+        if tail is not None and np.array_equal(demands[1:], tail):
+            # the mean tail again: only the first step's rows, and at most
+            # one call for the bounds
+            head_only += 1
+            assert counting_core.calls["changeRowBounds"] - calls["changeRowBounds"] <= 5, k
+            assert counting_core.calls["changeColsBounds"] - calls["changeColsBounds"] <= 1, k
+        tail = demands[1:]
+    assert relaxed > 0 and restored > 0 and head_only >= 30
+    # the same state and forecast again: nothing differs, nothing is sent
+    calls = counting_core.calls.copy()
+    chain.solve(x, demands)
+    for name in ("changeRowBounds", "changeColsBounds"):
+        assert counting_core.calls[name] == calls[name], name
 
 
 def test_seeded_first_solves_match_cold_chains(summer_mpc):
