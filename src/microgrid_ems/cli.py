@@ -137,11 +137,12 @@ def _train(cfg, opt, out: Path):
     with open(out / "training_log.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["iteration", "lower_bound", "forward_cost", "total_cuts",
-                    "iteration_s"])
+                    "iteration_s", "forward_s", "backward_s"])
         for i in range(tlog.iterations):
             w.writerow([i, repr(tlog.lower_bounds[i]),
                         repr(tlog.forward_costs[i]), tlog.cut_counts[i],
-                        f"{tlog.iteration_seconds[i]:.6f}"])
+                        f"{tlog.iteration_seconds[i]:.6f}", f"{tlog.forward_seconds[i]:.6f}",
+                        f"{tlog.backward_seconds[i]:.6f}"])
     return vf, dists, tlog
 
 

@@ -250,8 +250,10 @@ class PersistentLp:
         self._answer = None  # the _KeptBasis that gave _x, when no run did
         self._held = None  # _KeptBasis of the last run, while HiGHS holds it unread
         self._kept = []  # read _KeptBasis entries, most recently useful first
-        self._logicals = None  # bounds of the rows' logical variables, once read
+        self._limits = None  # widened bounds of the columns and logicals, once read
         self._pin_entries = None  # the pinned columns' entries, once read
+        self._stamp = 0  # writes of bounds other than the pinned ones
+        self._moved = np.empty(0, dtype=np.intp)  # the columns, pinned apart, ever written
         if self._core is not None:
             self._solver = self._build()
         elif not _cold_path_warned:
@@ -282,7 +284,7 @@ class PersistentLp:
         indptr, indices, data = rows
         self._b_ub = np.concatenate([self._b_ub, b_ub])
         self._forget()
-        self._logicals = self._pin_entries = None
+        self._limits = self._pin_entries = None
         if self._solver is not None:
             self._solver.addRows(b_ub.size, np.full(b_ub.size, -np.inf), b_ub,
                                  data.size, indptr[:-1], indices, data)
@@ -319,14 +321,14 @@ class PersistentLp:
         if cols is not None and (not len(cols[0]) == len(cols[1]) == len(cols[2])
                                  or len(cols[0]) and cols[0][-1] >= c.size):
             raise LpError("bounds of columns the LP does not have")
-        solver, new_rhs = self._solver, None
+        solver, pinned, new_rhs = self._solver, self._pinned, None
         if rows is not None:
             index, values = rows
             moved = (values != self._rhs[index]).nonzero()[0]
             if moved.size:
                 new_rhs = index[moved], values[moved]
                 self._rhs[new_rhs[0]] = new_rhs[1]
-                self._logicals = None
+                self._limits = None
                 self._forget()
         if cols is not None:
             index, lower, upper = cols
@@ -334,6 +336,8 @@ class PersistentLp:
             # an owner passes the same index array solve after solve
             if solver is not None and not (self._unsent and self._unsent[-1] is index):
                 self._unsent.append(index)
+            if pinned is not None and index is not pinned:
+                self._note_moved(index)
         if solver is None:
             self._cost = c.copy()
             indptr, indices, data = self._rows
@@ -344,20 +348,14 @@ class PersistentLp:
                                        a_ub=a[n_eq:] if ub else None,
                                        b_ub=self._b_ub if ub else None))
 
-        pinned = self._pinned
-        new_cost = np.flatnonzero(c != self._cost) if cost is not None else ()
+        new_cost = (c != self._cost).nonzero()[0] if cost is not None else ()
         if len(new_cost):
             self._forget()
         keep = pinned is not None and not len(new_cost)  # a basis found now may answer
-        if keep:
-            # the column bounds, lower then upper, with the pinned ones as 0
-            lo = self._lower
-            bounds = np.concatenate((lo, self._upper))
-            bounds[pinned] = bounds[lo.size + pinned] = 0.0
-            if self._held is not None or self._kept:
-                sol = self._table_answer(lo, bounds)
-                if sol is not None:
-                    return sol
+        if keep and (self._held is not None or self._kept):
+            sol = self._table_answer(self._lower[pinned])
+            if sol is not None:
+                return sol
         if new_rhs is not None:
             for r, v in zip(new_rhs[0].tolist(), new_rhs[1].tolist()):
                 solver.changeRowBounds(r, v, v)
@@ -385,13 +383,38 @@ class PersistentLp:
         self._x = np.asarray(sol.col_value, dtype=float)
         duals = np.asarray(sol.col_dual, dtype=float)
         if keep:  # the next solve may try it while HiGHS holds it
-            self._held = _KeptBasis(self._x, self._x[pinned], sol.row_value, duals, bounds)
+            # the column bounds, lower then upper, with the pinned ones as 0
+            bounds = np.concatenate((self._lower, self._upper))
+            bounds[pinned] = bounds[c.size + pinned] = 0.0
+            self._held = _KeptBasis(self._x, self._x[pinned], sol.row_value, duals, bounds,
+                                    self._stamp)
         return LpSolution(
             x_star=self._x,
             objective=solver.getObjectiveValue(),
             reduced_costs=duals,
             status=LpStatus.OPTIMAL,
         )
+
+    def _note_moved(self, index):
+        """Count a write of bounds other than the pinned ones in `index`,
+        and add their columns to those ever written (`_moved`)."""
+        other = index[~np.isin(index, self._pinned)]
+        if other.size:
+            self._stamp += 1
+            self._limits = None
+            self._moved = np.union1d(self._moved, other)
+
+    def _at_bounds(self, entry) -> bool:
+        """Whether no bound but the pinned ones differs from those `entry`
+        was found at: none was written since it last matched (its `stamp`),
+        or those ever written equal its own."""
+        if entry.stamp != self._stamp:
+            moved, n = self._moved, self._cost.size
+            if not (np.array_equal(entry.bounds[moved], self._lower[moved])
+                    and np.array_equal(entry.bounds[n + moved], self._upper[moved])):
+                return False
+            entry.stamp = self._stamp
+        return True
 
     def _send_bounds(self):
         """Send HiGHS, in one call, the column bounds set since the last run
@@ -407,34 +430,23 @@ class PersistentLp:
                                           lower, upper)
             self._sent_lower[index], self._sent_upper[index] = lower, upper
 
-    def _table_answer(self, lo, bounds) -> Optional[LpSolution]:
-        """The optimum at column lower bounds `lo` and `bounds` (as in
-        `_KeptBasis.holds`), read off a kept basis, or None when no kept
-        basis is optimal there: first the table in order, then the basis of
-        the last run. The entry that answers moves to the front. HiGHS is
-        not told of the new bounds; the next run sends every bound that
-        differs."""
-        n = self._cost.size
-        if self._logicals is None:
-            # a row's logical lies in [-row_upper, -row_lower], widened
-            n_ub = self._b_ub.size
-            self._logicals = np.stack((
-                np.concatenate([-self._rhs, -self._b_ub]) - BASIS_PRIMAL_TOL,
-                np.concatenate([-self._rhs, np.full(n_ub, np.inf)]) + BASIS_PRIMAL_TOL))
-        # bounds of the columns, then of the logicals, widened
-        limits = np.concatenate((bounds.reshape(2, n) + _WIDEN, self._logicals), axis=1)
-        x_pin = lo[self._pinned]
+    def _table_answer(self, x_pin) -> Optional[LpSolution]:
+        """The optimum at pinned values `x_pin`, read off a kept basis, or
+        None when no kept basis is optimal there: first the table in order,
+        then the basis of the last run. The entry that answers moves to the
+        front. HiGHS is not told of the new bounds; the next run sends every
+        bound that differs."""
         held, self._held = self._held, None
         for i, entry in enumerate(self._kept):
             values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
-            if entry.holds(values, bounds, limits):
+            if entry.holds(values) and self._at_bounds(entry):
                 self._kept.insert(0, self._kept.pop(i))
                 return self._vertex(entry, values, x_pin)
         if held is not None:
-            return self._held_answer(held, bounds, limits, x_pin)
+            return self._held_answer(held, x_pin)
         return None
 
-    def _held_answer(self, held, bounds, limits, x_pin) -> Optional[LpSolution]:
+    def _held_answer(self, held, x_pin) -> Optional[LpSolution]:
         """The optimum read off `held`, the basis of the last run, which
         HiGHS still holds, or None when it is not optimal here: its basic set
         is read off HiGHS, and one basis solve gives its basic values.
@@ -446,8 +458,8 @@ class PersistentLp:
         if status != self._core.HighsStatus.kOk:
             return None
         n, pinned = self._cost.size, self._pinned
-        held.ext = np.where(basic >= 0, basic, n - 1 - basic)
-        vb0 = np.concatenate((held.x, np.negative(held.row_value)))[held.ext]
+        ext = np.where(basic >= 0, basic, n - 1 - basic)
+        vb0 = np.concatenate((held.x, np.negative(held.row_value)))[ext]
         if self._pin_entries is None:
             _, start, index, value = self._solver.getColsEntries(
                 pinned.size, pinned.astype(np.int32))
@@ -457,10 +469,14 @@ class PersistentLp:
         a_dx = np.bincount(index, weights=value * (x_pin - held.x_pin)[column],
                            minlength=basic.size)
         values = vb0 - self._solver.getBasisSolve(a_dx)[1]  # minus B^-1 A_pin dx
-        if not held.holds(values, bounds, limits) or (basic[:, None] == pinned).any():
+        if self._limits is None:
+            self._limits = self._widened_limits()
+        held.lo, held.hi = self._limits[:, ext]
+        if (not (held.holds(values) and self._at_bounds(held))
+                or (basic[:, None] == pinned).any()):
             return None
-        order = np.argsort(held.ext)
-        held.arrange(held.ext[order], vb0[order], n)
+        order = np.argsort(ext)
+        held.arrange(ext[order], vb0[order], n, order)
         values = values[order]
         entry = next((entry for entry in self._kept if entry.key == held.key
                       and np.array_equal(entry.ext, held.ext)), None)
@@ -473,11 +489,23 @@ class PersistentLp:
         del self._kept[KEPT_BASES:]
         return self._vertex(held, values, x_pin)
 
+    def _widened_limits(self):
+        """The bounds of the columns (the pinned ones as 0), then of the
+        rows' logical variables, each widened by BASIS_PRIMAL_TOL; a row's
+        logical lies in [-row_upper, -row_lower]."""
+        n, n_ub, pinned = self._cost.size, self._b_ub.size, self._pinned
+        bounds = np.concatenate((self._lower, self._upper))
+        bounds[pinned] = bounds[n + pinned] = 0.0
+        logicals = np.stack((
+            np.concatenate([-self._rhs, -self._b_ub]) - BASIS_PRIMAL_TOL,
+            np.concatenate([-self._rhs, np.full(n_ub, np.inf)]) + BASIS_PRIMAL_TOL))
+        return np.concatenate((bounds.reshape(2, n) + _WIDEN, logicals), axis=1)
+
     def _vertex(self, entry, values, x_pin) -> LpSolution:
         """The vertex of kept basis `entry` with basic values `values`."""
         x = entry.x.copy()
         x[self._pinned] = x_pin
-        x[entry.ext[:entry.n_cols]] = values[:entry.n_cols]
+        x[entry.cols] = values[:entry.cols.size]
         self._x, self._answer = x, entry
         return LpSolution(x_star=x, objective=float(self._cost @ x),
                           reduced_costs=entry.col_dual, status=LpStatus.OPTIMAL)
@@ -553,24 +581,29 @@ class _KeptBasis:
     factor, the basic set and the reference values, not HiGHS's solution.
 
     It answers only at the column bounds it was found at, the pinned ones
-    apart (`bounds`: lower then upper, the pinned ones as 0). The stage
+    apart (`bounds`: lower then upper, the pinned ones as 0; `stamp` counts
+    the other bounds' writes up to the last time they matched). The stage
     LPs' only other moving bounds, the relaxed tank floors, moved in 1 of
-    7,392 summer decisions.
+    7,392 summer decisions. So it carries its own limits, `lo` and `hi`: the
+    widened bounds of its basic variables, taken once when it is tried in
+    HiGHS's order. They cannot change while it may answer: an rhs change
+    or `add_rows` drops it, and every other bound must equal its own.
     """
 
-    __slots__ = ("x", "x_pin", "col_dual", "bounds", "row_value", "ext", "key", "n_cols",
-                 "vb0", "factor")
+    __slots__ = ("x", "x_pin", "col_dual", "bounds", "stamp", "row_value", "ext", "key",
+                 "cols", "vb0", "factor", "lo", "hi")
 
-    def __init__(self, x, x_pin, row_value, col_dual, bounds):
+    def __init__(self, x, x_pin, row_value, col_dual, bounds, stamp):
         self.x, self.x_pin, self.row_value, self.col_dual = x, x_pin, row_value, col_dual
-        self.bounds = bounds
+        self.bounds, self.stamp = bounds, stamp
 
-    def arrange(self, ext, vb0, n):
-        """Take the basic set `ext`, sorted, and the basic values `vb0` at
-        the run's bounds, in its order."""
+    def arrange(self, ext, vb0, n, order):
+        """Take the basic set `ext`, sorted, the basic values `vb0` at the
+        run's bounds, in its order, and put the limits in that `order`."""
         self.ext, self.vb0, self.row_value = ext, vb0, None
         self.key = hash(ext.tobytes())
-        self.n_cols = int(np.searchsorted(ext, n))
+        self.cols = ext[:np.searchsorted(ext, n)]
+        self.lo, self.hi = self.lo[order], self.hi[order]
 
     def read(self, solver, ok, pinned, order) -> bool:
         """Read the factor of the columns `pinned` off `solver`, which holds
@@ -583,11 +616,7 @@ class _KeptBasis:
         self.factor = factor[order]
         return True
 
-    def holds(self, values, bounds, limits) -> bool:
-        """Whether this basis is optimal at column bounds `bounds` (laid out
-        as its own): its basic values there, `values` (in the order of
-        `ext`), lie within `limits` (the widened bounds of the columns, then
-        the logicals), and no bound but the pinned ones moved since then."""
-        limits = limits[:, self.ext]
-        return bool(((limits[0] <= values) & (values <= limits[1])).all()
-                    and (bounds == self.bounds).all())
+    def holds(self, values) -> bool:
+        """Whether the basic values `values` (in the order of `ext`) lie
+        within the basis's widened limits `lo` and `hi`."""
+        return bool(((self.lo <= values) & (values <= self.hi)).all())

@@ -241,10 +241,15 @@ def perfect_foresight_cost(p: SystemParams, x0: State, scenario: np.ndarray) -> 
 
 @dataclass
 class TrainingLog:
+    """Per iteration: the lower bound, the sampled forward cost, the cuts
+    held, and the wall time of the iteration and of its two passes."""
+
     lower_bounds: List[float] = field(default_factory=list)
     forward_costs: List[float] = field(default_factory=list)
     cut_counts: List[int] = field(default_factory=list)
     iteration_seconds: List[float] = field(default_factory=list)
+    forward_seconds: List[float] = field(default_factory=list)
+    backward_seconds: List[float] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -289,6 +294,7 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
             x = step(t, x, u, w, p)
             traj.append(x)
         fcost += terminal_cost(x, x0, p.kappa)
+        turn = time.perf_counter()
 
         # backward pass
         lb = math.nan
@@ -299,10 +305,13 @@ def sddp_train(p: SystemParams, dists: Sequence[DiscreteDistribution],
             if vf.add_cut(t, cut) and t > 0:
                 stages[t - 1].add_cut(cut.lam, cut.beta)
             lb = sol.objective
+        toc = time.perf_counter()
         log.lower_bounds.append(lb)
         log.forward_costs.append(float(fcost))
         log.cut_counts.append(sum(vf.cut_counts()))
-        log.iteration_seconds.append(time.perf_counter() - tic)
+        log.iteration_seconds.append(toc - tic)
+        log.forward_seconds.append(turn - tic)
+        log.backward_seconds.append(toc - turn)
 
         if len(log.lower_bounds) >= 2:
             prev = log.lower_bounds[-2]

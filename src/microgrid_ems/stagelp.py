@@ -325,8 +325,10 @@ class OneStageDecision:
         self.weights = np.asarray(dist.weights, dtype=float)
         self.s_count = self.points.shape[0]
         self.n = _BLOCK + _WIDTH * self.s_count
-        self._lambdas = np.asarray(lambdas, dtype=float).reshape(-1, 4)
-        self._betas = np.asarray(betas, dtype=float).reshape(-1)
+        # the cuts' slopes and intercepts, as blocks stacked when read
+        self._slopes = [np.asarray(lambdas, dtype=float).reshape(-1, 4)]
+        self._intercepts = [np.asarray(betas, dtype=float).reshape(-1)]
+        self.n_cuts = self._intercepts[0].size
         self._persistent = None
         # another scenario count is another column layout
         self._prev = prev if prev is not None and prev.s_count == self.s_count else None
@@ -335,12 +337,14 @@ class OneStageDecision:
             self._theta, self._next, self._rows = prev._theta, prev._next, prev._rows
             self._floor_cols = prev._floor_cols
             self._lower_base, self._upper_base = prev._lower_base, prev._upper_base
+            self._cut_cols, self._cut_templates = prev._cut_cols, prev._cut_templates
         else:
             self._build_layout()
         self._build_stage()
         self._relaxed = True  # some tank floor the LP holds is not h_floor
         self._hw_max = float(self.points[:, 1].max())
         self._decide_costs = False  # the LP holds _c_decide, not c
+        self._what = f"one-stage problem at t={t}"
 
     def _build_layout(self):
         """Columns, rows and base bounds: the same at every stage, since M, N
@@ -352,6 +356,10 @@ class OneStageDecision:
         self._theta = blocks + 2
         self._next = blocks[:, None] + 3 + np.arange(4, dtype=np.int32)
         self._floor_cols = np.concatenate((_PINNED, self._next[:, 1]))  # state, then floors
+        # a cut's columns per scenario, theta_s then x'_s, and per pattern of
+        # its nonzero entries the indptr and indices of its rows
+        self._cut_cols = np.column_stack([self._theta, self._next])
+        self._cut_templates = {}
 
         # per scenario: the balance fne - spill - fb+ + fb- - ft - fh = d_el,
         # then x'_s - (I + delta M) x - delta N u = delta (P w_s + g);
@@ -406,31 +414,60 @@ class OneStageDecision:
         triple, and their right-hand sides."""
         s_count = self.s_count
         n_rows = lambdas.shape[0] * s_count
-        cols = np.tile(np.column_stack([self._theta, self._next]), (lambdas.shape[0], 1))
+        cols = np.tile(self._cut_cols, (lambdas.shape[0], 1))
         vals = np.column_stack([np.full(n_rows, -1.0), np.repeat(lambdas, s_count, axis=0)])
         keep = vals != 0.0
         indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
         return (indptr, cols[keep], vals[keep]), np.repeat(-betas, s_count)
 
+    def _cut_row(self, lam: np.ndarray, beta: float):
+        """The rows of one cut, as `_cut_rows` gives them. Its S rows share
+        one pattern of nonzero entries, for which the layout keeps a
+        template: the indptr, the indices, and which of -1, lam each entry
+        takes."""
+        vals = np.concatenate(([-1.0], lam))
+        keep = vals != 0.0
+        template = self._cut_templates.get(keep.tobytes())
+        if template is None:
+            width = int(np.count_nonzero(keep))
+            template = (np.arange(0, width * self.s_count + 1, width, dtype=np.int32),
+                        self._cut_cols[:, keep].ravel(),
+                        np.tile(keep.nonzero()[0], self.s_count))
+            self._cut_templates[keep.tobytes()] = template
+        indptr, indices, pick = template
+        return (indptr, indices, vals[pick]), np.full(self.s_count, -beta)
+
+    @property
+    def _lambdas(self) -> np.ndarray:
+        """The cuts' slopes, one row per cut."""
+        if len(self._slopes) > 1:
+            self._slopes = [np.vstack(self._slopes)]
+        return self._slopes[0]
+
+    @property
+    def _betas(self) -> np.ndarray:
+        """The cuts' intercepts."""
+        if len(self._intercepts) > 1:
+            self._intercepts = [np.concatenate(self._intercepts)]
+        return self._intercepts[0]
+
     def _cut_statuses(self, x: State) -> np.ndarray:
         """Status codes of the cut rows at x: per scenario, the row of the
         cut maximal at x nonbasic (on its bound), the other cut rows basic."""
-        cuts = np.full((self._betas.size, self.s_count), lpmod.BASIS_BASIC, dtype=np.int8)
+        cuts = np.full((self.n_cuts, self.s_count), lpmod.BASIS_BASIC, dtype=np.int8)
         cuts[np.argmax(self._lambdas @ x.as_array() + self._betas)] = lpmod.BASIS_UPPER
         return cuts.ravel()
-
-    @property
-    def n_cuts(self) -> int:
-        return self._betas.size
 
     def add_cut(self, lam: np.ndarray, beta: float):
         """Add theta_s >= lam . x'_s + beta for every scenario. The cut store
         (`ValueFunctions`) passes on only cuts it did not hold."""
-        lam = np.asarray(lam, dtype=float).reshape(1, 4)
-        self._lambdas = np.vstack([self._lambdas, lam])
-        self._betas = np.append(self._betas, float(beta))
+        lam = np.array(lam, dtype=float).reshape(4)
+        beta = float(beta)
+        self._slopes.append(lam[None])
+        self._intercepts.append(np.array([beta]))
+        self.n_cuts += 1
         if self._persistent is not None:
-            self._persistent.add_rows(*self._cut_rows(lam, self._betas[-1:]))
+            self._persistent.add_rows(*self._cut_row(lam, beta))
 
     def solve(self, x: State, prefer_storage: bool = False) -> StageSolution:
         """Optimal control at incoming state x (clipped to the admissible
@@ -473,7 +510,7 @@ class OneStageDecision:
         else:
             sol = self._persistent.solve(cols=cols, cost=self.c if self._decide_costs else None)
         self._decide_costs = prefer_storage
-        _require_optimal(sol, f"one-stage problem at t={self.t}")
+        _require_optimal(sol, self._what)
         xs = sol.x_star
         u = canonical_control(*xs[_U:_U + 4].tolist())
         if prefer_storage:

@@ -28,8 +28,10 @@ BATTERY_T = 5
 
 
 def battery_params(pi_e=None, kappa: float = 1.0) -> SystemParams:
-    """T=5 battery-only system: no heater, no tank flow, zero discomfort price."""
-    T = BATTERY_T
+    """Battery-only system: no heater, no tank flow, zero discomfort price.
+    Its horizon is one step shorter than the import prices `pi_e`, T=5 by
+    default."""
+    T = BATTERY_T if pi_e is None else len(pi_e) - 1
     if pi_e is None:
         # cheap early, expensive late: storage has value
         pi_e = np.array([0.10, 0.10, 0.30, 0.30, 0.30, 0.30])
@@ -661,6 +663,76 @@ def reference_quantize_stagewise(opt: ScenarioSet, s, seed, tol=1e-6, max_iter=2
 
 
 # ---------------------------------------------------------------------------
+# Kept-basis answers, by the arithmetic PersistentLp first used for them
+
+def concatenated_limits(persistent):
+    """The column bounds of `persistent`, lower then upper with its pinned
+    columns as 0, and the limits of every column and row logical: those
+    bounds, then the logicals' [-row_upper, -row_lower], each widened by
+    BASIS_PRIMAL_TOL, as one (2, columns + rows) array."""
+    from microgrid_ems.lp import BASIS_PRIMAL_TOL as tol
+
+    n, pinned = persistent._cost.size, persistent._pinned
+    bounds = np.concatenate((persistent._lower, persistent._upper))
+    bounds[pinned] = bounds[n + pinned] = 0.0
+    n_ub = persistent._b_ub.size
+    logicals = np.stack((np.concatenate([-persistent._rhs, -persistent._b_ub]) - tol,
+                         np.concatenate([-persistent._rhs, np.full(n_ub, np.inf)]) + tol))
+    widen = np.array([[-tol], [tol]])
+    return bounds, np.concatenate((bounds.reshape(2, n) + widen, logicals), axis=1)
+
+
+def table_answer(persistent, table):
+    """The first of the kept bases `table`, in order, optimal at the bounds
+    `persistent` holds, with its vertex, objective and reduced costs; None
+    when none is. Each entry is checked against the concatenated limits
+    gathered by its basic set, and all its column bounds against the LP's."""
+    n, pinned = persistent._cost.size, persistent._pinned
+    bounds, limits = concatenated_limits(persistent)
+    x_pin = persistent._lower[pinned]
+    for entry in table:
+        values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
+        at = limits[:, entry.ext]
+        if ((at[0] <= values) & (values <= at[1])).all() and (bounds == entry.bounds).all():
+            n_cols = int(np.searchsorted(entry.ext, n))
+            x = entry.x.copy()
+            x[pinned] = x_pin
+            x[entry.ext[:n_cols]] = values[:n_cols]
+            return entry, x, float(persistent._cost @ x), entry.col_dual
+    return None
+
+
+def held_answer(persistent, held):
+    """The vertex, objective and reduced costs of `held`, the basis of the
+    last run, which HiGHS still holds, when it is optimal at the bounds
+    `persistent` holds; None when it is not. Its basic values come from one
+    basis solve, and are checked against the concatenated limits gathered
+    by its basic set."""
+    solver, n, pinned = persistent._solver, persistent._cost.size, persistent._pinned
+    status, basic = solver.getBasicVariables()
+    if status != persistent._core.HighsStatus.kOk:
+        return None
+    ext = np.where(basic >= 0, basic, n - 1 - basic)
+    vb0 = np.concatenate((held.x, np.negative(held.row_value)))[ext]
+    _, start, index, value = solver.getColsEntries(pinned.size, pinned.astype(np.int32))
+    column = np.repeat(np.arange(pinned.size), np.diff(np.append(start, index.size)))
+    x_pin = persistent._lower[pinned]
+    a_dx = np.bincount(index, weights=value * (x_pin - held.x_pin)[column],
+                       minlength=basic.size)
+    values = vb0 - solver.getBasisSolve(a_dx)[1]
+    bounds, limits = concatenated_limits(persistent)
+    at = limits[:, ext]
+    if (not (((at[0] <= values) & (values <= at[1])).all() and (bounds == held.bounds).all())
+            or (basic[:, None] == pinned).any()):
+        return None
+    cols = ext < n
+    x = held.x.copy()
+    x[pinned] = x_pin
+    x[ext[cols]] = values[cols]
+    return x, float(persistent._cost @ x), held.col_dual
+
+
+# ---------------------------------------------------------------------------
 # Basis seeding: what a new persistent LP hands to HiGHS
 
 # base-4 digits that spell the index of any column or row of the LPs tested
@@ -774,3 +846,39 @@ class _CountingHighs:
             digest.update(b"|".join([name.encode(), *map(call_bytes, args)]) + b"\n")
             return method(*args)
         return call
+
+
+def scripted_run() -> dict:
+    """A fixed training and play under `CountingCore`: summer trained for 10
+    iterations (pool 44, generator seed 5, split seed 42, S from the config,
+    quantize seed 3, training seed 1), then 12 held-out days played by MPC
+    and SDDP in turn, MPC first each day.
+
+    Returns the calls per method (`calls`), the SHA-256 `digest` of every
+    HiGHS call, the final `lower_bound` and the `bills` of each policy: two
+    trees that make the same calls with the same values give the same."""
+    from microgrid_ems import lp as lpmod
+    from microgrid_ems.assess import simulate_policy, split_scenarios
+    from microgrid_ems.config import day_config, parse_config
+    from microgrid_ems.policies import MpcPolicy, SddpPolicy, StoppingRule, sddp_train
+    from microgrid_ems.scenarios import (fit_ar, generate_scenarios, quantize_stagewise,
+                                         scenario_means)
+
+    core = CountingCore(lpmod._highs_core)
+    lpmod._highs_core = core
+    try:
+        cfg = parse_config(day_config("summer"))
+        p, x0 = cfg.system, cfg.initial_state
+        opt, sim = split_scenarios(generate_scenarios(cfg.generator, 44, 5), 32, 42)
+        dists = quantize_stagewise(opt, s=cfg.sddp_s_offline, seed=3)
+        vf, log = sddp_train(p, dists, x0, StoppingRule(max_iters=10, lb_tol=0.0), seed=1)
+        policies = {"mpc": MpcPolicy(p, x0, fit_ar(opt), scenario_means(opt)),
+                    "sddp": SddpPolicy(p, vf, dists)}
+        bills = {name: [] for name in policies}
+        for day in sim.data:
+            for name, policy in policies.items():
+                bills[name].append(simulate_policy(policy, day, x0, p).total_cost)
+    finally:
+        lpmod._highs_core = core._core
+    return {"calls": dict(sorted(core.calls.items())), "digest": core.digest.hexdigest(),
+            "lower_bound": log.lower_bounds[-1], "bills": bills}

@@ -275,12 +275,15 @@ class TestCli:
             rows = list(csv.reader(f))
         header = rows[0]
         assert header[:2] == ["iteration", "lower_bound"]
-        assert header[-1] == "iteration_s"
+        assert header[-3:] == ["iteration_s", "forward_s", "backward_s"]
         assert len(rows) > 1
         for row in rows[1:]:
             assert len(row) == len(header)
             for value in row:
                 float(value)  # every field is a plain number
+            # the two passes make up the iteration, to the written digits
+            iteration_s, forward_s, backward_s = map(float, row[-3:])
+            assert abs(forward_s + backward_s - iteration_s) <= 2e-6
 
     def test_train_byte_identical(self, tmp_path):
         cfg = self._write_config(tmp_path)

@@ -1,5 +1,6 @@
-"""Property tests of the physical model on the winter system, and of the
-tank floors an MPC chain holds across re-solves."""
+"""Property tests of the physical model on the winter system, of the tank
+floors an MPC chain holds across re-solves, and of SDDP's lower bound on
+tiny instances against the scenario-tree optimum."""
 
 import dataclasses
 
@@ -20,7 +21,11 @@ from microgrid_ems.model import (
     split_flow,
     step,
 )
+from microgrid_ems.policies import StoppingRule, sddp_train
+from microgrid_ems.scenarios import DiscreteDistribution
 from microgrid_ems.stagelp import ChainTemplate, DeterministicChain
+
+from helpers import battery_params, battery_x0, tree_optimal_value
 
 WINTER = parse_config(day_config("winter"))
 P = WINTER.system
@@ -127,3 +132,39 @@ def test_chain_floors_are_the_sequential_reach(data, path, x, moves):
         chain.solve(x, demands)
         floors = chain._persistent._lower[chain._h_cols]
         assert np.array_equal(floors, sequential_floors(CHAIN_P, x, demands))
+
+
+# ---------------------------------------------------------------------------
+# SDDP's stage LPs against a scenario-tree oracle on tiny instances
+
+
+@st.composite
+def tiny_instances(draw):
+    """A battery-only system of 2-3 steps with random import prices and
+    terminal weight, and per stage a law of 1-3 net-demand points."""
+    steps = draw(st.integers(2, 3))
+    pi_e = draw(st.lists(st.floats(0.05, 0.5), min_size=steps + 1, max_size=steps + 1))
+    p = battery_params(np.array(pi_e), kappa=draw(st.floats(0.0, 1.0)))
+    dists = []
+    for _ in range(steps):
+        size = draw(st.integers(1, 3))
+        points = draw(st.lists(st.floats(-2.0, 3.0), min_size=size, max_size=size, unique=True))
+        weights = np.array(draw(st.lists(st.floats(0.05, 4.0), min_size=size, max_size=size)))
+        dists.append(DiscreteDistribution(points=np.column_stack([points, np.zeros(size)]),
+                                          weights=weights / weights.sum()))
+    return p, dists
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=tiny_instances(), seed=st.integers(0, 2**16))
+def test_sddp_lower_bound_meets_the_tree_optimum(instance, seed):
+    # every lower bound is below the optimum of the whole scenario tree, and
+    # once training stalls it is that optimum
+    p, dists = instance
+    x0 = battery_x0()
+    _, log = sddp_train(p, dists, x0, StoppingRule(max_iters=200, lb_tol=1e-12, patience=10),
+                        seed=seed)
+    opt = tree_optimal_value(p, dists, 0, x0.b)
+    assert max(log.lower_bounds) <= opt + 1e-9
+    assert log.iterations < 200
+    assert log.lower_bounds[-1] == pytest.approx(opt, abs=1e-6)

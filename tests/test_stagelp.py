@@ -41,11 +41,15 @@ from helpers import (
     battery_params,
     battery_x0,
     chain_labels,
+    concatenated_limits,
+    held_answer,
     loop_built_chain,
     loop_built_stage,
     pinned_row_stage_value,
+    scripted_run,
     seeded_indices,
     strided_day_config,
+    table_answer,
     two_point_dists,
 )
 
@@ -189,6 +193,26 @@ def test_appended_cuts_match_fresh_build(summer):
     for _ in range(20):
         x = random_state(rng, summer)
         assert_same(grown.solve(x), fresh.solve(x))
+
+
+def test_appended_cut_rows_are_the_stacked_ones(summer):
+    # a cut appended to a stage LP gets its rows from the layout's template
+    # of its nonzero pattern: they equal the rows the stacked build gives,
+    # dtypes included, with zero slopes dropped alike
+    rng = np.random.default_rng(14)
+    stage = OneStageDecision(summer, 30, random_dist(rng), *random_cuts(rng, 2))
+    lambdas, betas = random_cuts(rng, 16)
+    lambdas[rng.random(lambdas.shape) < 0.3] = 0.0
+    lambdas[0] = 0.0
+    for lam, beta in zip(lambdas, betas):
+        rows, rhs = stage._cut_row(lam, beta)
+        want, want_rhs = stage._cut_rows(lam[None], np.array([beta]))
+        for got, expected in zip((*rows, rhs), (*want, want_rhs)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        stage.add_cut(lam, beta)
+    assert stage.n_cuts == 18
+    assert np.array_equal(stage._lambdas[2:], lambdas)
+    assert np.array_equal(stage._betas[2:], betas)
 
 
 def test_slope_is_a_subgradient(summer):
@@ -633,6 +657,87 @@ def test_kept_basis_answers_as_a_forced_run(summer_sddp, summer_days, counting_c
         assert sol.objective == pytest.approx(ref.objective, abs=TOL)
         np.testing.assert_allclose(sol.x_star[4:8], ref.x_star[4:8], atol=TOL)  # control
         np.testing.assert_allclose(sol.reduced_costs, ref.reduced_costs, atol=TOL)
+
+
+def test_answers_are_the_concatenated_arithmetic_bit_for_bit(summer_sddp, monkeypatch):
+    # every try of a kept basis decides as the concatenated limits, the full
+    # bound comparison and the basis solve of the first kept-basis answers
+    # do, and an answer is their vertex, with equal floats: the table's
+    # first optimal entry, else the basis of the last run, which HiGHS still
+    # holds. The limits an answering basis carries are those gathered from
+    # the bounds the LP holds. Played on 20 held-out summer days, then at
+    # states that relax the tank floors of a stage LP and restore them
+    cfg, vf, dists, _ = summer_sddp
+    p, x0 = cfg.system, cfg.initial_state
+    real_solve, real_held = lpmod.PersistentLp.solve, lpmod.PersistentLp._held_answer
+    seen = {"table": 0, "held": 0, "refused": 0, "restored": 0}
+
+    def same(sol, oracle):
+        x, objective, reduced_costs = oracle
+        assert (sol.x_star == x).all()
+        assert sol.objective == objective
+        assert (sol.reduced_costs == reduced_costs).all()
+
+    def held_try(self, held, x_pin):
+        oracle = held_answer(self, held)
+        sol = real_held(self, held, x_pin)
+        assert (sol is None) == (oracle is None)
+        if sol is None:
+            seen["refused"] += 1
+        else:
+            same(sol, oracle)
+            seen["held"] += 1
+        return sol
+
+    def solve(self, *args, **kwargs):
+        table = list(self._kept)
+        stamps = [entry.stamp for entry in table]
+        sol = real_solve(self, *args, **kwargs)
+        oracle = table_answer(self, table)
+        entry = self._answer
+        if entry is None or all(entry is not kept for kept in table):
+            assert oracle is None  # the table refused, as before
+        else:
+            assert oracle[0] is entry
+            same(sol, oracle[1:])
+            seen["table"] += 1
+            # some floor was written since the entry last matched
+            seen["restored"] += stamps[table.index(entry)] != self._stamp
+        if entry is not None:
+            bounds, limits = concatenated_limits(self)
+            assert (entry.bounds == bounds).all()
+            assert (entry.lo == limits[0, entry.ext]).all()
+            assert (entry.hi == limits[1, entry.ext]).all()
+        return sol
+
+    monkeypatch.setattr(lpmod.PersistentLp, "solve", solve)
+    monkeypatch.setattr(lpmod.PersistentLp, "_held_answer", held_try)
+    policy = SddpPolicy(p, vf, dists)
+    for day in generate_scenarios(cfg.generator, 20, 13).data:
+        simulate_policy(policy, day, x0, p)
+    assert 2 * seen["table"] >= 20 * p.horizon_steps
+    assert seen["held"] > 0 and seen["refused"] > 0
+    # in the hot-water windows a nearly empty tank relaxes the floors, one a
+    # little fuller relaxes them less, and a full one restores them; each
+    # state is solved twice, so the basis of a run is tried too
+    low, full = State(2.0, 0.02 * p.h_max, 22.0, 21.0), State(2.8, 0.97 * p.h_max, 24.0, 23.0)
+    fuller = dataclasses.replace(low, h=0.03 * p.h_max)
+    for t in (28, 32, 76, 80):
+        problem = policy._problems[t]
+        for x in (low, low, fuller, fuller, full, full, low, low, full, full):
+            problem.solve(x)
+    assert seen["restored"] > 0
+
+
+def test_scripted_run_is_repeatable():
+    # a training and a play make the same HiGHS calls, with the same values,
+    # each time they run in one process: what the digest compares between
+    # two trees is theirs alone
+    first, second = scripted_run(), scripted_run()
+    assert first["calls"]["run"] > 0 and first["calls"] == second["calls"]
+    assert first["digest"] == second["digest"]
+    assert first["lower_bound"] == second["lower_bound"]
+    assert first["bills"] == second["bills"]
 
 
 def test_kept_basis_falls_back_outside_its_region(summer_sddp, summer_days, counting_core):
