@@ -252,7 +252,6 @@ class PersistentLp:
         self._kept = []  # read _KeptBasis entries, most recently useful first
         self._limits = None  # widened bounds of the columns and logicals, once read
         self._pin_entries = None  # the pinned columns' entries, once read
-        self._stamp = 0  # writes of bounds other than the pinned ones
         self._moved = np.empty(0, dtype=np.intp)  # the columns, pinned apart, ever written
         if self._core is not None:
             self._solver = self._build()
@@ -386,8 +385,7 @@ class PersistentLp:
             # the column bounds, lower then upper, with the pinned ones as 0
             bounds = np.concatenate((self._lower, self._upper))
             bounds[pinned] = bounds[c.size + pinned] = 0.0
-            self._held = _KeptBasis(self._x, self._x[pinned], sol.row_value, duals, bounds,
-                                    self._stamp)
+            self._held = _KeptBasis(self._x, self._x[pinned], sol.row_value, duals, bounds)
         return LpSolution(
             x_star=self._x,
             objective=solver.getObjectiveValue(),
@@ -396,25 +394,20 @@ class PersistentLp:
         )
 
     def _note_moved(self, index):
-        """Count a write of bounds other than the pinned ones in `index`,
-        and add their columns to those ever written (`_moved`)."""
+        """Add the columns of `index`, the pinned ones apart, to those whose
+        bounds were ever written (`_moved`)."""
         other = index[~np.isin(index, self._pinned)]
         if other.size:
-            self._stamp += 1
             self._limits = None
             self._moved = np.union1d(self._moved, other)
 
     def _at_bounds(self, entry) -> bool:
         """Whether no bound but the pinned ones differs from those `entry`
-        was found at: none was written since it last matched (its `stamp`),
-        or those ever written equal its own."""
-        if entry.stamp != self._stamp:
-            moved, n = self._moved, self._cost.size
-            if not (np.array_equal(entry.bounds[moved], self._lower[moved])
-                    and np.array_equal(entry.bounds[n + moved], self._upper[moved])):
-                return False
-            entry.stamp = self._stamp
-        return True
+        was found at: the columns ever written (`_moved`) have its bounds."""
+        moved, n = self._moved, self._cost.size
+        return (not moved.size
+                or (np.array_equal(entry.bounds[moved], self._lower[moved])
+                    and np.array_equal(entry.bounds[n + moved], self._upper[moved])))
 
     def _send_bounds(self):
         """Send HiGHS, in one call, the column bounds set since the last run
@@ -581,8 +574,7 @@ class _KeptBasis:
     factor, the basic set and the reference values, not HiGHS's solution.
 
     It answers only at the column bounds it was found at, the pinned ones
-    apart (`bounds`: lower then upper, the pinned ones as 0; `stamp` counts
-    the other bounds' writes up to the last time they matched). The stage
+    apart (`bounds`: lower then upper, the pinned ones as 0). The stage
     LPs' only other moving bounds, the relaxed tank floors, moved in 1 of
     7,392 summer decisions. So it carries its own limits, `lo` and `hi`: the
     widened bounds of its basic variables, taken once when it is tried in
@@ -590,12 +582,12 @@ class _KeptBasis:
     or `add_rows` drops it, and every other bound must equal its own.
     """
 
-    __slots__ = ("x", "x_pin", "col_dual", "bounds", "stamp", "row_value", "ext", "key",
-                 "cols", "vb0", "factor", "lo", "hi")
+    __slots__ = ("x", "x_pin", "col_dual", "bounds", "row_value", "ext", "key", "cols",
+                 "vb0", "factor", "lo", "hi")
 
-    def __init__(self, x, x_pin, row_value, col_dual, bounds, stamp):
+    def __init__(self, x, x_pin, row_value, col_dual, bounds):
         self.x, self.x_pin, self.row_value, self.col_dual = x, x_pin, row_value, col_dual
-        self.bounds, self.stamp = bounds, stamp
+        self.bounds = bounds
 
     def arrange(self, ext, vb0, n, order):
         """Take the basic set `ext`, sorted, the basic values `vb0` at the

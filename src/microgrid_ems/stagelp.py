@@ -325,10 +325,8 @@ class OneStageDecision:
         self.weights = np.asarray(dist.weights, dtype=float)
         self.s_count = self.points.shape[0]
         self.n = _BLOCK + _WIDTH * self.s_count
-        # the cuts' slopes and intercepts, as blocks stacked when read
-        self._slopes = [np.asarray(lambdas, dtype=float).reshape(-1, 4)]
-        self._intercepts = [np.asarray(betas, dtype=float).reshape(-1)]
-        self.n_cuts = self._intercepts[0].size
+        self._lambdas = np.asarray(lambdas, dtype=float).reshape(-1, 4)
+        self._betas = np.asarray(betas, dtype=float).reshape(-1)
         self._persistent = None
         # another scenario count is another column layout
         self._prev = prev if prev is not None and prev.s_count == self.s_count else None
@@ -344,7 +342,6 @@ class OneStageDecision:
         self._relaxed = True  # some tank floor the LP holds is not h_floor
         self._hw_max = float(self.points[:, 1].max())
         self._decide_costs = False  # the LP holds _c_decide, not c
-        self._what = f"one-stage problem at t={t}"
 
     def _build_layout(self):
         """Columns, rows and base bounds: the same at every stage, since M, N
@@ -411,20 +408,24 @@ class OneStageDecision:
 
     def _cut_rows(self, lambdas: np.ndarray, betas: np.ndarray):
         """Rows lam_j . x'_s - theta_s <= -beta_j, cut-major, as a CSR
-        triple, and their right-hand sides."""
-        s_count = self.s_count
-        n_rows = lambdas.shape[0] * s_count
-        cols = np.tile(self._cut_cols, (lambdas.shape[0], 1))
-        vals = np.column_stack([np.full(n_rows, -1.0), np.repeat(lambdas, s_count, axis=0)])
-        keep = vals != 0.0
-        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int32)
-        return (indptr, cols[keep], vals[keep]), np.repeat(-betas, s_count)
+        triple, and their right-hand sides: the rows `_cut_row` gives each
+        cut, one after another."""
+        indptr, indices = [np.zeros(1, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+        data, rhs = [np.zeros(0)], [np.zeros(0)]
+        for lam, beta in zip(lambdas, betas):
+            (ptr, idx, vals), b = self._cut_row(lam, beta)
+            indptr.append(ptr[1:] + indptr[-1][-1])
+            indices.append(idx)
+            data.append(vals)
+            rhs.append(b)
+        return ((np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)),
+                np.concatenate(rhs))
 
     def _cut_row(self, lam: np.ndarray, beta: float):
-        """The rows of one cut, as `_cut_rows` gives them. Its S rows share
-        one pattern of nonzero entries, for which the layout keeps a
-        template: the indptr, the indices, and which of -1, lam each entry
-        takes."""
+        """The S rows of one cut, as a CSR triple, and their right-hand
+        sides. They share one pattern of nonzero entries, for which the
+        layout keeps a template: the indptr, the indices, and which of -1,
+        lam each entry takes."""
         vals = np.concatenate(([-1.0], lam))
         keep = vals != 0.0
         template = self._cut_templates.get(keep.tobytes())
@@ -437,37 +438,25 @@ class OneStageDecision:
         indptr, indices, pick = template
         return (indptr, indices, vals[pick]), np.full(self.s_count, -beta)
 
-    @property
-    def _lambdas(self) -> np.ndarray:
-        """The cuts' slopes, one row per cut."""
-        if len(self._slopes) > 1:
-            self._slopes = [np.vstack(self._slopes)]
-        return self._slopes[0]
-
-    @property
-    def _betas(self) -> np.ndarray:
-        """The cuts' intercepts."""
-        if len(self._intercepts) > 1:
-            self._intercepts = [np.concatenate(self._intercepts)]
-        return self._intercepts[0]
-
     def _cut_statuses(self, x: State) -> np.ndarray:
         """Status codes of the cut rows at x: per scenario, the row of the
         cut maximal at x nonbasic (on its bound), the other cut rows basic."""
-        cuts = np.full((self.n_cuts, self.s_count), lpmod.BASIS_BASIC, dtype=np.int8)
+        cuts = np.full((self._betas.size, self.s_count), lpmod.BASIS_BASIC, dtype=np.int8)
         cuts[np.argmax(self._lambdas @ x.as_array() + self._betas)] = lpmod.BASIS_UPPER
         return cuts.ravel()
+
+    @property
+    def n_cuts(self) -> int:
+        return self._betas.size
 
     def add_cut(self, lam: np.ndarray, beta: float):
         """Add theta_s >= lam . x'_s + beta for every scenario. The cut store
         (`ValueFunctions`) passes on only cuts it did not hold."""
-        lam = np.array(lam, dtype=float).reshape(4)
-        beta = float(beta)
-        self._slopes.append(lam[None])
-        self._intercepts.append(np.array([beta]))
-        self.n_cuts += 1
+        lam = np.asarray(lam, dtype=float).reshape(1, 4)
+        self._lambdas = np.vstack([self._lambdas, lam])
+        self._betas = np.append(self._betas, float(beta))
         if self._persistent is not None:
-            self._persistent.add_rows(*self._cut_row(lam, beta))
+            self._persistent.add_rows(*self._cut_row(self._lambdas[-1], self._betas[-1]))
 
     def solve(self, x: State, prefer_storage: bool = False) -> StageSolution:
         """Optimal control at incoming state x (clipped to the admissible
@@ -510,7 +499,7 @@ class OneStageDecision:
         else:
             sol = self._persistent.solve(cols=cols, cost=self.c if self._decide_costs else None)
         self._decide_costs = prefer_storage
-        _require_optimal(sol, self._what)
+        _require_optimal(sol, f"one-stage problem at t={self.t}")
         xs = sol.x_star
         u = canonical_control(*xs[_U:_U + 4].tolist())
         if prefer_storage:
