@@ -22,9 +22,10 @@ optimal basis found at other bounds stays dual feasible; if its basic
 values, updated as v_B = v_B0 - B^-1 A_pin dx, still lie within their
 bounds, that basis is optimal at the new bounds, and its vertex is exactly
 what a warm run from it would return after zero pivots. A PersistentLp keeps
-the last few such bases and tries them before it runs HiGHS (partial
-enumeration: Pannocchia, Rawlings & Wright 2007, "Fast, large-scale model
-predictive control by partial enumeration", Automatica 43(5)).
+one table of such bases, the last run's among them, and tries them before
+it runs HiGHS (partial enumeration: Pannocchia, Rawlings & Wright 2007,
+"Fast, large-scale model predictive control by partial enumeration",
+Automatica 43(5)).
 """
 
 from __future__ import annotations
@@ -242,14 +243,13 @@ class PersistentLp:
         self._lower = lower.copy()  # the bounds of the next solve
         self._upper = upper.copy()
         self._sent_lower, self._sent_upper = lower.copy(), upper.copy()  # what HiGHS holds
-        self._unsent = []  # index arrays of the bounds set since the last run
         self._pinned = pinned
         self._core = _highs_core
         self._solver = None
         self._x = None  # primal solution of the last optimal warm solve
         self._answer = None  # the _KeptBasis that gave _x, when no run did
-        self._held = None  # _KeptBasis of the last run, while HiGHS holds it unread
-        self._kept = []  # read _KeptBasis entries, most recently useful first
+        # _KeptBasis entries, most recently useful first; the last run's, unread, last
+        self._kept = []
         self._limits = None  # widened bounds of the columns and logicals, once read
         self._pin_entries = None  # the pinned columns' entries, once read
         self._moved = np.empty(0, dtype=np.intp)  # the columns, pinned apart, ever written
@@ -275,7 +275,7 @@ class PersistentLp:
 
     def _forget(self):
         """Drop every kept basis: the LP they were optimal for changed."""
-        self._held, self._kept = None, []
+        self._kept = []
 
     def add_rows(self, rows, b_ub):
         """Append inequality rows a x <= b_ub, given as a CSR triple like the
@@ -300,16 +300,17 @@ class PersistentLp:
 
         On an LP with pinned columns, the optimal basis of every run at
         unchanged costs may answer later solves with the same costs and rows
-        without running HiGHS. Up to KEPT_BASES such bases are kept, most
+        without running HiGHS. The bases are kept in one table, most
         recently useful first, and the first one still optimal at the new
         bounds answers: no bound but the pinned ones moved since it was
         found, and its basic values lie within their bounds (to
         BASIS_PRIMAL_TOL). The answer is that basis's vertex: optimal, and
-        the one a warm run from it would return after zero pivots. The table
-        is tried first, then the basis of the last run, which HiGHS still
-        holds, with one basis solve; its reduced columns are read only once
-        it has answered, and a basis met twice is read once. `add_rows`, a
-        cost change and an rhs change drop every kept basis.
+        the one a warm run from it would return after zero pivots. A run's
+        basis joins the table last and unread, tried with one basis solve
+        while HiGHS holds it; it is read only once it has answered, and a
+        basic set met twice is read once. Up to KEPT_BASES read bases are
+        kept. `add_rows`, a cost change and an rhs change drop every kept
+        basis.
         """
         c = self._cost if cost is None else np.asarray(cost, dtype=float)
         if c.shape != self._cost.shape:
@@ -332,9 +333,6 @@ class PersistentLp:
         if cols is not None:
             index, lower, upper = cols
             self._lower[index], self._upper[index] = lower, upper
-            # an owner passes the same index array solve after solve
-            if solver is not None and not (self._unsent and self._unsent[-1] is index):
-                self._unsent.append(index)
             if pinned is not None and index is not pinned:
                 self._note_moved(index)
         if solver is None:
@@ -351,20 +349,21 @@ class PersistentLp:
         if len(new_cost):
             self._forget()
         keep = pinned is not None and not len(new_cost)  # a basis found now may answer
-        if keep and (self._held is not None or self._kept):
+        if keep and self._kept:
             sol = self._table_answer(self._lower[pinned])
             if sol is not None:
                 return sol
         if new_rhs is not None:
             for r, v in zip(new_rhs[0].tolist(), new_rhs[1].tolist()):
                 solver.changeRowBounds(r, v, v)
-        if self._unsent:
-            self._send_bounds()
+        self._send_bounds()
         if len(new_cost):
             solver.changeColsCost(new_cost.size, new_cost.astype(np.int32), c[new_cost])
             self._cost = c.copy()
 
-        self._x = self._held = self._answer = None
+        self._x = self._answer = None
+        if self._kept and self._kept[-1].factor is None:  # HiGHS drops that basis
+            del self._kept[-1]
         solver.run()
         hc = self._core
         model_status = solver.getModelStatus()
@@ -381,11 +380,11 @@ class PersistentLp:
                               reduced_costs=None, status=LpStatus.OPTIMAL)
         self._x = np.asarray(sol.col_value, dtype=float)
         duals = np.asarray(sol.col_dual, dtype=float)
-        if keep:  # the next solve may try it while HiGHS holds it
+        if keep:  # later solves may try it while HiGHS holds it
             # the column bounds, lower then upper, with the pinned ones as 0
             bounds = np.concatenate((self._lower, self._upper))
             bounds[pinned] = bounds[c.size + pinned] = 0.0
-            self._held = _KeptBasis(self._x, self._x[pinned], sol.row_value, duals, bounds)
+            self._kept.append(_KeptBasis(self._x, self._x[pinned], sol.row_value, duals, bounds))
         return LpSolution(
             x_star=self._x,
             objective=solver.getObjectiveValue(),
@@ -410,85 +409,93 @@ class PersistentLp:
                     and np.array_equal(entry.bounds[n + moved], self._upper[moved])))
 
     def _send_bounds(self):
-        """Send HiGHS, in one call, the column bounds set since the last run
-        that differ from the ones it holds."""
-        unsent, self._unsent = self._unsent, []
-        index = unsent[0] if len(unsent) == 1 else np.unique(np.concatenate(unsent))
-        lower, upper = self._lower[index], self._upper[index]
-        moved = ((lower != self._sent_lower[index])
-                 | (upper != self._sent_upper[index])).nonzero()[0]
+        """Send HiGHS, in one call, the column bounds that differ from the
+        ones it holds."""
+        moved = ((self._lower != self._sent_lower)
+                 | (self._upper != self._sent_upper)).nonzero()[0]
         if moved.size:
-            index, lower, upper = index[moved], lower[moved], upper[moved]
-            self._solver.changeColsBounds(index.size, index.astype(np.int32, copy=False),
-                                          lower, upper)
-            self._sent_lower[index], self._sent_upper[index] = lower, upper
+            lower, upper = self._lower[moved], self._upper[moved]
+            self._solver.changeColsBounds(moved.size, moved.astype(np.int32), lower, upper)
+            self._sent_lower[moved], self._sent_upper[moved] = lower, upper
 
     def _table_answer(self, x_pin) -> Optional[LpSolution]:
-        """The optimum at pinned values `x_pin`, read off a kept basis, or
-        None when no kept basis is optimal there: first the table in order,
-        then the basis of the last run. The entry that answers moves to the
-        front. HiGHS is not told of the new bounds; the next run sends every
-        bound that differs."""
-        held, self._held = self._held, None
-        for i, entry in enumerate(self._kept):
-            values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
-            if entry.holds(values) and self._at_bounds(entry):
-                self._kept.insert(0, self._kept.pop(i))
-                return self._vertex(entry, values, x_pin)
-        if held is not None:
-            return self._held_answer(held, x_pin)
+        """The optimum at pinned values `x_pin`, read off the first kept
+        basis, in order, still optimal there, or None when none is. The
+        entry that answers moves to the front. HiGHS is not told of the new
+        bounds; the next run sends every bound that differs."""
+        kept = self._kept
+        for i, entry in enumerate(kept):
+            if entry.factor is None:  # the last run's basis, which HiGHS holds
+                values, order = self._first_values(entry, x_pin)
+                if values is None:
+                    return None
+            else:
+                values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
+            if not (entry.holds(values) and self._at_bounds(entry)):
+                continue
+            kept.insert(0, kept.pop(i))
+            if entry.factor is None:  # read only once it has answered
+                twin = next((e for e in kept[1:] if np.array_equal(e.ext, entry.ext)), None)
+                if twin is not None:  # met again: nothing to read
+                    kept.remove(twin)
+                    entry.factor = twin.factor
+                elif (factor := self._reduced_columns()) is not None:
+                    entry.factor = factor[order]
+                else:  # no factor: nothing is kept
+                    del kept[0]
+                del kept[KEPT_BASES:]
+            elif kept[-1].factor is None:  # HiGHS's basis goes unread
+                kept.pop()
+            return self._vertex(entry, values, x_pin)
         return None
 
-    def _held_answer(self, held, x_pin) -> Optional[LpSolution]:
-        """The optimum read off `held`, the basis of the last run, which
-        HiGHS still holds, or None when it is not optimal here: its basic set
-        is read off HiGHS, and one basis solve gives its basic values.
-
-        Only once it has answered is the basis put at the front of the
-        table. If an entry has its basic set, `held` replaces that entry and
-        takes its factor; otherwise its reduced columns are read."""
-        status, basic = self._solver.getBasicVariables()
+    def _first_values(self, entry, x_pin):
+        """The basic values at `x_pin` of `entry`, the last run's basis,
+        from one solve with the factor HiGHS holds, and the order that sorts
+        HiGHS's basic set; (None, None) when HiGHS gives no basic set. On
+        the way `entry` takes its basic set sorted, and its reference values
+        and limits in that order."""
+        solver, n, pinned = self._solver, self._cost.size, self._pinned
+        status, basic = solver.getBasicVariables()
         if status != self._core.HighsStatus.kOk:
-            return None
-        n, pinned = self._cost.size, self._pinned
+            return None, None
         ext = np.where(basic >= 0, basic, n - 1 - basic)
-        vb0 = np.concatenate((held.x, np.negative(held.row_value)))[ext]
+        order = np.argsort(ext)
+        entry.ext = ext = ext[order]
+        entry.cols = ext[:np.searchsorted(ext, n)]
+        entry.vb0 = np.concatenate((entry.x, np.negative(entry.row_value)))[ext]
+        entry.row_value = None
+        if self._limits is None:
+            self._limits = self._widened_limits()
+        entry.lo, entry.hi = self._limits[:, ext]
         if self._pin_entries is None:
-            _, start, index, value = self._solver.getColsEntries(
-                pinned.size, pinned.astype(np.int32))
+            _, start, index, value = solver.getColsEntries(pinned.size, pinned.astype(np.int32))
             column = np.repeat(np.arange(pinned.size), np.diff(np.append(start, index.size)))
             self._pin_entries = (index, value, column)
         index, value, column = self._pin_entries
-        a_dx = np.bincount(index, weights=value * (x_pin - held.x_pin)[column],
+        a_dx = np.bincount(index, weights=value * (x_pin - entry.x_pin)[column],
                            minlength=basic.size)
-        values = vb0 - self._solver.getBasisSolve(a_dx)[1]  # minus B^-1 A_pin dx
-        if self._limits is None:
-            self._limits = self._widened_limits()
-        held.lo, held.hi = self._limits[:, ext]
-        if (not (held.holds(values) and self._at_bounds(held))
-                or (basic[:, None] == pinned).any()):
-            return None
-        order = np.argsort(ext)
-        held.arrange(ext[order], vb0[order], n, order)
-        values = values[order]
-        entry = next((entry for entry in self._kept if entry.key == held.key
-                      and np.array_equal(entry.ext, held.ext)), None)
-        if entry is not None:  # met again: nothing to read
-            held.factor = entry.factor
-            self._kept.remove(entry)
-        elif not held.read(self._solver, self._core.HighsStatus.kOk, pinned, order):
-            return self._vertex(held, values, x_pin)  # no factor: nothing is kept
-        self._kept.insert(0, held)
-        del self._kept[KEPT_BASES:]
-        return self._vertex(held, values, x_pin)
+        return entry.vb0 - solver.getBasisSolve(a_dx)[1][order], order  # minus B^-1 A_pin dx
+
+    def _reduced_columns(self):
+        """B^-1 A_pin, one column per pinned column, in HiGHS's order of the
+        basic variables, or None when HiGHS cannot give it."""
+        pinned, ok = self._pinned, self._core.HighsStatus.kOk
+        factor = np.empty((self._n_eq + self._b_ub.size, pinned.size))
+        for k, j in enumerate(pinned):
+            status, factor[:, k] = self._solver.getReducedColumn(int(j))  # B^-1 a_j
+            if status != ok:
+                return None
+        return factor
 
     def _widened_limits(self):
-        """The bounds of the columns (the pinned ones as 0), then of the
-        rows' logical variables, each widened by BASIS_PRIMAL_TOL; a row's
-        logical lies in [-row_upper, -row_lower]."""
+        """The bounds of the columns, then of the rows' logical variables,
+        each widened by BASIS_PRIMAL_TOL; a row's logical lies in
+        [-row_upper, -row_lower]. A pinned column's are empty: a basis in
+        which one is basic never holds."""
         n, n_ub, pinned = self._cost.size, self._b_ub.size, self._pinned
         bounds = np.concatenate((self._lower, self._upper))
-        bounds[pinned] = bounds[n + pinned] = 0.0
+        bounds[pinned], bounds[n + pinned] = np.inf, -np.inf
         logicals = np.stack((
             np.concatenate([-self._rhs, -self._b_ub]) - BASIS_PRIMAL_TOL,
             np.concatenate([-self._rhs, np.full(n_ub, np.inf)]) + BASIS_PRIMAL_TOL))
@@ -563,50 +570,33 @@ class _KeptBasis:
     are v_B = -B^-1 N v_N: moving the pinned columns by dx moves them by
     -B^-1 A_pin dx. `factor` is B^-1 A_pin, one solve with HiGHS's factor
     of B per pinned column. The basic variables are kept sorted by `ext`,
-    which numbers columns j < n and logicals n + i; sorted, it also names
-    the basis in the table (`key` is its hash).
+    which numbers columns j < n and logicals n + i.
 
-    A basis is made from a run's values, while HiGHS holds it; `holds`, the
-    check of every kept basis, tries it in HiGHS's order, and only once it
-    has answered a solve is it arranged and read (`read`, the factor): HiGHS
-    keeps the factor until its next run, and a decision that runs HiGHS
-    after a refused try does not also pay for the read. An entry keeps the
-    factor, the basic set and the reference values, not HiGHS's solution.
+    An entry is made from a run's values and joins the table unread
+    (`factor` None), while HiGHS holds its basis. Its first try takes its
+    basic set off HiGHS, sorted, with its reference values `vb0` and its
+    limits, and its basic values from one basis solve. Only once it has
+    answered is the factor read, or taken from an entry with the same
+    basic set: HiGHS keeps its factor until its next run, which drops an
+    unread entry, and a decision that runs HiGHS after a refused try does
+    not also pay for the read. A read entry keeps the factor, the basic set
+    and the reference values, not HiGHS's solution.
 
     It answers only at the column bounds it was found at, the pinned ones
     apart (`bounds`: lower then upper, the pinned ones as 0). The stage
     LPs' only other moving bounds, the relaxed tank floors, moved in 1 of
     7,392 summer decisions. So it carries its own limits, `lo` and `hi`: the
-    widened bounds of its basic variables, taken once when it is tried in
-    HiGHS's order. They cannot change while it may answer: an rhs change
-    or `add_rows` drops it, and every other bound must equal its own.
+    widened bounds of its basic variables, taken on its first try. They
+    cannot change while it may answer: an rhs change or `add_rows` drops
+    it, and every other bound must equal its own.
     """
 
-    __slots__ = ("x", "x_pin", "col_dual", "bounds", "row_value", "ext", "key", "cols",
+    __slots__ = ("x", "x_pin", "col_dual", "bounds", "row_value", "ext", "cols",
                  "vb0", "factor", "lo", "hi")
 
     def __init__(self, x, x_pin, row_value, col_dual, bounds):
         self.x, self.x_pin, self.row_value, self.col_dual = x, x_pin, row_value, col_dual
-        self.bounds = bounds
-
-    def arrange(self, ext, vb0, n, order):
-        """Take the basic set `ext`, sorted, the basic values `vb0` at the
-        run's bounds, in its order, and put the limits in that `order`."""
-        self.ext, self.vb0, self.row_value = ext, vb0, None
-        self.key = hash(ext.tobytes())
-        self.cols = ext[:np.searchsorted(ext, n)]
-        self.lo, self.hi = self.lo[order], self.hi[order]
-
-    def read(self, solver, ok, pinned, order) -> bool:
-        """Read the factor of the columns `pinned` off `solver`, which holds
-        this basis, rows taken in `order`; False when HiGHS cannot give it."""
-        factor = np.empty((self.ext.size, pinned.size))
-        for k, j in enumerate(pinned):
-            status, factor[:, k] = solver.getReducedColumn(int(j))  # B^-1 a_j
-            if status != ok:
-                return False
-        self.factor = factor[order]
-        return True
+        self.bounds, self.factor = bounds, None
 
     def holds(self, values) -> bool:
         """Whether the basic values `values` (in the order of `ext`) lie

@@ -215,6 +215,12 @@ def fan_value(x: float) -> float:
     return float(np.max(SLOPES * x + INTERCEPTS))
 
 
+def factors(persistent):
+    """The factor of each kept basis, in table order: None for the last
+    run's basis, which the table holds unread."""
+    return [entry.factor for entry in persistent._kept]
+
+
 class FanTable:
     """A persistent fan LP on counting bindings, with x pinned."""
 
@@ -230,9 +236,9 @@ class FanTable:
         return sol
 
     def pieces(self):
-        """The piece whose row is active in each table entry, in order."""
+        """The piece whose row is active in each read table entry, in order."""
         return [int(np.setdiff1d(np.arange(5), entry.ext - 3 - 1)[0])
-                for entry in self.lp._kept]
+                for entry in self.lp._kept if entry.factor is not None]
 
 
 class TestPersistent:
@@ -452,18 +458,20 @@ class TestPersistent:
             # y <= 50, which no optimum here meets
             fan.lp.add_rows((np.array([0, 1], dtype=np.int32), np.array([1], dtype=np.int32),
                              np.array([1.0])), np.array([50.0]))
-            assert fan.lp._kept == [] and fan.lp._held is None
+            assert fan.lp._kept == []  # the last run's basis too
             fan.solve(-2.0)
         elif change == "cost":
             sol = fan.lp.solve(cols=all_cols(lp), cost=np.array([0.0, 2.0, 0.0]))
             assert sol.objective == pytest.approx(2 * fan_value(-2.0), abs=1e-12)
-            # a run at new costs keeps nothing
-            assert fan.lp._kept == [] and fan.lp._held is None
+            # a run at new costs keeps nothing, not even its own basis
+            assert fan.lp._kept == []
         else:
             sol = fan.lp.solve(rows=(np.array([0]), np.array([1.0])), cols=all_cols(lp))
             assert sol.x_star[2] == pytest.approx(-2.0 + 4.0 + 1.0, abs=1e-12)
         assert fan.core.runs == 3
-        assert fan.lp._kept == []
+        # no basis found before the change is kept; a run at unchanged costs
+        # keeps its own, unread
+        assert factors(fan.lp) == ([] if change == "cost" else [None])
 
     def test_a_kept_basis_answers_only_at_its_own_bounds(self, monkeypatch):
         core = CountingCore(lpmod._highs_core)
@@ -488,7 +496,7 @@ class TestPersistent:
         # nor does the basis of the last run answer, before it is read
         persistent._forget()
         at(0.7, 0.0)
-        assert core.runs == 3 and persistent._held is not None
+        assert core.runs == 3 and factors(persistent) == [None]
         assert at(0.75, 1.0).objective == pytest.approx(1.75, abs=1e-12)
         assert core.runs == 4
 
@@ -514,7 +522,8 @@ class TestPersistent:
         assert fan.core.runs == 2
         reads = ("getBasicVariables", "getBasisSolve", "getReducedColumn")
         assert [fan.core.calls[name] for name in reads] == [1, 1, 0]
-        assert fan.lp._kept == []
+        # the refused basis is gone; the table holds the second run's, unread
+        assert factors(fan.lp) == [None]
 
     def test_rhs_shape_guard(self):
         # entries the LP does not have, or indices without values

@@ -626,7 +626,8 @@ def test_kept_basis_answers_as_a_forced_run(summer_sddp, summer_days, counting_c
             answers.append((sol, real_solve(self, *args, **kwargs)))
             assert counting_core.runs == runs + 1
             assert self._solver.getInfoValue("simplex_iteration_count")[1] == 0
-            self._kept, self._held = kept, None
+            # HiGHS no longer holds the last run's basis: keep only read bases
+            self._kept = [entry for entry in kept if entry.factor is not None]
         return sol
 
     monkeypatch.setattr(lpmod.PersistentLp, "solve", solve)
@@ -643,13 +644,14 @@ def test_answers_are_the_concatenated_arithmetic_bit_for_bit(summer_sddp, monkey
     # every try of a kept basis decides as the concatenated limits, the full
     # bound comparison and the basis solve of the first kept-basis answers
     # do, and an answer is their vertex, with equal floats: the table's
-    # first optimal entry, else the basis of the last run, which HiGHS still
-    # holds. The limits an answering basis carries are those gathered from
-    # the bounds the LP holds. Played on 20 held-out summer days, then at
-    # states that relax the tank floors of a stage LP and restore them
+    # first optimal read entry, else the basis of the last run, which HiGHS
+    # still holds and the table keeps unread. The limits an answering basis
+    # carries are those gathered from the bounds the LP holds. Played on 20
+    # held-out summer days, then at states that relax the tank floors of a
+    # stage LP and restore them
     cfg, vf, dists, _ = summer_sddp
     p, x0 = cfg.system, cfg.initial_state
-    real_solve, real_held = lpmod.PersistentLp.solve, lpmod.PersistentLp._held_answer
+    real_solve, real_try = lpmod.PersistentLp.solve, lpmod.PersistentLp._table_answer
     seen = {"table": 0, "held": 0, "refused": 0, "restored": 0}
 
     def same(sol, oracle):
@@ -658,19 +660,27 @@ def test_answers_are_the_concatenated_arithmetic_bit_for_bit(summer_sddp, monkey
         assert sol.objective == objective
         assert (sol.reduced_costs == reduced_costs).all()
 
-    def held_try(self, held, x_pin):
-        oracle = held_answer(self, held)
-        sol = real_held(self, held, x_pin)
-        assert (sol is None) == (oracle is None)
-        if sol is None:
-            seen["refused"] += 1
-        else:
-            same(sol, oracle)
-            seen["held"] += 1
+    def read_entries(persistent):
+        return [entry for entry in persistent._kept if entry.factor is not None]
+
+    def table_try(self, x_pin):
+        # the unread basis is tried when no read one answers
+        held = [entry for entry in self._kept if entry.factor is None]
+        tried = held and table_answer(self, read_entries(self)) is None
+        oracle = held_answer(self, held[0]) if tried else None
+        sol = real_try(self, x_pin)
+        if tried:
+            answered = sol is not None and self._answer is held[0]
+            assert answered == (oracle is not None)
+            if answered:
+                same(sol, oracle)
+                seen["held"] += 1
+            else:
+                seen["refused"] += 1
         return sol
 
     def solve(self, *args, **kwargs):
-        table = list(self._kept)
+        table = read_entries(self)
         before = concatenated_limits(self)[0]  # the bounds the last solve left
         sol = real_solve(self, *args, **kwargs)
         oracle = table_answer(self, table)
@@ -691,7 +701,7 @@ def test_answers_are_the_concatenated_arithmetic_bit_for_bit(summer_sddp, monkey
         return sol
 
     monkeypatch.setattr(lpmod.PersistentLp, "solve", solve)
-    monkeypatch.setattr(lpmod.PersistentLp, "_held_answer", held_try)
+    monkeypatch.setattr(lpmod.PersistentLp, "_table_answer", table_try)
     policy = SddpPolicy(p, vf, dists)
     for day in generate_scenarios(cfg.generator, 20, 13).data:
         simulate_policy(policy, day, x0, p)
