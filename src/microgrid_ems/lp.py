@@ -444,8 +444,6 @@ class PersistentLp:
                 else:  # no factor: nothing is kept
                     del kept[0]
                 del kept[KEPT_BASES:]
-            elif kept[-1].factor is None:  # HiGHS's basis goes unread
-                kept.pop()
             return self._vertex(entry, values, x_pin)
         return None
 

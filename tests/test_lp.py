@@ -416,6 +416,18 @@ class TestPersistent:
         assert (fan.core.runs, fan.pieces()) == (2, [0, 3])
         np.testing.assert_allclose(sol.x_star, [-1.9, 3.8, 1.9], atol=1e-12)
 
+    def test_a_table_answer_keeps_the_unread_basis(self, monkeypatch):
+        fan = FanTable(monkeypatch)
+        fan.solve(-2.0)
+        fan.solve(-2.1)  # the run's basis answers and is read
+        fan.solve(1.0)  # refused: a run, in piece 3
+        fan.solve(-1.9)  # the read basis answers; HiGHS still holds piece 3's
+        assert (fan.core.runs, fan.pieces()) == (2, [0])
+        # only piece 3's basis holds here: it answers without a run
+        sol = fan.solve(1.1)
+        assert (fan.core.runs, fan.pieces()) == (2, [3, 0])
+        np.testing.assert_allclose(sol.x_star, [1.1, 2.6, 3.7], atol=1e-12)
+
     def test_the_table_keeps_the_most_recently_useful_bases(self, monkeypatch):
         fan = FanTable(monkeypatch)
         for x in PIECE_AT:
