@@ -4,6 +4,12 @@ Everything here is written from first principles against the problem
 statement (scenario-tree LPs, vertex enumeration, brute-force grids) and
 deliberately avoids the package's own LP assembly code, so that agreement
 between the two is meaningful.
+
+Run as a script, it prints `scripted_run()` as one JSON line: the HiGHS
+calls per method, their digest, the lower bound and the bills. Two trees
+that print the same line make the same solver calls with the same values:
+
+    PYTHONPATH=src python tests/helpers.py
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import collections
 import hashlib
 import itertools
+import json
 import math
 import numbers
 
@@ -882,3 +889,7 @@ def scripted_run() -> dict:
         lpmod._highs_core = core._core
     return {"calls": dict(sorted(core.calls.items())), "digest": core.digest.hexdigest(),
             "lower_bound": log.lower_bounds[-1], "bills": bills}
+
+
+if __name__ == "__main__":
+    print(json.dumps(scripted_run()))
