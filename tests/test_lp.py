@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from microgrid_ems import lp as lpmod
 from microgrid_ems.lp import (
     BASIS_BASIC,
+    BASIS_LOWER,
     BASIS_UPPER,
     LinearProgram,
     LpError,
@@ -511,6 +512,26 @@ class TestPersistent:
         assert core.runs == 3 and factors(persistent) == [None]
         assert at(0.75, 1.0).objective == pytest.approx(1.75, abs=1e-12)
         assert core.runs == 4
+
+    def test_a_basis_with_a_basic_pinned_column_never_answers(self, monkeypatch):
+        # at x = 0.5 both rows are active, and a basis with x, y and z basic
+        # is optimal; HiGHS keeps x basic. Read off that basis, moving x
+        # would move only x's own basic value, so it must not answer
+        core = CountingCore(lpmod._highs_core)
+        monkeypatch.setattr(lpmod, "_highs_core", core)
+        persistent = persistent_lp(v_pin(0.5), pinned=np.array([0]))
+
+        class Solved:  # an LP whose basis has x, y and z basic, both rows active
+            def basis(self):
+                return (np.full(3, BASIS_BASIC, np.int8),
+                        np.array([BASIS_LOWER, BASIS_UPPER, BASIS_UPPER], np.int8))
+
+        persistent.seed(Solved())
+        persistent.solve(cols=all_cols(v_pin(0.5)))
+        assert 0 in persistent._solver.getBasicVariables()[1]
+        sol = persistent.solve(cols=all_cols(v_pin(1.0)))
+        assert core.runs == 2
+        assert sol.objective == pytest.approx(1.0, abs=1e-12)
 
     def test_a_run_sends_the_bounds_answered_solves_set(self, monkeypatch):
         # an answered solve sends HiGHS nothing: the next run sends every
