@@ -90,6 +90,19 @@ def _require_horizon(path, horizon: int, cfg):
         raise click.exceptions.Exit(EXIT_CONFIG)
 
 
+def _read_pool(path, cfg, held_out: int):
+    """The scenario pool in `path`. It must cover the configuration's
+    horizon and hold `held_out` paths past the n_opt it trains on."""
+    pool = _read(scenarios_mod.load_scenarios, path, "scenario")
+    _require_horizon(path, pool.horizon, cfg)
+    if pool.n < cfg.n_opt + held_out:
+        click.echo(f"{path} holds {pool.n} scenarios, but the configuration needs "
+                   f"{cfg.n_opt + held_out}: n_opt {cfg.n_opt} and {held_out} held out",
+                   err=True)
+        raise click.exceptions.Exit(EXIT_CONFIG)
+    return pool
+
+
 def _threads(ctx, param, value):
     """The worker count: at least 1, or exit 2 with one line."""
     if value < 1:
@@ -155,9 +168,9 @@ def train(config_path, scenarios_path, seed, out_dir):
     """Quantize the optimization scenarios and train the SDDP cuts."""
     cfg = _load(config_path, seed)
     _require_file(Path(scenarios_path), "scenario")
+    pool = _read_pool(scenarios_path, cfg, 1)
     out = Path(out_dir)
     _write_manifest(cfg, out)
-    pool = _read(scenarios_mod.load_scenarios, scenarios_path, "scenario")
     opt, _ = assess_mod.split_scenarios(pool, cfg.n_opt, cfg.split_seed)
     _, _, tlog = _train(cfg, opt, out)
     click.echo(f"trained {tlog.iterations} iterations, "
@@ -210,7 +223,7 @@ def assess(config_path, scenarios_path, cuts_path, dists_path, seed, threads,
     dists = _read(scenarios_mod.load_distributions, dists_path, "distributions")
     _require_horizon(cuts_path, vf.horizon, cfg)
     _require_horizon(dists_path, len(dists), cfg)
-    pool = _read(scenarios_mod.load_scenarios, scenarios_path, "scenario")
+    pool = _read_pool(scenarios_path, cfg, 2)  # a confidence interval needs two
     out = Path(out_dir)
     _write_manifest(cfg, out)
     opt, sim = assess_mod.split_scenarios(pool, cfg.n_opt, cfg.split_seed)

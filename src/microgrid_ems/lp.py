@@ -25,7 +25,7 @@ what a warm run from it would return after zero pivots. A PersistentLp keeps
 one table of such bases, the last run's among them, and tries them before
 it runs HiGHS (partial enumeration: Pannocchia, Rawlings & Wright 2007,
 "Fast, large-scale model predictive control by partial enumeration",
-Automatica 43(5)).
+Automatica 43(5)). Any other change to the LP empties the table.
 """
 
 from __future__ import annotations
@@ -252,7 +252,6 @@ class PersistentLp:
         self._kept = []
         self._limits = None  # widened bounds of the columns and logicals, once read
         self._pin_entries = None  # the pinned columns' entries, once read
-        self._moved = np.empty(0, dtype=np.intp)  # the columns, pinned apart, ever written
         if self._core is not None:
             self._solver = self._build()
         elif not _cold_path_warned:
@@ -274,8 +273,10 @@ class PersistentLp:
         return solver
 
     def _forget(self):
-        """Drop every kept basis: the LP they were optimal for changed."""
+        """Drop every kept basis, and the limits read with them: the LP they
+        were optimal for changed."""
         self._kept = []
+        self._limits = None
 
     def add_rows(self, rows, b_ub):
         """Append inequality rows a x <= b_ub, given as a CSR triple like the
@@ -283,7 +284,7 @@ class PersistentLp:
         indptr, indices, data = rows
         self._b_ub = np.concatenate([self._b_ub, b_ub])
         self._forget()
-        self._limits = self._pin_entries = None
+        self._pin_entries = None
         if self._solver is not None:
             self._solver.addRows(b_ub.size, np.full(b_ub.size, -np.inf), b_ub,
                                  data.size, indptr[:-1], indices, data)
@@ -299,18 +300,17 @@ class PersistentLp:
         only the entries that differ from what it holds, in ascending order.
 
         On an LP with pinned columns, the optimal basis of every run at
-        unchanged costs may answer later solves with the same costs and rows
-        without running HiGHS. The bases are kept in one table, most
-        recently useful first, and the first one still optimal at the new
-        bounds answers: no bound but the pinned ones moved since it was
-        found, and its basic values lie within their bounds (to
-        BASIS_PRIMAL_TOL). The answer is that basis's vertex: optimal, and
-        the one a warm run from it would return after zero pivots. A run's
-        basis joins the table last and unread, tried with one basis solve
-        while HiGHS holds it; it is read only once it has answered, and a
-        basic set met twice is read once. Up to KEPT_BASES read bases are
-        kept. `add_rows`, a cost change and an rhs change drop every kept
-        basis.
+        unchanged costs may answer later solves without running HiGHS. The
+        bases are kept in one table, most recently useful first, and the
+        first one whose basic values at the new pinned values lie within
+        their bounds (to BASIS_PRIMAL_TOL) answers with its vertex: optimal,
+        and the one a warm run from it would return after zero pivots. A
+        run's basis joins the table last and unread, tried with one basis
+        solve while HiGHS holds it, and read only once it has answered. Up
+        to KEPT_BASES read bases are kept. One rule keeps the table sound:
+        any change but the pinned values empties it, be it `add_rows`, a
+        cost, an rhs or a bound of another column that differs from the one
+        the LP holds.
         """
         c = self._cost if cost is None else np.asarray(cost, dtype=float)
         if c.shape != self._cost.shape:
@@ -328,13 +328,15 @@ class PersistentLp:
             if moved.size:
                 new_rhs = index[moved], values[moved]
                 self._rhs[new_rhs[0]] = new_rhs[1]
-                self._limits = None
                 self._forget()
         if cols is not None:
             index, lower, upper = cols
-            self._lower[index], self._upper[index] = lower, upper
             if pinned is not None and index is not pinned:
-                self._note_moved(index)
+                free = ~np.isin(index, pinned)
+                if ((lower[free] != self._lower[index[free]]).any()
+                        or (upper[free] != self._upper[index[free]]).any()):
+                    self._forget()
+            self._lower[index], self._upper[index] = lower, upper
         if solver is None:
             self._cost = c.copy()
             indptr, indices, data = self._rows
@@ -381,32 +383,13 @@ class PersistentLp:
         self._x = np.asarray(sol.col_value, dtype=float)
         duals = np.asarray(sol.col_dual, dtype=float)
         if keep:  # later solves may try it while HiGHS holds it
-            # the column bounds, lower then upper, with the pinned ones as 0
-            bounds = np.concatenate((self._lower, self._upper))
-            bounds[pinned] = bounds[c.size + pinned] = 0.0
-            self._kept.append(_KeptBasis(self._x, self._x[pinned], sol.row_value, duals, bounds))
+            self._kept.append(_KeptBasis(self._x, self._x[pinned], sol.row_value, duals))
         return LpSolution(
             x_star=self._x,
             objective=solver.getObjectiveValue(),
             reduced_costs=duals,
             status=LpStatus.OPTIMAL,
         )
-
-    def _note_moved(self, index):
-        """Add the columns of `index`, the pinned ones apart, to those whose
-        bounds were ever written (`_moved`)."""
-        other = index[~np.isin(index, self._pinned)]
-        if other.size:
-            self._limits = None
-            self._moved = np.union1d(self._moved, other)
-
-    def _at_bounds(self, entry) -> bool:
-        """Whether no bound but the pinned ones differs from those `entry`
-        was found at: the columns ever written (`_moved`) have its bounds."""
-        moved, n = self._moved, self._cost.size
-        return (not moved.size
-                or (np.array_equal(entry.bounds[moved], self._lower[moved])
-                    and np.array_equal(entry.bounds[n + moved], self._upper[moved])))
 
     def _send_bounds(self):
         """Send HiGHS, in one call, the column bounds that differ from the
@@ -431,15 +414,11 @@ class PersistentLp:
                     return None
             else:
                 values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
-            if not (entry.holds(values) and self._at_bounds(entry)):
+            if not entry.holds(values):
                 continue
             kept.insert(0, kept.pop(i))
             if entry.factor is None:  # read only once it has answered
-                twin = next((e for e in kept[1:] if np.array_equal(e.ext, entry.ext)), None)
-                if twin is not None:  # met again: nothing to read
-                    kept.remove(twin)
-                    entry.factor = twin.factor
-                elif (factor := self._reduced_columns()) is not None:
+                if (factor := self._reduced_columns()) is not None:
                     entry.factor = factor[order]
                 else:  # no factor: nothing is kept
                     del kept[0]
@@ -521,11 +500,10 @@ class PersistentLp:
             if status != self._core.HighsStatus.kOk:  # no factored basis to read
                 return None
             ext = np.where(basic >= 0, basic, n - 1 - basic)
-            lower, upper = self._lower, self._upper
-        else:  # at the bounds it was found at; a pinned column's read as 0
-            ext, lower, upper = entry.ext, entry.bounds[:n], entry.bounds[n:]
+        else:  # found at the bounds the LP holds, the pinned ones apart
+            ext = entry.ext
         # a nonbasic column sits on the bound nearer to its value
-        x = np.asarray(self._x, dtype=float)
+        lower, upper, x = self._lower, self._upper, np.asarray(self._x, dtype=float)
         cols = np.where(np.abs(x - upper) < np.abs(x - lower),
                         BASIS_UPPER, BASIS_LOWER).astype(np.int8)
         cols[np.isinf(lower) & np.isinf(upper)] = BASIS_ZERO
@@ -574,27 +552,24 @@ class _KeptBasis:
     (`factor` None), while HiGHS holds its basis. Its first try takes its
     basic set off HiGHS, sorted, with its reference values `vb0` and its
     limits, and its basic values from one basis solve. Only once it has
-    answered is the factor read, or taken from an entry with the same
-    basic set: HiGHS keeps its factor until its next run, which drops an
-    unread entry, and a decision that runs HiGHS after a refused try does
-    not also pay for the read. A read entry keeps the factor, the basic set
-    and the reference values, not HiGHS's solution.
+    answered is the factor read: HiGHS keeps its factor until its next run,
+    which drops an unread entry, and a decision that runs HiGHS after a
+    refused try does not also pay for the read. A read entry keeps the
+    factor, the basic set and the reference values, not HiGHS's solution.
 
-    It answers only at the column bounds it was found at, the pinned ones
-    apart (`bounds`: lower then upper, the pinned ones as 0). The stage
-    LPs' only other moving bounds, the relaxed tank floors, moved in 1 of
-    7,392 summer decisions. So it carries its own limits, `lo` and `hi`: the
-    widened bounds of its basic variables, taken on its first try. They
-    cannot change while it may answer: an rhs change or `add_rows` drops
-    it, and every other bound must equal its own.
+    It lives only while the LP is the one it was found for, the pinned
+    values apart: any other change empties the table. So every entry was
+    found at the column bounds the LP holds, the pinned ones apart, and
+    carries its own limits, `lo` and `hi`: the widened bounds of its basic
+    variables, taken on its first try.
     """
 
-    __slots__ = ("x", "x_pin", "col_dual", "bounds", "row_value", "ext", "cols",
-                 "vb0", "factor", "lo", "hi")
+    __slots__ = ("x", "x_pin", "col_dual", "row_value", "ext", "cols", "vb0", "factor",
+                 "lo", "hi")
 
-    def __init__(self, x, x_pin, row_value, col_dual, bounds):
+    def __init__(self, x, x_pin, row_value, col_dual):
         self.x, self.x_pin, self.row_value, self.col_dual = x, x_pin, row_value, col_dual
-        self.bounds, self.factor = bounds, None
+        self.factor = None
 
     def holds(self, values) -> bool:
         """Whether the basic values `values` (in the order of `ext`) lie

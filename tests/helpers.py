@@ -693,14 +693,14 @@ def table_answer(persistent, table):
     """The first of the kept bases `table`, in order, optimal at the bounds
     `persistent` holds, with its vertex, objective and reduced costs; None
     when none is. Each entry is checked against the concatenated limits
-    gathered by its basic set, and all its column bounds against the LP's."""
+    gathered by its basic set."""
     n, pinned = persistent._cost.size, persistent._pinned
-    bounds, limits = concatenated_limits(persistent)
+    limits = concatenated_limits(persistent)[1]
     x_pin = persistent._lower[pinned]
     for entry in table:
         values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
         at = limits[:, entry.ext]
-        if ((at[0] <= values) & (values <= at[1])).all() and (bounds == entry.bounds).all():
+        if ((at[0] <= values) & (values <= at[1])).all():
             n_cols = int(np.searchsorted(entry.ext, n))
             x = entry.x.copy()
             x[pinned] = x_pin
@@ -727,10 +727,8 @@ def held_answer(persistent, held):
     a_dx = np.bincount(index, weights=value * (x_pin - held.x_pin)[column],
                        minlength=basic.size)
     values = vb0 - solver.getBasisSolve(a_dx)[1]
-    bounds, limits = concatenated_limits(persistent)
-    at = limits[:, ext]
-    if (not (((at[0] <= values) & (values <= at[1])).all() and (bounds == held.bounds).all())
-            or (basic[:, None] == pinned).any()):
+    at = concatenated_limits(persistent)[1][:, ext]
+    if not ((at[0] <= values) & (values <= at[1])).all() or (basic[:, None] == pinned).any():
         return None
     cols = ext < n
     x = held.x.copy()

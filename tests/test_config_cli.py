@@ -252,6 +252,24 @@ class TestMalformedArtifacts:
         self.assert_one_line(res, bad)
 
 
+@pytest.fixture(scope="module")
+def two_horizons(tmp_path_factory):
+    """Finished tiny `mgems bench` runs of 8 and 6 steps: (the directory of
+    their configs t8.json and t6.json, each run's output directory by step
+    count)."""
+    root = tmp_path_factory.mktemp("two_horizons")
+    outs = {}
+    for steps in (8, 6):
+        doc = tiny_doc()
+        doc["system"] = day_config("winter", horizon_steps=steps)["system"]
+        cfg = root / f"t{steps}.json"
+        cfg.write_text(json.dumps(doc))
+        outs[steps] = out = root / f"o{steps}"
+        assert CliRunner().invoke(main, ["bench", "--config", str(cfg),
+                                         "--out", str(out)]).exit_code == 0
+    return root, outs
+
+
 class TestCli:
     def _write_config(self, tmp_path):
         path = tmp_path / "tiny.json"
@@ -328,30 +346,55 @@ class TestCli:
         what = option.lstrip("-")
         assert lines == [f"missing {what} file: {tmp_path / 'absent.json'}"]
 
-    @pytest.mark.parametrize("stale", ["cuts.json", "distributions.json"])
-    def test_assess_horizon_mismatch_exit_2(self, tmp_path, stale):
-        runner = CliRunner()
-        outs = {}
-        for steps in (8, 6):
-            doc = tiny_doc()
-            doc["system"] = day_config("winter", horizon_steps=steps)["system"]
-            cfg = tmp_path / f"t{steps}.json"
-            cfg.write_text(json.dumps(doc))
-            outs[steps] = out = tmp_path / f"o{steps}"
-            assert runner.invoke(main, ["bench", "--config", str(cfg),
-                                        "--out", str(out)]).exit_code == 0
+    @staticmethod
+    def _run_on(command, cfg, artifacts, out):
+        """`mgems train` or `mgems assess` on the artifacts named by file name."""
+        names = ("scenarios.csv",) if command == "train" else (
+            "scenarios.csv", "cuts.json", "distributions.json")
+        options = {"scenarios.csv": "--scenarios", "cuts.json": "--cuts",
+                   "distributions.json": "--distributions"}
+        return CliRunner().invoke(main, [
+            command, "--config", str(cfg),
+            *[v for name in names for v in (options[name], str(artifacts[name]))],
+            "--out", str(out)])
+
+    @pytest.mark.parametrize("stale", ["cuts.json", "distributions.json", "scenarios.csv"])
+    def test_assess_horizon_mismatch_exit_2(self, two_horizons, tmp_path, stale):
         # the 6-step day's artifacts, but one of them from the 8-step day
+        root, outs = two_horizons
         artifacts = {name: outs[8 if name == stale else 6] / name
-                     for name in ("cuts.json", "distributions.json")}
-        res = runner.invoke(main, [
-            "assess", "--config", str(tmp_path / "t6.json"),
-            "--scenarios", str(outs[6] / "scenarios.csv"),
-            "--cuts", str(artifacts["cuts.json"]),
-            "--distributions", str(artifacts["distributions.json"]),
-            "--out", str(tmp_path / "o")])
+                     for name in ("scenarios.csv", "cuts.json", "distributions.json")}
+        res = self._run_on("assess", root / "t6.json", artifacts, tmp_path / "o")
         assert res.exit_code == 2
         lines = res.output.strip().splitlines()
         assert lines == [f"{outs[8] / stale} covers 8 stages, but the configuration has 6"]
+
+    def test_train_horizon_mismatch_exit_2(self, two_horizons, tmp_path):
+        root, outs = two_horizons
+        stale = outs[8] / "scenarios.csv"
+        res = self._run_on("train", root / "t6.json", {"scenarios.csv": stale}, tmp_path / "o")
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert lines == [f"{stale} covers 8 stages, but the configuration has 6"]
+        assert not (tmp_path / "o").exists()  # no manifest for a run that never ran
+
+    @pytest.mark.parametrize("command, n", [("train", 12), ("assess", 12), ("assess", 13)])
+    def test_too_few_scenarios_exit_2(self, two_horizons, tmp_path, command, n):
+        # n_opt is 12: training needs one more path, assessment two
+        root, outs = two_horizons
+        lines = (outs[6] / "scenarios.csv").read_text().splitlines()
+        short = tmp_path / "scenarios.csv"
+        short.write_text("\n".join([lines[0]] + [line for line in lines[1:]
+                                                  if int(line.split(",")[0]) < n]) + "\n")
+        artifacts = {"scenarios.csv": short, "cuts.json": outs[6] / "cuts.json",
+                     "distributions.json": outs[6] / "distributions.json"}
+        res = self._run_on(command, root / "t6.json", artifacts, tmp_path / "o")
+        assert res.exit_code == 2
+        held_out = 1 if command == "train" else 2
+        assert res.output.strip().splitlines() == [
+            f"{short} holds {n} scenarios, but the configuration needs {12 + held_out}: "
+            f"n_opt 12 and {held_out} held out"]
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_config_exit_2(self, tmp_path):
         doc = tiny_doc()

@@ -231,6 +231,8 @@ class FanTable:
         self.lp = persistent_lp(fan_pin(0.0), pinned=np.array([0]))
 
     def solve(self, x, y_max=100.0):
+        # every column's bounds are written: a rewrite of y's and z's to the
+        # values the LP holds keeps the table
         fan = fan_pin(x, y_max)
         sol = self.lp.solve(cols=all_cols(fan))
         assert sol.objective == pytest.approx(fan_value(x), abs=1e-12), x
@@ -443,24 +445,7 @@ class TestPersistent:
         fan.solve(-2.0)  # piece 0 was evicted
         assert fan.core.runs == 6
 
-    def test_a_basis_met_twice_is_read_once(self, monkeypatch):
-        fan = FanTable(monkeypatch)
-        for x in (-2.0, -2.1, 1.0, 1.1):
-            fan.solve(x)
-        assert fan.core.calls["getReducedColumn"] == 2
-        # y's bound moved, so the entries cannot answer: a run finds piece
-        # 0's basis again, and replaces the entry, taking its factor
-        fan.solve(-1.9, y_max=99.0)
-        assert fan.core.runs == 3
-        solves = fan.core.calls["getBasisSolve"]
-        # it answers the next solve, tried with one basis solve and not read
-        sol = fan.solve(-2.2, y_max=99.0)
-        assert (fan.core.runs, fan.pieces()) == (3, [0, 3])
-        assert fan.core.calls["getReducedColumn"] == 2
-        assert fan.core.calls["getBasisSolve"] == solves + 1
-        np.testing.assert_allclose(sol.reduced_costs, [-2.0, 0.0, 0.0], atol=1e-12)
-
-    @pytest.mark.parametrize("change", ["add_rows", "cost", "rhs"])
+    @pytest.mark.parametrize("change", ["add_rows", "cost", "rhs", "bounds"])
     def test_new_rows_costs_or_rhs_empty_the_table(self, monkeypatch, change):
         fan = FanTable(monkeypatch)
         for x in (-2.0, -2.1, 1.0, 1.1, 1.2):
@@ -478,40 +463,21 @@ class TestPersistent:
             assert sol.objective == pytest.approx(2 * fan_value(-2.0), abs=1e-12)
             # a run at new costs keeps nothing, not even its own basis
             assert fan.lp._kept == []
-        else:
+        elif change == "rhs":
             sol = fan.lp.solve(rows=(np.array([0]), np.array([1.0])), cols=all_cols(lp))
             assert sol.x_star[2] == pytest.approx(-2.0 + 4.0 + 1.0, abs=1e-12)
+        else:
+            # y's upper bound moves, yet no optimum here meets it: piece 0's
+            # basis would still hold, but only the pinned values may move
+            fan.solve(-2.0, y_max=99.0)
         assert fan.core.runs == 3
         # no basis found before the change is kept; a run at unchanged costs
         # keeps its own, unread
         assert factors(fan.lp) == ([] if change == "cost" else [None])
-
-    def test_a_kept_basis_answers_only_at_its_own_bounds(self, monkeypatch):
-        core = CountingCore(lpmod._highs_core)
-        monkeypatch.setattr(lpmod, "_highs_core", core)
-        persistent = persistent_lp(v_pin_w(0.7, 0.0), pinned=np.array([0]))
-
-        def at(x, w_floor):
-            lp = v_pin_w(x, w_floor)
-            return persistent.solve(cols=all_cols(lp))
-
-        for x in (0.7, 0.75, 0.8):
-            assert at(x, 0.0).objective == pytest.approx(x, abs=1e-12)
-        assert core.runs == 1 and len(persistent._kept) == 1
-        # w's bound moved: the kept basis does not answer, the run does
-        sol = at(0.8, 1.0)
-        assert core.runs == 2
-        assert sol.objective == pytest.approx(1.8, abs=1e-12)
-        assert sol.x_star[3] == pytest.approx(1.0, abs=1e-12)
-        # back at its bounds, it answers again
-        assert at(0.85, 0.0).objective == pytest.approx(0.85, abs=1e-12)
-        assert core.runs == 2
-        # nor does the basis of the last run answer, before it is read
-        persistent._forget()
-        at(0.7, 0.0)
-        assert core.runs == 3 and factors(persistent) == [None]
-        assert at(0.75, 1.0).objective == pytest.approx(1.75, abs=1e-12)
-        assert core.runs == 4
+        if change == "bounds":
+            # the bound moved back: nor does that unread basis answer
+            fan.solve(-2.05)
+            assert fan.core.runs == 4
 
     def test_a_basis_with_a_basic_pinned_column_never_answers(self, monkeypatch):
         # at x = 0.5 both rows are active, and a basis with x, y and z basic
@@ -535,17 +501,20 @@ class TestPersistent:
 
     def test_a_run_sends_the_bounds_answered_solves_set(self, monkeypatch):
         # an answered solve sends HiGHS nothing: the next run sends every
-        # bound set since the last one that differs, even one its own solve
+        # bound that differs from what HiGHS holds, even one its own solve
         # left alone
         core = CountingCore(lpmod._highs_core)
         monkeypatch.setattr(lpmod, "_highs_core", core)
         persistent = persistent_lp(v_pin_w(0.7, 0.0), pinned=np.array([0]))
-        for x, w_floor in ((0.7, 0.0), (0.75, 0.0), (0.8, 1.0), (0.85, 0.0)):
-            persistent.solve(cols=all_cols(v_pin_w(x, w_floor)))
-        assert core.runs == 2  # HiGHS still holds w >= 1
-        sol = persistent.solve(cols=(np.array([0]), np.array([0.2]), np.array([0.2])))
-        assert core.runs == 3
-        assert sol.objective == pytest.approx(0.8, abs=1e-12)  # max(x, 1 - x) + w
+        for x in (0.7, 0.75, 0.8):
+            persistent.solve(cols=all_cols(v_pin_w(x, 0.0)))
+        assert core.runs == 1  # HiGHS still holds x = 0.7
+        sends = core.calls["changeColsBounds"]
+        # only w's floor is written; it empties the table, and the run sends x too
+        sol = persistent.solve(cols=(np.array([3]), np.array([1.0]), np.array([5.0])))
+        assert core.runs == 2 and core.calls["changeColsBounds"] == sends + 1
+        assert sol.objective == pytest.approx(1.8, abs=1e-12)  # max(x, 1 - x) + w
+        np.testing.assert_allclose(sol.x_star, [0.8, 0.8, 1.6, 1.0], atol=1e-12)
 
     def test_a_refused_first_try_reads_no_reduced_column(self, monkeypatch):
         fan = FanTable(monkeypatch)

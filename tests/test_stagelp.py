@@ -641,18 +641,20 @@ def test_kept_basis_answers_as_a_forced_run(summer_sddp, summer_days, counting_c
 
 
 def test_answers_are_the_concatenated_arithmetic_bit_for_bit(summer_sddp, monkeypatch):
-    # every try of a kept basis decides as the concatenated limits, the full
-    # bound comparison and the basis solve of the first kept-basis answers
-    # do, and an answer is their vertex, with equal floats: the table's
-    # first optimal read entry, else the basis of the last run, which HiGHS
-    # still holds and the table keeps unread. The limits an answering basis
-    # carries are those gathered from the bounds the LP holds. Played on 20
-    # held-out summer days, then at states that relax the tank floors of a
-    # stage LP and restore them
+    # every try of a kept basis decides as the concatenated limits and the
+    # basis solve of the first kept-basis answers do, and an answer is their
+    # vertex, with equal floats: the table's first optimal read entry, else
+    # the basis of the last run, which HiGHS still holds and the table keeps
+    # unread. A basis answers only at the bounds of the run that found it,
+    # the pinned ones apart, and carries the limits gathered from them.
+    # Played on 20 held-out summer days, then at states that relax the tank
+    # floors of a stage LP and restore them: each write that moves a floor
+    # empties the table
     cfg, vf, dists, _ = summer_sddp
     p, x0 = cfg.system, cfg.initial_state
     real_solve, real_try = lpmod.PersistentLp.solve, lpmod.PersistentLp._table_answer
-    seen = {"table": 0, "held": 0, "refused": 0, "restored": 0}
+    seen = {"table": 0, "held": 0, "refused": 0, "moved": 0}
+    found = {}  # each kept basis: the bounds, pinned ones as 0, of its run
 
     def same(sol, oracle):
         x, objective, reduced_costs = oracle
@@ -683,21 +685,26 @@ def test_answers_are_the_concatenated_arithmetic_bit_for_bit(summer_sddp, monkey
         table = read_entries(self)
         before = concatenated_limits(self)[0]  # the bounds the last solve left
         sol = real_solve(self, *args, **kwargs)
-        oracle = table_answer(self, table)
+        bounds, limits = concatenated_limits(self)
         entry = self._answer
+        if not (bounds == before).all():
+            # a floor moved: no basis kept before answers, and none stays
+            seen["moved"] += 1
+            assert entry is None and all(kept not in found for kept in self._kept)
+            table = []
+        oracle = table_answer(self, table)
         if entry is None or all(entry is not kept for kept in table):
             assert oracle is None  # the table refused, as before
         else:
             assert oracle is not None and oracle[0] is entry
             same(sol, oracle[1:])
             seen["table"] += 1
-            # an older entry answers at floors written back to its own
-            seen["restored"] += not (entry.bounds == before).all()
         if entry is not None:
-            bounds, limits = concatenated_limits(self)
-            assert (entry.bounds == bounds).all()
+            assert (found[entry] == bounds).all()
             assert (entry.lo == limits[0, entry.ext]).all()
             assert (entry.hi == limits[1, entry.ext]).all()
+        for kept in self._kept:  # a run's basis, kept at the bounds of the run
+            found.setdefault(kept, bounds)
         return sol
 
     monkeypatch.setattr(lpmod.PersistentLp, "solve", solve)
@@ -712,11 +719,13 @@ def test_answers_are_the_concatenated_arithmetic_bit_for_bit(summer_sddp, monkey
     # state is solved twice, so the basis of a run is tried too
     low, full = State(2.0, 0.02 * p.h_max, 22.0, 21.0), State(2.8, 0.97 * p.h_max, 24.0, 23.0)
     fuller = dataclasses.replace(low, h=0.03 * p.h_max)
+    moved = seen["moved"]
     for t in (28, 32, 76, 80):
         problem = policy._problems[t]
         for x in (low, low, fuller, fuller, full, full, low, low, full, full):
             problem.solve(x)
-    assert seen["restored"] > 0
+    # each LP's floors move at least at its first low, both fulls and the low between
+    assert seen["moved"] >= moved + 4 * 4
 
 
 def test_scripted_run_is_repeatable():
