@@ -10,6 +10,8 @@ SDDP, build the three policies and assess them. Everything else lives in the
 submodules.
 """
 
+__version__ = "0.1.0"  # pyproject.toml reads the package version here
+
 from .config import ConfigError, day_config, load_config
 from .scenarios import fit_ar, generate_scenarios, quantize_stagewise, scenario_means
 from .policies import (
@@ -39,5 +41,3 @@ __all__ = [
     "SddpPolicy",
     "run_assessment",
 ]
-
-__version__ = "0.1.0"

@@ -22,8 +22,8 @@ from .model import (
     State,
     SystemParams,
     Uncertainty,
-    recourse,
-    stage_cost,
+    _recourse,
+    _stage_cost,
     step,
     terminal_cost,
 )
@@ -53,7 +53,10 @@ def simulate_policy(policy, scenario: np.ndarray, x0: State, p: SystemParams,
     """Roll one scenario under a policy, enforcing the physical invariants.
 
     Raises if the policy emits an inadmissible control (policy bug) or the
-    load balance identity breaks.
+    load balance identity breaks. The loop checks each state, control and
+    draw once, through `step`: the state's bounds and finiteness, the
+    control against its admissible box, the finiteness of the control and
+    the draw. The final state, which no step takes, is checked at the end.
     """
     scenario = np.asarray(scenario, dtype=float)
     T = p.horizon_steps
@@ -61,33 +64,35 @@ def simulate_policy(policy, scenario: np.ndarray, x0: State, p: SystemParams,
         raise ValueError(f"scenario must have shape ({T + 1}, 2), got {scenario.shape}")
     if hasattr(policy, "reset"):
         policy.reset()
+    # the draw realized over step t is the one observed at step t + 1
+    draws = [Uncertainty(d_el, d_hw) for d_el, d_hw in scenario.tolist()]
     x = x0
     total = 0.0
-    elapsed = np.zeros(T)
-    traj = np.zeros((T + 1, 4)) if record else None
-    imports = np.zeros(T) if record else None
-    if record:
-        traj[0] = x.as_array()
+    elapsed = [0.0] * T
+    states, imports = [x0], []
+    clock, decide = time.perf_counter, policy.decide
     for t in range(T):
-        w_obs = Uncertainty(scenario[t, 0], scenario[t, 1])
-        tic = time.perf_counter()
-        decision = policy.decide(t, x, w_obs)
-        elapsed[t] = time.perf_counter() - tic
+        w_next = draws[t + 1]
+        tic = clock()
+        decision = decide(t, x, draws[t])
+        elapsed[t] = clock() - tic
         u = decision.control
-        w_next = Uncertainty(scenario[t + 1, 0], scenario[t + 1, 1])
-        rec = recourse(u, w_next)
-        residual = rec.f_ne - rec.spill - u.f_b - u.f_t - u.f_h - w_next.d_el_net
+        x_next = step(t, x, u, w_next, p)
+        f_ne, spill = _recourse(u, w_next)
+        residual = f_ne - spill - u.f_b - u.f_t - u.f_h - w_next.d_el_net
         if abs(residual) > _BALANCE_TOL:
             raise RuntimeError(f"load balance violated at t={t}: residual {residual}")
-        total += stage_cost(t, x, u, w_next, p)
-        x = step(t, x, u, w_next, p)
-        p.check_state(x)
+        total += _stage_cost(t, x, f_ne, p)
+        x = x_next
         if record:
-            traj[t + 1] = x.as_array()
-            imports[t] = rec.f_ne
+            states.append(x)
+            imports.append(f_ne)
+    p.check_state(x)
     total += terminal_cost(x, x0, p.kappa)
-    return SimulationResult(total_cost=total, trajectory=traj, imports=imports,
-                            decision_seconds=elapsed)
+    traj = np.array([(s.b, s.h, s.theta_w, s.theta_i) for s in states]) if record else None
+    return SimulationResult(total_cost=total, trajectory=traj,
+                            imports=np.array(imports) if record else None,
+                            decision_seconds=np.array(elapsed))
 
 
 @dataclass

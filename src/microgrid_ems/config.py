@@ -314,14 +314,17 @@ def day_config(day: str, horizon_steps: int = 96, delta: float = 0.25) -> dict:
 
 
 def manifest(config: RunConfig) -> dict:
-    """Reproducibility record: config hash, library versions and the LP
-    solver path (warm persistent HiGHS, or cold `linprog` solves when the
-    bundled bindings are missing)."""
+    """Reproducibility record: config hash, package and library versions and
+    the LP solver path (warm persistent HiGHS, or cold `linprog` solves when
+    the bundled bindings are missing)."""
     import scipy
+
+    from . import __version__
 
     blob = json.dumps(config.normalized(), sort_keys=True).encode()
     return {
         "config_sha256": hashlib.sha256(blob).hexdigest(),
+        "microgrid_ems": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "scipy": scipy.__version__,

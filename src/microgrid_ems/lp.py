@@ -243,7 +243,11 @@ class PersistentLp:
         self._lower = lower.copy()  # the bounds of the next solve
         self._upper = upper.copy()
         self._sent_lower, self._sent_upper = lower.copy(), upper.copy()  # what HiGHS holds
+        self._named = {}  # id -> array of column indices named since the bounds were last sent
         self._pinned = pinned
+        if pinned is not None:
+            self._is_pinned = np.zeros(c.size, dtype=bool)
+            self._is_pinned[pinned] = True
         self._core = _highs_core
         self._solver = None
         self._x = None  # primal solution of the last optimal warm solve
@@ -263,6 +267,7 @@ class PersistentLp:
         hc = self._core
         n, n_ub = self._cost.size, self._b_ub.size
         indptr, indices, data = self._rows
+        self._optimal, self._ok = hc.HighsModelStatus.kOptimal, hc.HighsStatus.kOk
         solver = hc._Highs()
         solver.setOptionValue("output_flag", False)
         solver.passModel(n, self._n_eq + n_ub, data.size, int(hc.MatrixFormat.kRowwise),
@@ -313,7 +318,7 @@ class PersistentLp:
         the LP holds.
         """
         c = self._cost if cost is None else np.asarray(cost, dtype=float)
-        if c.shape != self._cost.shape:
+        if cost is not None and c.shape != self._cost.shape:
             raise LpError("cost shape changed between re-solves")
         if rows is not None and (len(rows[0]) != len(rows[1])
                                  or len(rows[0]) and rows[0][-1] >= self._n_eq):
@@ -332,11 +337,13 @@ class PersistentLp:
         if cols is not None:
             index, lower, upper = cols
             if pinned is not None and index is not pinned:
-                free = ~np.isin(index, pinned)
+                free = ~self._is_pinned[index]
                 if ((lower[free] != self._lower[index[free]]).any()
                         or (upper[free] != self._upper[index[free]]).any()):
                     self._forget()
             self._lower[index], self._upper[index] = lower, upper
+            if solver is not None:
+                self._named[id(index)] = index  # the dict holds it, so its id stays its own
         if solver is None:
             self._cost = c.copy()
             indptr, indices, data = self._rows
@@ -367,9 +374,9 @@ class PersistentLp:
         if self._kept and self._kept[-1].factor is None:  # HiGHS drops that basis
             del self._kept[-1]
         solver.run()
-        hc = self._core
         model_status = solver.getModelStatus()
-        if model_status != hc.HighsModelStatus.kOptimal:
+        if model_status != self._optimal:
+            hc = self._core
             if model_status == hc.HighsModelStatus.kInfeasible:
                 return LpSolution.failed(c.size, LpStatus.INFEASIBLE)
             if model_status == hc.HighsModelStatus.kUnbounded:
@@ -383,7 +390,8 @@ class PersistentLp:
         self._x = np.asarray(sol.col_value, dtype=float)
         duals = np.asarray(sol.col_dual, dtype=float)
         if keep:  # later solves may try it while HiGHS holds it
-            self._kept.append(_KeptBasis(self._x, self._x[pinned], sol.row_value, duals))
+            values = np.concatenate((self._x, np.negative(sol.row_value)))
+            self._kept.append(_KeptBasis(self._x, self._x[pinned], values, duals))
         return LpSolution(
             x_star=self._x,
             objective=solver.getObjectiveValue(),
@@ -393,9 +401,13 @@ class PersistentLp:
 
     def _send_bounds(self):
         """Send HiGHS, in one call, the column bounds that differ from the
-        ones it holds."""
-        moved = ((self._lower != self._sent_lower)
-                 | (self._upper != self._sent_upper)).nonzero()[0]
+        ones it holds: only columns named since the last send can."""
+        named, self._named = list(self._named.values()), {}
+        if not named:
+            return
+        index = named[0] if len(named) == 1 else np.unique(np.concatenate(named))
+        moved = index[(self._lower[index] != self._sent_lower[index])
+                      | (self._upper[index] != self._sent_upper[index])]
         if moved.size:
             lower, upper = self._lower[moved], self._upper[moved]
             self._solver.changeColsBounds(moved.size, moved.astype(np.int32), lower, upper)
@@ -409,42 +421,28 @@ class PersistentLp:
         kept = self._kept
         for i, entry in enumerate(kept):
             if entry.factor is None:  # the last run's basis, which HiGHS holds
-                values, order = self._first_values(entry, x_pin)
-                if values is None:
-                    return None
-            else:
-                values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
-            if not entry.holds(values):
-                continue
-            kept.insert(0, kept.pop(i))
-            if entry.factor is None:  # read only once it has answered
-                if (factor := self._reduced_columns()) is not None:
-                    entry.factor = factor[order]
-                else:  # no factor: nothing is kept
-                    del kept[0]
-                del kept[KEPT_BASES:]
-            return self._vertex(entry, values, x_pin)
+                return self._unread_answer(entry, x_pin)
+            values = entry.vb0 - entry.factor @ (x_pin - entry.x_pin)
+            if entry.holds(values):
+                kept.insert(0, kept.pop(i))
+                return self._vertex(entry, values, x_pin)
         return None
 
-    def _first_values(self, entry, x_pin):
-        """The basic values at `x_pin` of `entry`, the last run's basis,
-        from one solve with the factor HiGHS holds, and the order that sorts
-        HiGHS's basic set; (None, None) when HiGHS gives no basic set. On
-        the way `entry` takes its basic set sorted, and its reference values
-        and limits in that order."""
+    def _unread_answer(self, entry, x_pin) -> Optional[LpSolution]:
+        """The answer of `entry`, the last run's basis (last in the table,
+        unread), or None when it does not hold at `x_pin` or HiGHS gives no
+        basic set. Its basic values come from one solve with the factor
+        HiGHS holds and are checked in HiGHS's order of the basic
+        variables. Only an answer sorts them: `entry` then takes its basic
+        set, its reference values, its limits and its factor in sorted
+        order, and moves to the front."""
         solver, n, pinned = self._solver, self._cost.size, self._pinned
         status, basic = solver.getBasicVariables()
-        if status != self._core.HighsStatus.kOk:
-            return None, None
+        if status != self._ok:
+            return None
         ext = np.where(basic >= 0, basic, n - 1 - basic)
-        order = np.argsort(ext)
-        entry.ext = ext = ext[order]
-        entry.cols = ext[:np.searchsorted(ext, n)]
-        entry.vb0 = np.concatenate((entry.x, np.negative(entry.row_value)))[ext]
-        entry.row_value = None
         if self._limits is None:
             self._limits = self._widened_limits()
-        entry.lo, entry.hi = self._limits[:, ext]
         if self._pin_entries is None:
             _, start, index, value = solver.getColsEntries(pinned.size, pinned.astype(np.int32))
             column = np.repeat(np.arange(pinned.size), np.diff(np.append(start, index.size)))
@@ -452,12 +450,29 @@ class PersistentLp:
         index, value, column = self._pin_entries
         a_dx = np.bincount(index, weights=value * (x_pin - entry.x_pin)[column],
                            minlength=basic.size)
-        return entry.vb0 - solver.getBasisSolve(a_dx)[1][order], order  # minus B^-1 A_pin dx
+        vb0 = entry.values[ext]
+        values = vb0 - solver.getBasisSolve(a_dx)[1]  # minus B^-1 A_pin dx
+        lo, hi = self._limits[:, ext]
+        if not ((lo <= values) & (values <= hi)).all():
+            return None
+        order = np.argsort(ext)
+        entry.ext = ext = ext[order]
+        entry.cols = ext[:np.searchsorted(ext, n)]
+        entry.vb0, entry.lo, entry.hi = vb0[order], lo[order], hi[order]
+        entry.values = None
+        kept = self._kept
+        kept.insert(0, kept.pop())
+        if (factor := self._reduced_columns()) is not None:
+            entry.factor = factor[order]
+        else:  # no factor: nothing is kept
+            del kept[0]
+        del kept[KEPT_BASES:]
+        return self._vertex(entry, values[order], x_pin)
 
     def _reduced_columns(self):
         """B^-1 A_pin, one column per pinned column, in HiGHS's order of the
         basic variables, or None when HiGHS cannot give it."""
-        pinned, ok = self._pinned, self._core.HighsStatus.kOk
+        pinned, ok = self._pinned, self._ok
         factor = np.empty((self._n_eq + self._b_ub.size, pinned.size))
         for k, j in enumerate(pinned):
             status, factor[:, k] = self._solver.getReducedColumn(int(j))  # B^-1 a_j
@@ -497,7 +512,7 @@ class PersistentLp:
         n, entry = self._cost.size, self._answer
         if entry is None:
             status, basic = self._solver.getBasicVariables()
-            if status != self._core.HighsStatus.kOk:  # no factored basis to read
+            if status != self._ok:  # no factored basis to read
                 return None
             ext = np.where(basic >= 0, basic, n - 1 - basic)
         else:  # found at the bounds the LP holds, the pinned ones apart
@@ -548,27 +563,28 @@ class _KeptBasis:
     of B per pinned column. The basic variables are kept sorted by `ext`,
     which numbers columns j < n and logicals n + i.
 
-    An entry is made from a run's values and joins the table unread
-    (`factor` None), while HiGHS holds its basis. Its first try takes its
-    basic set off HiGHS, sorted, with its reference values `vb0` and its
-    limits, and its basic values from one basis solve. Only once it has
-    answered is the factor read: HiGHS keeps its factor until its next run,
-    which drops an unread entry, and a decision that runs HiGHS after a
-    refused try does not also pay for the read. A read entry keeps the
-    factor, the basic set and the reference values, not HiGHS's solution.
+    An entry is made from a run's values, `values` (the columns', then the
+    logicals'), and joins the table unread (`factor` None), while HiGHS
+    holds its basis. Its one try takes its basic set off HiGHS and its
+    basic values from one basis solve, and checks them in HiGHS's order.
+    Only an answer sorts the basic set, takes the reference values `vb0` and
+    the limits in that order, and reads the factor: HiGHS keeps its factor
+    until its next run, which drops an unread entry, and a decision that
+    runs HiGHS after a refused try pays for neither. A read entry keeps the
+    factor, the basic set and the reference values, not the run's values.
 
     It lives only while the LP is the one it was found for, the pinned
     values apart: any other change empties the table. So every entry was
     found at the column bounds the LP holds, the pinned ones apart, and
     carries its own limits, `lo` and `hi`: the widened bounds of its basic
-    variables, taken on its first try.
+    variables, taken when it answered.
     """
 
-    __slots__ = ("x", "x_pin", "col_dual", "row_value", "ext", "cols", "vb0", "factor",
+    __slots__ = ("x", "x_pin", "col_dual", "values", "ext", "cols", "vb0", "factor",
                  "lo", "hi")
 
-    def __init__(self, x, x_pin, row_value, col_dual):
-        self.x, self.x_pin, self.row_value, self.col_dual = x, x_pin, row_value, col_dual
+    def __init__(self, x, x_pin, values, col_dual):
+        self.x, self.x_pin, self.values, self.col_dual = x, x_pin, values, col_dual
         self.factor = None
 
     def holds(self, values) -> bool:

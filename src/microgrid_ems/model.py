@@ -30,6 +30,8 @@ __all__ = [
     "continuous_dynamics",
     "step",
     "recourse",
+    "control_limits",
+    "clipped_control",
     "admissible_controls",
     "stage_cost",
     "terminal_cost",
@@ -216,6 +218,9 @@ class SystemParams:
             object.__setattr__(self, name, arr)
         if np.any(self.pi_e <= 0) or np.any(self.pi_d < 0):
             raise ModelError("import prices must be > 0 and discomfort prices >= 0")
+        # the series as lists of floats, for the per-step arithmetic
+        object.__setattr__(self, "_series", {name: getattr(self, name).tolist() for name in (
+            "theta_o", "p_int", "p_ext", "pi_e", "pi_d", "theta_set")})
 
     def check_state(self, x: State, tol: float = 1e-7):
         _check_finite("state", x.b, x.h, x.theta_w, x.theta_i)
@@ -241,31 +246,30 @@ def split_flow(f: float) -> tuple[float, float]:
     return (max(0.0, f), max(0.0, -f))
 
 
-def continuous_dynamics(t_index: int, x: State, u: Control, w: Uncertainty,
-                        p: SystemParams) -> np.ndarray:
-    """Time derivative of the state, as a length-4 array (per hour)."""
+def _check_index(t_index: int, p: SystemParams):
     if not 0 <= t_index < p.horizon_steps:
         raise ModelError(f"t_index {t_index} outside [0, {p.horizon_steps})")
-    _check_finite("state", x.b, x.h, x.theta_w, x.theta_i)
-    _check_finite("control", u.f_b, u.f_t, u.f_h)
-    _check_finite("uncertainty", w.d_el_net, w.d_hw)
 
-    pos, neg = split_flow(u.f_b)
-    db = p.rho_c * pos - neg / p.rho_d
+
+def _rates(t_index: int, x: State, u: Control, w: Uncertainty,
+           p: SystemParams) -> tuple[float, float, float, float]:
+    """The time derivative of the state as four floats; the callers check
+    the inputs."""
+    db = p.rho_c * max(0.0, u.f_b) - max(0.0, -u.f_b) / p.rho_d
     dh = p.beta_h * u.f_h - w.d_hw
 
     r = p.r6c2
     g_iw = 1.0 / (r.r_i + r.r_s)
     g_ow = 1.0 / (r.r_m + r.r_e)
-    theta_o = p.theta_o[t_index]
-    p_int = p.p_int[t_index]
-    p_ext = p.p_ext[t_index]
+    series = p._series
+    theta_o = series["theta_o"][t_index]
+    p_int = series["p_int"][t_index]
     dthw = (
         g_iw * (x.theta_i - x.theta_w)
         + g_ow * (theta_o - x.theta_w)
         + r.gamma * u.f_t
         + r.r_i * g_iw * p_int
-        + r.r_e * g_ow * p_ext
+        + r.r_e * g_ow * series["p_ext"][t_index]
     ) / r.c_m
     dthi = (
         g_iw * (x.theta_w - x.theta_i)
@@ -274,7 +278,17 @@ def continuous_dynamics(t_index: int, x: State, u: Control, w: Uncertainty,
         + (1.0 - r.gamma) * u.f_t
         + r.r_s * g_iw * p_int
     ) / r.c_i
-    return np.array([db, dh, dthw, dthi])
+    return db, dh, dthw, dthi
+
+
+def continuous_dynamics(t_index: int, x: State, u: Control, w: Uncertainty,
+                        p: SystemParams) -> np.ndarray:
+    """Time derivative of the state, as a length-4 array (per hour)."""
+    _check_index(t_index, p)
+    _check_finite("state", x.b, x.h, x.theta_w, x.theta_i)
+    _check_finite("control", u.f_b, u.f_t, u.f_h)
+    _check_finite("uncertainty", w.d_el_net, w.d_hw)
+    return np.array(_rates(t_index, x, u, w, p))
 
 
 def linear_dynamics(t_index: int, p: SystemParams):
@@ -307,54 +321,83 @@ def linear_dynamics(t_index: int, p: SystemParams):
     return m, n, pw, g
 
 
-def admissible_controls(x: State, p: SystemParams) -> ControlBox:
-    """State-dependent interval bounds keeping the stocks inside their bounds."""
+def control_limits(x: State, p: SystemParams) -> tuple[float, float, float]:
+    """(f_b_min, f_b_max, f_h_max): the state-dependent bounds of an
+    admissible control, which keep the stocks inside their bounds; the
+    heater's are [0, f_t_max]. Checks x first (`SystemParams.check_state`)."""
     p.check_state(x)
     charge_cap = (p.b_max - x.b) / (p.delta * p.rho_c)
     discharge_cap = p.rho_d * (x.b - p.b_min) / p.delta
     fh_cap = (p.h_max - x.h) / (p.delta * p.beta_h)
-    return ControlBox(
-        f_b_min=-min(p.f_b_max, max(0.0, discharge_cap)),
-        f_b_max=min(p.f_b_max, max(0.0, charge_cap)),
-        f_t_min=0.0,
-        f_t_max=p.f_t_max,
-        f_h_min=0.0,
-        f_h_max=min(p.f_h_max, max(0.0, fh_cap)),
-    )
+    return (-min(p.f_b_max, max(0.0, discharge_cap)), min(p.f_b_max, max(0.0, charge_cap)),
+            min(p.f_h_max, max(0.0, fh_cap)))
+
+
+def admissible_controls(x: State, p: SystemParams) -> ControlBox:
+    """State-dependent interval bounds keeping the stocks inside their bounds."""
+    f_b_min, f_b_max, f_h_max = control_limits(x, p)
+    return ControlBox(f_b_min=f_b_min, f_b_max=f_b_max, f_t_min=0.0, f_t_max=p.f_t_max,
+                      f_h_min=0.0, f_h_max=f_h_max)
+
+
+def clipped_control(f_b: float, f_t: float, f_h: float, limits, p: SystemParams) -> Control:
+    """The control clipped to the admissible box of `control_limits`: what
+    `admissible_controls(x, p).clip(Control(f_b, f_t, f_h))` returns."""
+    f_b_min, f_b_max, f_h_max = limits
+    return Control(min(max(f_b, f_b_min), f_b_max), min(max(f_t, 0.0), p.f_t_max),
+                   min(max(f_h, 0.0), f_h_max))
 
 
 def step(t_index: int, x: State, u: Control, w_next: Uncertainty,
          p: SystemParams) -> State:
-    """Forward-Euler transition x' = x + delta * F(t, x, u, w')."""
-    box = admissible_controls(x, p)
+    """Forward-Euler transition x' = x + delta * F(t, x, u, w'). Checks x,
+    then u against its admissible box, then t and the finiteness of u and w'."""
+    f_b_min, f_b_max, f_h_max = control_limits(x, p)
     tol = 1e-7
-    if u.f_b > box.f_b_max + tol:
-        raise ConstraintViolationError("f_b upper bound", u.f_b, box.f_b_max)
-    if u.f_b < box.f_b_min - tol:
-        raise ConstraintViolationError("f_b lower bound", u.f_b, box.f_b_min)
-    if not 0.0 - tol <= u.f_t <= box.f_t_max + tol:
-        raise ConstraintViolationError("f_t bound", u.f_t, box.f_t_max)
-    if not 0.0 - tol <= u.f_h <= box.f_h_max + tol:
-        raise ConstraintViolationError("f_h bound", u.f_h, box.f_h_max)
-    rate = continuous_dynamics(t_index, x, u, w_next, p)
-    return State.from_array(x.as_array() + p.delta * rate)
+    if u.f_b > f_b_max + tol:
+        raise ConstraintViolationError("f_b upper bound", u.f_b, f_b_max)
+    if u.f_b < f_b_min - tol:
+        raise ConstraintViolationError("f_b lower bound", u.f_b, f_b_min)
+    if not 0.0 - tol <= u.f_t <= p.f_t_max + tol:
+        raise ConstraintViolationError("f_t bound", u.f_t, p.f_t_max)
+    if not 0.0 - tol <= u.f_h <= f_h_max + tol:
+        raise ConstraintViolationError("f_h bound", u.f_h, f_h_max)
+    _check_index(t_index, p)
+    _check_finite("control", u.f_b, u.f_t, u.f_h)
+    _check_finite("uncertainty", w_next.d_el_net, w_next.d_hw)
+    db, dh, dthw, dthi = _rates(t_index, x, u, w_next, p)
+    delta = p.delta
+    return State(x.b + delta * db, x.h + delta * dh, x.theta_w + delta * dthw,
+                 x.theta_i + delta * dthi)
+
+
+def _recourse(u: Control, w_next: Uncertainty) -> tuple[float, float]:
+    """(f_ne, spill) of `recourse`, unchecked: the simulator's step has
+    checked u and w_next."""
+    net = u.f_b + u.f_t + u.f_h + w_next.d_el_net
+    return max(0.0, net), max(0.0, -net)
 
 
 def recourse(u: Control, w_next: Uncertainty) -> Recourse:
     """Grid import / spill restoring the load balance after the demand realizes."""
     _check_finite("control", u.f_b, u.f_t, u.f_h)
     _check_finite("uncertainty", w_next.d_el_net, w_next.d_hw)
-    net = u.f_b + u.f_t + u.f_h + w_next.d_el_net
-    return Recourse(f_ne=max(0.0, net), spill=max(0.0, -net))
+    f_ne, spill = _recourse(u, w_next)
+    return Recourse(f_ne=f_ne, spill=spill)
+
+
+def _stage_cost(t_index: int, x: State, f_ne: float, p: SystemParams) -> float:
+    """`stage_cost` given the step's grid import f_ne."""
+    series = p._series
+    discomfort = max(0.0, series["theta_set"][t_index] - x.theta_i)
+    return series["pi_e"][t_index] * p.delta * f_ne + series["pi_d"][t_index] * discomfort
 
 
 def stage_cost(t_index: int, x: State, u: Control, w_next: Uncertainty,
                p: SystemParams) -> float:
     """Import bill over the step plus the discomfort penalty on the indoor
     temperature at the beginning of the step."""
-    rec = recourse(u, w_next)
-    discomfort = max(0.0, p.theta_set[t_index] - x.theta_i)
-    return p.pi_e[t_index] * p.delta * rec.f_ne + p.pi_d[t_index] * discomfort
+    return _stage_cost(t_index, x, recourse(u, w_next).f_ne, p)
 
 
 def terminal_cost(x_final: State, x_init: State, kappa: float) -> float:

@@ -25,7 +25,8 @@ from .model import (
     State,
     SystemParams,
     Uncertainty,
-    admissible_controls,
+    clipped_control,
+    control_limits,
     stage_cost,
     step,
     terminal_cost,
@@ -168,21 +169,21 @@ class HeuristicPolicy:
 
     def decide(self, t: int, x: State, w_obs: Uncertainty) -> PolicyDecision:
         p = self.p
-        box = admissible_controls(x, p)
+        limits = f_b_min, f_b_max, f_h_max = control_limits(x, p)
         net = w_obs.d_el_net
         if net < 0.0:
-            f_b = min(-net, box.f_b_max)
+            f_b = min(-net, f_b_max)
         else:
-            f_b = -min(net, -box.f_b_min)
-        f_h = box.f_h_max if x.h < self.h0 else 0.0
+            f_b = -min(net, -f_b_min)
+        f_h = f_h_max if x.h < self.h0 else 0.0
         setpoint = p.theta_set[t]
         if x.theta_i < setpoint:
             self._heater_on = True
         elif x.theta_i > setpoint + self.margin:
             self._heater_on = False
-        f_t = box.f_t_max if self._heater_on else 0.0
-        u = box.clip(Control(f_b=f_b, f_t=f_t, f_h=f_h))
-        return PolicyDecision(control=u, predicted_cost=math.nan)
+        f_t = p.f_t_max if self._heater_on else 0.0
+        return PolicyDecision(control=clipped_control(f_b, f_t, f_h, limits, p),
+                              predicted_cost=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,8 @@ class MpcPolicy:
         self.p = p
         self.x0 = x0
         self.ar = ar
-        self.means = np.asarray(means, dtype=float)
+        # forecasts take the tail of the means as it is: clamp it once
+        self.means = np.maximum(np.asarray(means, dtype=float), (-np.inf, 0.0))
         self._template = stagelp.ChainTemplate(p, x0)
         self._chains: Dict[int, stagelp.DeterministicChain] = {}
 
@@ -223,7 +225,7 @@ class MpcPolicy:
         return state
 
     def decide(self, t: int, x: State, w_obs: Uncertainty) -> PolicyDecision:
-        forecast = update_forecast(self.ar, t, w_obs.as_array(), self.means)
+        forecast = update_forecast(self.ar, t, (w_obs.d_el_net, w_obs.d_hw), self.means)
         sol = self._chain(t).solve(x, forecast)
         return PolicyDecision(control=sol.control, predicted_cost=sol.objective)
 

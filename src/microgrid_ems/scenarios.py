@@ -313,18 +313,20 @@ def scenario_means(opt: ScenarioSet) -> np.ndarray:
 
 
 def update_forecast(ar: ARModel, t: int, w_t, means: np.ndarray) -> np.ndarray:
-    """Forecast (w_{t+1}, ..., w_T) from the value observed at step t.
+    """Forecast (w_{t+1}, ..., w_T) from the value observed at step t, as a
+    new array.
 
-    The first entry comes from the AR model; the remainder is the offline
-    mean profile. Hot water forecasts are clamped at zero.
+    The first entry comes from the AR model, its hot water clamped at zero;
+    the remainder is the offline mean profile as given. Means of scenario
+    data have nonnegative hot water, since the data do.
     """
     T = ar.horizon
     if not 0 <= t < T:
         raise ScenarioError(f"forecast step {t} outside [0, {T})")
-    w_t = np.asarray(w_t, dtype=float).reshape(2)
-    out = np.array(means[t + 1:T + 1], dtype=float, copy=True)
-    out[0] = ar.alpha[t] * w_t + ar.beta[t]
-    out[:, 1] = np.maximum(out[:, 1], 0.0)
+    out = np.array(means[t + 1:T + 1], dtype=float)
+    (a_el, a_hw), (b_el, b_hw) = ar.alpha[t].tolist(), ar.beta[t].tolist()
+    w_el, w_hw = w_t
+    out[0] = a_el * w_el + b_el, max(0.0, a_hw * w_hw + b_hw)
     return out
 
 

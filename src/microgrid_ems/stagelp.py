@@ -35,7 +35,8 @@ from .model import (
     Control,
     State,
     SystemParams,
-    admissible_controls,
+    clipped_control,
+    control_limits,
     linear_dynamics,
     split_flow,
 )
@@ -43,11 +44,14 @@ from .model import (
 INF = np.inf
 
 
-def canonical_control(fbp: float, fbm: float, ft: float, fh: float) -> Control:
-    """Collapse the battery sign split; simultaneous charge/discharge only
-    wastes energy, so the net flow is equivalent or better."""
+def first_control(fbp: float, fbm: float, ft: float, fh: float, limits,
+                  p: SystemParams) -> Control:
+    """The control of an LP's first-step flows: the battery sign split
+    collapsed (simultaneous charge/discharge only wastes energy, so the net
+    flow is equivalent or better), then clipped to the admissible box of
+    `limits` (`model.control_limits`)."""
     pos, neg = split_flow(fbp - fbm)
-    return Control(f_b=pos - neg, f_t=ft, f_h=fh)
+    return clipped_control(pos - neg, ft, fh, limits, p)
 
 
 def cut_key(lam: np.ndarray, beta: float) -> tuple:
@@ -62,10 +66,9 @@ class StageSolution:
     duals: Optional[np.ndarray] = None
 
 
-def _require_optimal(sol: lpmod.LpSolution, what: str):
-    if not sol.optimal:
-        raise lpmod.LpError(f"{what} is {sol.status.name.lower()}; the import/spill "
-                            "recourse should forbid this")
+def _not_optimal(sol: lpmod.LpSolution, what: str) -> lpmod.LpError:
+    return lpmod.LpError(f"{what} is {sol.status.name.lower()}; the import/spill "
+                         "recourse should forbid this")
 
 
 class ChainTemplate:
@@ -190,6 +193,8 @@ class DeterministicChain:
         self._rows = ((ptr - dropped[ptr]).astype(np.int32, copy=False), cols[keep],
                       np.concatenate((data[eq0:eq_end], data[ub0:]))[keep])
         self._b_eq_base = template.b_eq[5 * t0:]
+        self._head_base = self._b_eq_base[1:5].tolist()  # the first step's dynamics rows
+        self._theta_set = float(p.theta_set[t0])
         self.b_ub = template.b_ub[t0:]
         self.c = np.concatenate((template.c[7 * t0:7 * T], template.c[s_col:]))
         self._lower_base = np.concatenate((template.lower[7 * t0:7 * T],
@@ -218,10 +223,9 @@ class DeterministicChain:
         if demands.shape != (self.ns, 2):
             raise ValueError(f"expected {self.ns} forecast entries, got {demands.shape}")
         d_el, d_hw = demands[0].tolist()
-        head = self._b_eq_base[:5].copy()
-        head[0] = d_el
-        head[2] += -p.delta * d_hw
-        head[1:] += self._first_dyn @ x.as_array()
+        b1, b2, b3, b4 = self._head_base
+        y1, y2, y3, y4 = (self._first_dyn @ x.as_array()).tolist()
+        head = np.array((d_el, b1 + y1, b2 + -p.delta * d_hw + y2, b3 + y3, b4 + y4))
         rows = (_HEAD_ROWS, head)
         tail = demands[1:]
         if tail.tobytes() != self._tail:  # another tail, bit for bit: rewrite every row
@@ -234,10 +238,10 @@ class DeterministicChain:
             self._gain = (p.delta * (p.beta_h * p.f_h_max - tail[:, 1])).tolist()
             self._floor_reach, self._relaxed = INF, True
 
-        box = admissible_controls(x, p)
+        limits = f_b_min, f_b_max, f_h_max = control_limits(x, p)
         lower, upper = self._head_lower, self._head_upper
-        upper[:3] = box.f_b_max, -box.f_b_min, box.f_h_max
-        lower[3] = max(0.0, p.theta_set[self.t0] - x.theta_i)
+        upper[:3] = f_b_max, -f_b_min, f_h_max
+        lower[3] = max(0.0, self._theta_set - x.theta_i)
         cols = (_HEAD_COLS, lower, upper)
 
         # The tank floor may be unreachable after an unusually large draw;
@@ -248,7 +252,7 @@ class DeterministicChain:
         # does too, and the floors need writing only below it or after a
         # relaxed solve.
         h_max = p.h_max
-        first_reach = x.h + p.delta * (p.beta_h * box.f_h_max - d_hw)
+        first_reach = x.h + p.delta * (p.beta_h * f_h_max - d_hw)
         if self._relaxed or first_reach < self._floor_reach:
             reach = list(itertools.accumulate(
                 self._gain, lambda level, d: min(h_max, level + d), initial=first_reach))
@@ -274,9 +278,10 @@ class DeterministicChain:
                                       [*range(5), 5 * k])
                 self._prev = None
         sol = self._persistent.solve(rows=rows, cols=cols)
-        _require_optimal(sol, f"chain LP at t0={self.t0}")
-        u = canonical_control(*sol.x_star[:4])
-        return StageSolution(control=box.clip(u), objective=float(sol.objective))
+        if not sol.optimal:
+            raise _not_optimal(sol, f"chain LP at t0={self.t0}")
+        return StageSolution(control=first_control(*sol.x_star[:4], limits, p),
+                             objective=float(sol.objective))
 
 
 # column layout: pinned state x(4), control u = [fb+, fb-, ft, fh],
@@ -468,13 +473,13 @@ class OneStageDecision:
         STORAGE_TIE_BREAK * (b_max + h_max) of the optimum, and `duals` is None.
         """
         p = self.p
-        box = admissible_controls(x, p)
+        limits = control_limits(x, p)
         state = x.as_array()
         cols = (_PINNED, state, state)
         # relax the tank floor when a scenario's draw makes it unreachable;
         # rounding is monotone, so if the largest draw leaves it reachable,
         # every draw does
-        gain = p.beta_h * box.f_h_max
+        gain = p.beta_h * limits[2]
         relax = x.h + p.delta * (gain - self._hw_max) < p.h_floor
         if relax or self._relaxed:
             reach = x.h + p.delta * (gain - self.points[:, 1])
@@ -499,12 +504,13 @@ class OneStageDecision:
         else:
             sol = self._persistent.solve(cols=cols, cost=self.c if self._decide_costs else None)
         self._decide_costs = prefer_storage
-        _require_optimal(sol, f"one-stage problem at t={self.t}")
+        if not sol.optimal:
+            raise _not_optimal(sol, f"one-stage problem at t={self.t}")
         xs = sol.x_star
-        u = canonical_control(*xs[_U:_U + 4].tolist())
+        u = first_control(*xs[_U:_U + 4].tolist(), limits, p)
         if prefer_storage:
-            return StageSolution(control=box.clip(u), objective=float(self.c @ xs))
-        return StageSolution(control=box.clip(u), objective=float(sol.objective),
+            return StageSolution(control=u, objective=float(self.c @ xs))
+        return StageSolution(control=u, objective=float(sol.objective),
                              duals=sol.reduced_costs[:4].copy())
 
 

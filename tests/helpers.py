@@ -6,8 +6,9 @@ deliberately avoids the package's own LP assembly code, so that agreement
 between the two is meaningful.
 
 Run as a script, it prints `scripted_run()` as one JSON line: the HiGHS
-calls per method, their digest, the lower bound and the bills. Two trees
-that print the same line make the same solver calls with the same values:
+calls per method, their digest, the lower bound and the bills of all three
+policies. Two trees that print the same line make the same solver calls
+with the same values and simulate the same steps:
 
     PYTHONPATH=src python tests/helpers.py
 """
@@ -712,15 +713,15 @@ def table_answer(persistent, table):
 def held_answer(persistent, held):
     """The vertex, objective and reduced costs of `held`, the basis of the
     last run, which HiGHS still holds, when it is optimal at the bounds
-    `persistent` holds; None when it is not. Its basic values come from one
-    basis solve, and are checked against the concatenated limits gathered
-    by its basic set."""
+    `persistent` holds; None when it is not. Its basic values come from the
+    run's solution, which HiGHS holds too, and one basis solve, and are
+    checked against the concatenated limits gathered by its basic set."""
     solver, n, pinned = persistent._solver, persistent._cost.size, persistent._pinned
     status, basic = solver.getBasicVariables()
     if status != persistent._core.HighsStatus.kOk:
         return None
     ext = np.where(basic >= 0, basic, n - 1 - basic)
-    vb0 = np.concatenate((held.x, np.negative(held.row_value)))[ext]
+    vb0 = np.concatenate((held.x, np.negative(solver.getSolution().row_value)))[ext]
     _, start, index, value = solver.getColsEntries(pinned.size, pinned.astype(np.int32))
     column = np.repeat(np.arange(pinned.size), np.diff(np.append(start, index.size)))
     x_pin = persistent._lower[pinned]
@@ -735,6 +736,116 @@ def held_answer(persistent, held):
     x[pinned] = x_pin
     x[ext[cols]] = values[cols]
     return x, float(persistent._cost @ x), held.col_dual
+
+
+# ---------------------------------------------------------------------------
+# The simulated step and the heuristic, through the model's dataclasses
+#
+# The package plays a step in floats; these loops build a `ControlBox` for
+# every admissible box, the rate as an array and the next state through an
+# array, and write the rate, the recourse and the stage cost out again
+# (checking `recourse` and `stage_cost` against them). The two must agree
+# bit for bit.
+
+
+def reference_step(t, x, u, w_next, p: SystemParams) -> State:
+    """`model.step`: the control checked against `admissible_controls`,
+    then x + delta * rate with the rate and the state as arrays."""
+    from microgrid_ems.model import ConstraintViolationError, ModelError, admissible_controls
+
+    box = admissible_controls(x, p)
+    tol = 1e-7
+    if u.f_b > box.f_b_max + tol:
+        raise ConstraintViolationError("f_b upper bound", u.f_b, box.f_b_max)
+    if u.f_b < box.f_b_min - tol:
+        raise ConstraintViolationError("f_b lower bound", u.f_b, box.f_b_min)
+    if not 0.0 - tol <= u.f_t <= box.f_t_max + tol:
+        raise ConstraintViolationError("f_t bound", u.f_t, box.f_t_max)
+    if not 0.0 - tol <= u.f_h <= box.f_h_max + tol:
+        raise ConstraintViolationError("f_h bound", u.f_h, box.f_h_max)
+    if not 0 <= t < p.horizon_steps:
+        raise ModelError(f"t_index {t} outside [0, {p.horizon_steps})")
+    for v in (u.f_b, u.f_t, u.f_h, w_next.d_el_net, w_next.d_hw):
+        if not math.isfinite(v):
+            raise ModelError(f"non-finite input {v!r}")
+    pos, neg = max(0.0, u.f_b), max(0.0, -u.f_b)
+    r = p.r6c2
+    g_iw = 1.0 / (r.r_i + r.r_s)
+    g_ow = 1.0 / (r.r_m + r.r_e)
+    theta_o, p_int, p_ext = p.theta_o[t], p.p_int[t], p.p_ext[t]
+    rate = np.array([
+        p.rho_c * pos - neg / p.rho_d,
+        p.beta_h * u.f_h - w_next.d_hw,
+        (g_iw * (x.theta_i - x.theta_w) + g_ow * (theta_o - x.theta_w) + r.gamma * u.f_t
+         + r.r_i * g_iw * p_int + r.r_e * g_ow * p_ext) / r.c_m,
+        (g_iw * (x.theta_w - x.theta_i) + (theta_o - x.theta_i) / r.r_v
+         + (theta_o - x.theta_i) / r.r_f + (1.0 - r.gamma) * u.f_t
+         + r.r_s * g_iw * p_int) / r.c_i,
+    ])
+    return State.from_array(x.as_array() + p.delta * rate)
+
+
+def reference_simulate(policy, scenario, x0: State, p: SystemParams):
+    """`assess.simulate_policy(policy, scenario, x0, p, record=True)` as a
+    loop over the model's dataclasses; returns the bill, the (T + 1, 4)
+    trajectory and the (T,) grid imports."""
+    from microgrid_ems.model import Recourse, Uncertainty, recourse, stage_cost, terminal_cost
+
+    scenario = np.asarray(scenario, dtype=float)
+    T = p.horizon_steps
+    if hasattr(policy, "reset"):
+        policy.reset()
+    x, total = x0, 0.0
+    traj, imports = np.zeros((T + 1, 4)), np.zeros(T)
+    traj[0] = x.as_array()
+    for t in range(T):
+        u = policy.decide(t, x, Uncertainty(scenario[t, 0], scenario[t, 1])).control
+        w_next = Uncertainty(scenario[t + 1, 0], scenario[t + 1, 1])
+        net = u.f_b + u.f_t + u.f_h + w_next.d_el_net
+        rec = Recourse(f_ne=max(0.0, net), spill=max(0.0, -net))
+        assert recourse(u, w_next) == rec, t
+        residual = rec.f_ne - rec.spill - u.f_b - u.f_t - u.f_h - w_next.d_el_net
+        assert abs(residual) <= 1e-12, (t, residual)
+        cost = (p.pi_e[t] * p.delta * rec.f_ne
+                + p.pi_d[t] * max(0.0, p.theta_set[t] - x.theta_i))
+        assert stage_cost(t, x, u, w_next, p) == cost, t
+        total += cost
+        x = reference_step(t, x, u, w_next, p)
+        p.check_state(x)
+        traj[t + 1] = x.as_array()
+        imports[t] = rec.f_ne
+    return total + terminal_cost(x, x0, p.kappa), traj, imports
+
+
+class ReferenceHeuristic:
+    """`policies.HeuristicPolicy`, its control clipped to the box of
+    `admissible_controls`."""
+
+    name = "heuristic"
+
+    def __init__(self, p: SystemParams, x0: State, margin_deg_c: float = 1.0):
+        self.p, self.h0, self.margin = p, x0.h, margin_deg_c
+        self._heater_on = False
+
+    def reset(self):
+        self._heater_on = False
+
+    def decide(self, t, x, w_obs):
+        from microgrid_ems.model import Control, admissible_controls
+        from microgrid_ems.policies import PolicyDecision
+
+        box = admissible_controls(x, self.p)
+        net = w_obs.d_el_net
+        f_b = min(-net, box.f_b_max) if net < 0.0 else -min(net, -box.f_b_min)
+        f_h = box.f_h_max if x.h < self.h0 else 0.0
+        setpoint = self.p.theta_set[t]
+        if x.theta_i < setpoint:
+            self._heater_on = True
+        elif x.theta_i > setpoint + self.margin:
+            self._heater_on = False
+        f_t = box.f_t_max if self._heater_on else 0.0
+        return PolicyDecision(control=box.clip(Control(f_b=f_b, f_t=f_t, f_h=f_h)),
+                              predicted_cost=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +967,8 @@ class _CountingHighs:
 def scripted_run() -> dict:
     """A fixed training and play under `CountingCore`: summer trained for 10
     iterations (pool 44, generator seed 5, split seed 42, S from the config,
-    quantize seed 3, training seed 1), then 12 held-out days played by MPC
-    and SDDP in turn, MPC first each day.
+    quantize seed 3, training seed 1), then 12 held-out days played by MPC,
+    SDDP and the heuristic in turn, MPC first each day.
 
     Returns the calls per method (`calls`), the SHA-256 `digest` of every
     HiGHS call, the final `lower_bound` and the `bills` of each policy: two
@@ -865,7 +976,8 @@ def scripted_run() -> dict:
     from microgrid_ems import lp as lpmod
     from microgrid_ems.assess import simulate_policy, split_scenarios
     from microgrid_ems.config import day_config, parse_config
-    from microgrid_ems.policies import MpcPolicy, SddpPolicy, StoppingRule, sddp_train
+    from microgrid_ems.policies import (HeuristicPolicy, MpcPolicy, SddpPolicy, StoppingRule,
+                                        sddp_train)
     from microgrid_ems.scenarios import (fit_ar, generate_scenarios, quantize_stagewise,
                                          scenario_means)
 
@@ -878,7 +990,8 @@ def scripted_run() -> dict:
         dists = quantize_stagewise(opt, s=cfg.sddp_s_offline, seed=3)
         vf, log = sddp_train(p, dists, x0, StoppingRule(max_iters=10, lb_tol=0.0), seed=1)
         policies = {"mpc": MpcPolicy(p, x0, fit_ar(opt), scenario_means(opt)),
-                    "sddp": SddpPolicy(p, vf, dists)}
+                    "sddp": SddpPolicy(p, vf, dists),
+                    "heuristic": HeuristicPolicy(p, x0, cfg.heuristic_margin)}
         bills = {name: [] for name in policies}
         for day in sim.data:
             for name, policy in policies.items():

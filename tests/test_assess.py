@@ -13,18 +13,32 @@ from microgrid_ems.assess import (
     simulate_policy,
     split_scenarios,
 )
+from microgrid_ems.config import day_config, parse_config
 from microgrid_ems.model import State, Uncertainty
 from microgrid_ems.policies import (
     HeuristicPolicy,
+    MpcPolicy,
     PolicyDecision,
     SddpPolicy,
     StoppingRule,
     ValueFunctions,
     sddp_train,
 )
-from microgrid_ems.scenarios import ScenarioSet
+from microgrid_ems.scenarios import (
+    ScenarioSet,
+    fit_ar,
+    generate_scenarios,
+    quantize_stagewise,
+    scenario_means,
+)
 
-from helpers import battery_params, battery_x0, two_point_dists
+from helpers import (
+    ReferenceHeuristic,
+    battery_params,
+    battery_x0,
+    reference_simulate,
+    two_point_dists,
+)
 
 
 class _ConstantCostPolicy:
@@ -80,6 +94,31 @@ class TestSimulatePolicy:
         with pytest.raises(ValueError):
             simulate_policy(_ConstantCostPolicy(), np.zeros((3, 2)),
                             battery_x0(), p)
+
+    @pytest.mark.parametrize("day", ["summer", "winter"])
+    def test_the_reference_loop_plays_the_same_days(self, day):
+        # each policy and a twin built the same way play the same held-out
+        # days, one through simulate_policy, the other through the
+        # dataclass loop (the heuristic's twin clips with a ControlBox)
+        cfg = parse_config(day_config(day))
+        p, x0 = cfg.system, cfg.initial_state
+        opt, sim = split_scenarios(generate_scenarios(cfg.generator, 24, 5), 20, 42)
+        dists = quantize_stagewise(opt, s=5, seed=3)
+        vf, _ = sddp_train(p, dists, x0, StoppingRule(max_iters=4, lb_tol=0.0), seed=1)
+        ar, means = fit_ar(opt), scenario_means(opt)
+        pairs = {
+            "heuristic": (HeuristicPolicy(p, x0, cfg.heuristic_margin),
+                          ReferenceHeuristic(p, x0, cfg.heuristic_margin)),
+            "mpc": (MpcPolicy(p, x0, ar, means), MpcPolicy(p, x0, ar, means)),
+            "sddp": (SddpPolicy(p, vf, dists), SddpPolicy(p, vf, dists)),
+        }
+        for scenario in sim.data:
+            for name, (played, twin) in pairs.items():
+                res = simulate_policy(played, scenario, x0, p, record=True)
+                bill, traj, imports = reference_simulate(twin, scenario, x0, p)
+                assert res.total_cost == bill, name
+                assert np.array_equal(res.trajectory, traj), name
+                assert np.array_equal(res.imports, imports), name
 
 
 def _report_from_costs(costs_by_policy):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import microgrid_ems
 from microgrid_ems import lp as lpmod
 from microgrid_ems.cli import main
 from microgrid_ems.config import (
@@ -164,6 +165,16 @@ class TestConfig:
     def test_bundled_config_hash_pinned(self, day, sha):
         """A change to the normalized document shows as a new hash here."""
         assert manifest(load_config(CONFIG_DIR / f"{day}.json"))["config_sha256"] == sha
+
+    def test_manifest_records_package_version(self):
+        # one source: pyproject.toml takes the version from the package
+        assert manifest(parse_config(tiny_doc()))["microgrid_ems"] == microgrid_ems.__version__
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as f:
+            project = tomllib.load(f)
+        assert "version" in project["project"]["dynamic"]
+        assert (project["tool"]["setuptools"]["dynamic"]["version"]
+                == {"attr": "microgrid_ems.__version__"})
 
     def test_manifest_records_cold_path(self, monkeypatch):
         monkeypatch.setattr(lpmod, "_highs_core", None)

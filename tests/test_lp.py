@@ -212,6 +212,37 @@ def v_pin_w(x: float, w_floor: float) -> LinearProgram:
         a_ub=sp.hstack([lp.a_ub, sp.csr_matrix((2, 1))]), b_ub=lp.b_ub)
 
 
+class _WatchedBounds:
+    """Stands in for a persistent LP's solver: before each bound call and
+    each run it compares the column bounds HiGHS holds with the LP's."""
+
+    def __init__(self, persistent):
+        self._lp, self._highs = persistent, persistent._solver
+        persistent._solver = self
+        self.sent, self.runs = [], 0
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def _differ(self):
+        held = self._highs.getLp()
+        return ((self._lp._lower != np.array(held.col_lower_))
+                | (self._lp._upper != np.array(held.col_upper_))).nonzero()[0]
+
+    def changeColsBounds(self, count, index, lower, upper):
+        differ = self._differ()
+        assert count == differ.size > 0 and index.tolist() == differ.tolist()
+        assert lower.tolist() == self._lp._lower[differ].tolist()
+        assert upper.tolist() == self._lp._upper[differ].tolist()
+        self.sent.append(index.tolist())
+        return self._highs.changeColsBounds(count, index, lower, upper)
+
+    def run(self):
+        assert self._differ().size == 0
+        self.runs += 1
+        return self._highs.run()
+
+
 def fan_value(x: float) -> float:
     return float(np.max(SLOPES * x + INTERCEPTS))
 
@@ -515,6 +546,25 @@ class TestPersistent:
         assert core.runs == 2 and core.calls["changeColsBounds"] == sends + 1
         assert sol.objective == pytest.approx(1.8, abs=1e-12)  # max(x, 1 - x) + w
         np.testing.assert_allclose(sol.x_star, [0.8, 0.8, 1.6, 1.0], atol=1e-12)
+
+    def test_a_run_sends_exactly_the_bounds_that_differ(self, monkeypatch):
+        # solves name random columns, some back to the bounds HiGHS holds,
+        # and many are answered without a run; a run's one bound call
+        # carries, ascending, every column whose bounds differ from the ones
+        # HiGHS holds and no other, so that HiGHS runs at the LP's bounds. A
+        # new cost after a run forces a run with no bound to send.
+        fan = FanTable(monkeypatch)
+        watch = _WatchedBounds(fan.lp)
+        rng = np.random.default_rng(5)
+        for k in range(80):
+            lp = fan_pin(rng.choice(PIECE_AT) + rng.uniform(-0.3, 0.3),
+                         rng.choice([100.0, 50.0]))
+            index = np.flatnonzero(rng.random(3) < 0.6)
+            fan.lp.solve(cols=(index, lp.lower[index], lp.upper[index]))
+            if k % 8 == 7:
+                fan.lp.solve(cost=np.array([0.0, 1.0 + k % 16 // 8, 0.0]))
+        assert watch.runs == fan.core.runs and 20 < watch.runs < 90
+        assert 0 < len(watch.sent) < watch.runs - 5
 
     def test_a_refused_first_try_reads_no_reduced_column(self, monkeypatch):
         fan = FanTable(monkeypatch)

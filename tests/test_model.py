@@ -161,8 +161,7 @@ class TestStep:
         w = Uncertainty(0.5, 0.2)
         x_next = step(0, x, u, w, p)
         rate = continuous_dynamics(0, x, u, w, p)
-        np.testing.assert_allclose(
-            x_next.as_array(), x.as_array() + 0.25 * rate, atol=1e-14)
+        assert x_next.as_array().tobytes() == (x.as_array() + 0.25 * rate).tobytes()
 
     def test_rejects_inadmissible(self):
         p = thermal_params()
@@ -172,11 +171,52 @@ class TestStep:
         assert err.value.bound == "f_b upper bound"
         assert err.value.value == 1.0
 
+    # f_t_max is 6 and h_max 5.58; the battery holds 0.6 above b_min
+    @pytest.mark.parametrize("x, u, bound, value, limit", [
+        (State(3.0, 2.0, 15.0, 18.0), Control(0.5, 0.0, 0.0), "f_b upper bound", 0.5, 0.0),
+        (State(1.5, 2.0, 15.0, 18.0), Control(math.inf, 0.0, 0.0), "f_b upper bound",
+         math.inf, 3.0),
+        (State(0.9, 2.0, 15.0, 18.0), Control(-0.5, 0.0, 0.0), "f_b lower bound", -0.5, 0.0),
+        (State(1.5, 2.0, 15.0, 18.0), Control(-2.5, 0.0, 0.0), "f_b lower bound", -2.5,
+         -0.95 * 0.6 / 0.25),
+        (State(1.5, 2.0, 15.0, 18.0), Control(0.0, 6.5, 0.0), "f_t bound", 6.5, 6.0),
+        (State(1.5, 2.0, 15.0, 18.0), Control(0.0, -0.5, 0.0), "f_t bound", -0.5, 6.0),
+        (State(1.5, 2.0, 15.0, 18.0), Control(0.0, math.nan, 0.0), "f_t bound", math.nan, 6.0),
+        (State(1.5, 5.58, 15.0, 18.0), Control(0.0, 0.0, 0.5), "f_h bound", 0.5, 0.0),
+        (State(1.5, 2.0, 15.0, 18.0), Control(0.0, 0.0, -0.5), "f_h bound", -0.5, 3.0),
+    ], ids=["fb-full", "fb-inf", "fb-empty", "fb-power", "ft-high", "ft-negative", "ft-nan",
+            "fh-full", "fh-negative"])
+    def test_each_box_violation_names_its_bound(self, x, u, bound, value, limit):
+        with pytest.raises(ConstraintViolationError) as err:
+            step(0, x, u, Uncertainty(0.0, 0.0), thermal_params())
+        assert err.value.bound == bound
+        assert err.value.value == value or math.isnan(value) and math.isnan(err.value.value)
+        assert err.value.limit == pytest.approx(limit, abs=1e-15)
+
+    @pytest.mark.parametrize("t, u, w", [
+        (8, Control(0.0, 0.0, 0.0), Uncertainty(0.0, 0.0)),
+        (-1, Control(0.0, 0.0, 0.0), Uncertainty(0.0, 0.0)),
+        (0, Control(math.nan, 0.0, 0.0), Uncertainty(0.0, 0.0)),
+        (0, Control(0.0, 0.0, 0.0), Uncertainty(math.nan, 0.0)),
+        (0, Control(0.0, 0.0, 0.0), Uncertainty(0.0, math.inf)),
+    ], ids=["t-past-horizon", "t-negative", "fb-nan", "d_el-nan", "d_hw-inf"])
+    def test_bad_step_or_non_finite_input(self, t, u, w):
+        # plain ModelError: not a box violation, not a bad state
+        with pytest.raises(ModelError) as err:
+            step(t, State(1.5, 2.0, 15.0, 18.0), u, w, thermal_params())
+        assert type(err.value) is ModelError
+
     def test_rejects_bad_state(self):
         p = thermal_params()
         with pytest.raises(InvalidStateError):
             step(0, State(5.0, 2.0, 15.0, 18.0), Control(0, 0, 0),
                  Uncertainty(0, 0), p)
+
+    @pytest.mark.parametrize("x", [State(0.5, 2.0, 15.0, 18.0), State(1.5, -0.1, 15.0, 18.0),
+                                   State(1.5, 6.0, 15.0, 18.0)], ids=["b-low", "h-low", "h-high"])
+    def test_rejects_each_stock_out_of_bounds(self, x):
+        with pytest.raises(InvalidStateError):
+            step(0, x, Control(0, 0, 0), Uncertainty(0, 0), thermal_params())
 
 
 class TestRecourseAndCosts:

@@ -80,6 +80,14 @@ def test_step_keeps_tank_in_bounds_above_one_draw(data, t, w):
     assert -1e-9 <= nxt.h <= P.h_max + 1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t=steps, x=states(), w=demands)
+def test_step_is_the_euler_identity_bit_for_bit(data, t, x, w):
+    u = data.draw(admissible(x))
+    euler = x.as_array() + P.delta * continuous_dynamics(t, x, u, w, P)
+    assert step(t, x, u, w, P).as_array().tobytes() == euler.tobytes()
+
+
 @given(f_b=st.floats(-3.0, 3.0), f_t=st.floats(0.0, 6.0), f_h=st.floats(0.0, 3.0), w=demands)
 def test_recourse_closes_load_balance(f_b, f_t, f_h, w):
     rec = recourse(Control(f_b, f_t, f_h), w)
