@@ -181,13 +181,11 @@ def _build_policies(cfg, opt, vf, dists):
     p, x0 = cfg.system, cfg.initial_state
     ar = scenarios_mod.fit_ar(opt)
     means = scenarios_mod.scenario_means(opt)
-    policies = {
+    return {
         "heuristic": policies_mod.HeuristicPolicy(p, x0, cfg.heuristic_margin),
         "sddp": policies_mod.SddpPolicy(p, vf, dists),
+        "mpc": policies_mod.MpcPolicy(p, x0, ar, means),
     }
-    if cfg.mpc_enabled:
-        policies["mpc"] = policies_mod.MpcPolicy(p, x0, ar, means)
-    return policies
 
 
 def _assess(cfg, opt, sim, vf, dists, out: Path, threads, trajectories):

@@ -45,15 +45,11 @@ def _reject_unknown(section: dict, known, prefix: str = ""):
 
 def _value(value, default, fieldpath: str):
     """`value` checked against the type of `default`: an int takes an
-    integral number, a float a finite number, a bool true or false, a tuple
-    a pair of numbers (kept as a list) and a dict that table's fields. A
-    bool is never a number."""
+    integral number, a float a finite number, a tuple a pair of numbers
+    (kept as a list) and a dict that table's fields. A bool is never a
+    number."""
     if isinstance(default, dict):
         return _fields(value, default, f"{fieldpath}.")
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(fieldpath, f"expected true or false, got {value!r}")
-        return value
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ConfigError(fieldpath, f"expected a pair of numbers, got {value!r}")
@@ -124,7 +120,6 @@ _SECTIONS = {
     "generator": {**{name: f.default for name, f in GeneratorConfig.__dataclass_fields__.items()
                      if name not in ("delta", "horizon_steps")}, "seed": 1},
     "sddp": {"s_offline": 20, "max_iters": 100, "lb_tol": 1e-4, "patience": 10, "seed": 0},
-    "mpc": {"enabled": True},
     "heuristic": {"margin_deg_c": 1.0},
     "assessment": {"n_opt": 1000, "n_sim": 1000, "seed": 42},
 }
@@ -179,7 +174,6 @@ class RunConfig:
     sddp_lb_tol: float
     sddp_patience: int
     sddp_seed: int
-    mpc_enabled: bool
     heuristic_margin: float
     n_opt: int
     n_sim: int
@@ -250,7 +244,7 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> RunConfig:
         generator_seed=gen["seed"], sddp_s_offline=sddp["s_offline"],
         sddp_max_iters=sddp["max_iters"], sddp_lb_tol=sddp["lb_tol"],
         sddp_patience=sddp["patience"], sddp_seed=sddp["seed"],
-        mpc_enabled=raw["mpc"]["enabled"], heuristic_margin=raw["heuristic"]["margin_deg_c"],
+        heuristic_margin=raw["heuristic"]["margin_deg_c"],
         n_opt=assessment["n_opt"], n_sim=assessment["n_sim"],
         split_seed=assessment["seed"], raw=raw,
     )
@@ -307,7 +301,6 @@ def day_config(day: str, horizon_steps: int = 96, delta: float = 0.25) -> dict:
         "generator": gen,
         "sddp": {"s_offline": 10, "max_iters": 30, "lb_tol": 1e-4,
                  "patience": 10, "seed": 7},
-        "mpc": {"enabled": True},
         "heuristic": {"margin_deg_c": 1.0},
         "assessment": {"n_opt": 200, "n_sim": 200, "seed": 42},
     }

@@ -61,9 +61,12 @@ class ConstraintViolationError(ModelError):
 
 
 def _check_finite(name, *values):
+    """A non-finite value in a state is an `InvalidStateError`; elsewhere it
+    is a plain `ModelError`."""
     for v in values:
         if not math.isfinite(v):
-            raise ModelError(f"{name} contains non-finite value {v!r}")
+            error = InvalidStateError if name == "state" else ModelError
+            raise error(f"{name} contains non-finite value {v!r}")
 
 
 @dataclass(frozen=True)

@@ -194,9 +194,11 @@ class MpcPolicy:
     """Shrinking-horizon deterministic LP; the AR(1) model updates the
     one-step forecast online, the offline means fill the tail.
 
-    Each step's chain is sliced from one horizon template and kept for the
-    next scenario; a new chain starts from the basis of the chain one step
-    earlier. Pickling drops the chains, so a copy plays as a fresh policy.
+    Each step's chain is sliced from one horizon template, which holds the
+    means with their hot water clamped at zero as its demand path, and is
+    kept for the next scenario; a new chain starts from the basis of the
+    chain one step earlier. Pickling drops the chains, so a copy plays as a
+    fresh policy.
     """
 
     name = "mpc"
@@ -207,9 +209,8 @@ class MpcPolicy:
         self.p = p
         self.x0 = x0
         self.ar = ar
-        # forecasts take the tail of the means as it is: clamp it once
-        self.means = np.maximum(np.asarray(means, dtype=float), (-np.inf, 0.0))
-        self._template = stagelp.ChainTemplate(p, x0)
+        means = np.maximum(np.asarray(means, dtype=float), (-np.inf, 0.0))
+        self._template = stagelp.ChainTemplate(p, x0, means[1:])
         self._chains: Dict[int, stagelp.DeterministicChain] = {}
 
     def _chain(self, t: int) -> stagelp.DeterministicChain:
@@ -225,7 +226,7 @@ class MpcPolicy:
         return state
 
     def decide(self, t: int, x: State, w_obs: Uncertainty) -> PolicyDecision:
-        forecast = update_forecast(self.ar, t, (w_obs.d_el_net, w_obs.d_hw), self.means)
+        forecast = update_forecast(self.ar, t, (w_obs.d_el_net, w_obs.d_hw))
         sol = self._chain(t).solve(x, forecast)
         return PolicyDecision(control=sol.control, predicted_cost=sol.objective)
 
@@ -233,8 +234,9 @@ class MpcPolicy:
 def perfect_foresight_cost(p: SystemParams, x0: State, scenario: np.ndarray) -> float:
     """Anticipative deterministic optimum of one scenario (lower bound on any
     nonanticipative policy's realized cost on that scenario)."""
-    chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x0, h_floor=0.0), 0)
-    return chain.solve(x0, np.asarray(scenario, dtype=float)[1:, :]).objective
+    path = np.asarray(scenario, dtype=float)[1:]
+    chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x0, path, h_floor=0.0), 0)
+    return chain.solve(x0, path[0].tolist()).objective
 
 
 # ---------------------------------------------------------------------------

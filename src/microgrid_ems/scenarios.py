@@ -312,22 +312,14 @@ def scenario_means(opt: ScenarioSet) -> np.ndarray:
     return opt.data.mean(axis=0)
 
 
-def update_forecast(ar: ARModel, t: int, w_t, means: np.ndarray) -> np.ndarray:
-    """Forecast (w_{t+1}, ..., w_T) from the value observed at step t, as a
-    new array.
-
-    The first entry comes from the AR model, its hot water clamped at zero;
-    the remainder is the offline mean profile as given. Means of scenario
-    data have nonnegative hot water, since the data do.
-    """
-    T = ar.horizon
-    if not 0 <= t < T:
-        raise ScenarioError(f"forecast step {t} outside [0, {T})")
-    out = np.array(means[t + 1:T + 1], dtype=float)
+def update_forecast(ar: ARModel, t: int, w_t) -> tuple[float, float]:
+    """The AR model's one-step forecast of w_{t+1} from the value w_t
+    observed at step t, as two floats, its hot water clamped at zero."""
+    if not 0 <= t < ar.horizon:
+        raise ScenarioError(f"forecast step {t} outside [0, {ar.horizon})")
     (a_el, a_hw), (b_el, b_hw) = ar.alpha[t].tolist(), ar.beta[t].tolist()
     w_el, w_hw = w_t
-    out[0] = a_el * w_el + b_el, max(0.0, a_hw * w_hw + b_hw)
-    return out
+    return a_el * w_el + b_el, max(0.0, a_hw * w_hw + b_hw)
 
 
 # ---------------------------------------------------------------------------

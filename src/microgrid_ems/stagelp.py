@@ -73,11 +73,15 @@ def _not_optimal(sol: lpmod.LpSolution, what: str) -> lpmod.LpError:
 
 class ChainTemplate:
     """The chain over the whole horizon (t0 = 0), built once per reference
-    state x_ref (the terminal penalty's stock levels) and tank floor.
+    state x_ref (the terminal penalty's stock levels), demand path and tank
+    floor.
 
-    The chain at t0 is a slice of it: the equality rows 5 t0:, the
-    inequality rows t0:, and the columns of steps >= t0 and of states
-    >= t0 + 1.
+    `path` has shape (T, 2): entry t, (d_el, d_hw), is realized over
+    [t, t+1]. It is written once into every step's balance and tank rows,
+    and with it what full-rate reheating adds to the tank at each step
+    (`gain`). The chain at t0 is a slice of it: the equality rows 5 t0:,
+    the inequality rows t0:, the columns of steps >= t0 and of states
+    >= t0 + 1, and the gains of steps > t0.
 
     Column layout: per step t of T: [fbp, fbm, ft, fh, fne, spill, dcomf],
     then states x_t, t = 1..T (4 each), then zb, zh. Rows: per step a balance
@@ -86,10 +90,14 @@ class ChainTemplate:
     triple with int32 indices, the equalities first.
     """
 
-    def __init__(self, p: SystemParams, x_ref: State, h_floor: Optional[float] = None):
+    def __init__(self, p: SystemParams, x_ref: State, path: np.ndarray,
+                 h_floor: Optional[float] = None):
         self.p = p
         self.h_floor = p.h_floor if h_floor is None else h_floor
         T, delta = p.horizon_steps, p.delta
+        path = np.asarray(path, dtype=float)
+        if path.shape != (T, 2):
+            raise ValueError(f"expected a demand path of shape ({T}, 2), got {path.shape}")
         n = 11 * T + 2
         steps = np.arange(T)
         u = 7 * steps[:, None] + np.arange(7)               # u[t, j]
@@ -98,7 +106,7 @@ class ChainTemplate:
         g = np.array([linear_dynamics(t, p)[3] for t in range(T)])
 
         # step block: the balance fne - spill - fb+ + fb- - ft - fh = d_el,
-        # then x_{t+1} - (I + delta M) x_t - delta N u_t = delta g_t (+ delta P w_t);
+        # then x_{t+1} - (I + delta M) x_t - delta N u_t = delta (g_t + P w_t);
         # columns [u_t (7), x_t (4), x_{t+1} (4)]
         block = np.zeros((5, 15))
         block[0, :6] = (-1.0, 1.0, -1.0, -1.0, 1.0, -1.0)
@@ -111,9 +119,14 @@ class ChainTemplate:
         vals = np.broadcast_to(block[r, c], cols.shape)
         keep = cols >= 0  # x_0 is not a column: it enters the rhs
         a_eq = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(5 * T, n))
+        # the dynamics rows without the demand, for a chain's first step
+        self.dyn_rhs = delta * g
         b_eq = np.zeros((T, 5))
-        b_eq[:, 1:] = delta * g
+        b_eq[:, 0] = path[:, 0]
+        b_eq[:, 1:] = self.dyn_rhs
+        b_eq[:, 2] += -delta * path[:, 1]
         self.b_eq = b_eq.ravel()
+        self.gain = (delta * (p.beta_h * p.f_h_max - path[:, 1])).tolist()
 
         # discomfort epigraphs dcomf_t >= theta_set_t - theta_i,t for t >= 1,
         # then kappa * max(0, ref - stock) for the battery and the tank
@@ -149,19 +162,17 @@ _HEAD_COLS = np.array([0, 1, 3, 6])
 
 
 class DeterministicChain:
-    """LP over steps t0..T-1 against a deterministic demand path.
+    """LP over steps t0..T-1 against the template's demand path.
 
-    The matrix depends only on (params, t0); demands and the initial state
-    enter through the rhs and the first-step control bounds. `prev`, the
-    chain at t0 - 1, seeds this chain's first solve with its last basis,
-    shifted by one step: by the principle of optimality it is nearly optimal
-    here (the "shift" initialisation of real-time MPC).
+    The matrix depends only on (params, t0); the path's later steps are the
+    template's, and the first step's demand and the initial state enter
+    through the first step's rows and control bounds. `prev`, the chain at
+    t0 - 1, seeds this chain's first solve with its last basis, shifted by
+    one step: by the principle of optimality it is nearly optimal here (the
+    "shift" initialisation of real-time MPC).
 
-    A re-solve hands its LP only what moved. MPC forecasts differ only in
-    their first entry, so while the forecast tail is the one the LP holds,
-    the chain writes the first step's five rows and four bounds; it rewrites
-    every row only for another tail, and the tank floors only when they may
-    have moved.
+    A re-solve hands its LP only what moved: the first step's five rows and
+    four bounds, and the tank floors only when they may have moved.
     """
 
     def __init__(self, template: ChainTemplate, t0: int,
@@ -192,8 +203,9 @@ class DeterministicChain:
         dropped = np.concatenate(([0], np.cumsum(~keep, dtype=np.int32)))  # before each entry
         self._rows = ((ptr - dropped[ptr]).astype(np.int32, copy=False), cols[keep],
                       np.concatenate((data[eq0:eq_end], data[ub0:]))[keep])
-        self._b_eq_base = template.b_eq[5 * t0:]
-        self._head_base = self._b_eq_base[1:5].tolist()  # the first step's dynamics rows
+        self.b_eq = template.b_eq[5 * t0:]  # the first step's rows are written per solve
+        self._head_base = template.dyn_rhs[t0].tolist()  # its dynamics rows, demand aside
+        self._gain = template.gain[t0 + 1:]  # per later step, what full-rate reheating adds
         self._theta_set = float(p.theta_set[t0])
         self.b_ub = template.b_ub[t0:]
         self.c = np.concatenate((template.c[7 * t0:7 * T], template.c[s_col:]))
@@ -207,36 +219,22 @@ class DeterministicChain:
         # the bounds of columns _HEAD_COLS, written in place at each state
         self._head_lower = self._lower_base[_HEAD_COLS]
         self._head_upper = self._upper_base[_HEAD_COLS]
-        self._tail = None  # bytes of the forecast tail the LP holds
-        self._gain = None  # per step of that tail, what full-rate reheating adds
         self._floor_reach = INF  # lowest first reach seen to leave every floor at h_floor
         self._relaxed = True  # some floor the LP holds is not h_floor
         self._persistent = None
         self._prev = prev
 
-    def solve(self, x: State, demands: np.ndarray) -> StageSolution:
-        """Solve against forecast demands (shape (ns, 2), entry k realized
-        over [t0+k, t0+k+1]); returns the first-step control and the plan's
-        cost. Raises `LpError` if the LP is not optimal."""
+    def solve(self, x: State, first) -> StageSolution:
+        """Solve at state x against the first step's demand `first`,
+        (d_el, d_hw) realized over [t0, t0+1], and the template's path
+        after it; returns the first-step control and the plan's cost.
+        Raises `LpError` if the LP is not optimal."""
         p = self.p
-        demands = np.asarray(demands, dtype=float)
-        if demands.shape != (self.ns, 2):
-            raise ValueError(f"expected {self.ns} forecast entries, got {demands.shape}")
-        d_el, d_hw = demands[0].tolist()
+        d_el, d_hw = first
         b1, b2, b3, b4 = self._head_base
         y1, y2, y3, y4 = (self._first_dyn @ x.as_array()).tolist()
         head = np.array((d_el, b1 + y1, b2 + -p.delta * d_hw + y2, b3 + y3, b4 + y4))
         rows = (_HEAD_ROWS, head)
-        tail = demands[1:]
-        if tail.tobytes() != self._tail:  # another tail, bit for bit: rewrite every row
-            b_eq = self._b_eq_base.copy()
-            b_eq[5::5] = tail[:, 0]
-            b_eq[7::5] += -p.delta * tail[:, 1]
-            b_eq[:5] = head
-            rows = (np.arange(b_eq.size), b_eq)
-            self._tail = tail.tobytes()
-            self._gain = (p.delta * (p.beta_h * p.f_h_max - tail[:, 1])).tolist()
-            self._floor_reach, self._relaxed = INF, True
 
         limits = f_b_min, f_b_max, f_h_max = control_limits(x, p)
         lower, upper = self._head_lower, self._head_upper
@@ -266,7 +264,9 @@ class DeterministicChain:
         if self._persistent is None:
             lower, upper = self._lower_base.copy(), self._upper_base.copy()
             lower[cols[0]], upper[cols[0]] = cols[1], cols[2]
-            self._persistent = lpmod.PersistentLp(self.c, lower, upper, rows[1], self._rows,
+            b_eq = self.b_eq.copy()
+            b_eq[:5] = head
+            self._persistent = lpmod.PersistentLp(self.c, lower, upper, b_eq, self._rows,
                                                   self.b_ub)
             rows = cols = None  # built at x: nothing to send
             if self._prev is not None:

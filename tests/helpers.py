@@ -6,9 +6,10 @@ deliberately avoids the package's own LP assembly code, so that agreement
 between the two is meaningful.
 
 Run as a script, it prints `scripted_run()` as one JSON line: the HiGHS
-calls per method, their digest, the lower bound and the bills of all three
-policies. Two trees that print the same line make the same solver calls
-with the same values and simulate the same steps:
+calls per method, their digest, the lower bound, the bills of all three
+policies and the perfect-foresight costs. Two trees that print the same
+line make the same solver calls with the same values and simulate the same
+steps:
 
     PYTHONPATH=src python tests/helpers.py
 """
@@ -181,9 +182,12 @@ def tree_optimal_value(p: SystemParams, dists, t0: int, b0: float) -> float:
 
     a_eq = sp.csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(len(rhs), n))
     a_ub = sp.csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(len(bub), n))
+    # at HiGHS's default feasibility tolerance, 1e-7, the optimum may leave
+    # a net demand of that size unserved and undercut the true value
     res = linprog(c, A_ub=a_ub, b_ub=np.array(bub), A_eq=a_eq,
                   b_eq=np.array(rhs), bounds=np.column_stack([lower, upper]),
-                  method="highs")
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return float(res.fun)
 
@@ -968,16 +972,18 @@ def scripted_run() -> dict:
     """A fixed training and play under `CountingCore`: summer trained for 10
     iterations (pool 44, generator seed 5, split seed 42, S from the config,
     quantize seed 3, training seed 1), then 12 held-out days played by MPC,
-    SDDP and the heuristic in turn, MPC first each day.
+    SDDP and the heuristic in turn, MPC first each day, and after them the
+    day's perfect-foresight cost.
 
     Returns the calls per method (`calls`), the SHA-256 `digest` of every
-    HiGHS call, the final `lower_bound` and the `bills` of each policy: two
-    trees that make the same calls with the same values give the same."""
+    HiGHS call, the final `lower_bound`, the `bills` of each policy and the
+    `perfect_foresight` costs: two trees that make the same calls with the
+    same values give the same."""
     from microgrid_ems import lp as lpmod
     from microgrid_ems.assess import simulate_policy, split_scenarios
     from microgrid_ems.config import day_config, parse_config
     from microgrid_ems.policies import (HeuristicPolicy, MpcPolicy, SddpPolicy, StoppingRule,
-                                        sddp_train)
+                                        perfect_foresight_cost, sddp_train)
     from microgrid_ems.scenarios import (fit_ar, generate_scenarios, quantize_stagewise,
                                          scenario_means)
 
@@ -993,13 +999,16 @@ def scripted_run() -> dict:
                     "sddp": SddpPolicy(p, vf, dists),
                     "heuristic": HeuristicPolicy(p, x0, cfg.heuristic_margin)}
         bills = {name: [] for name in policies}
+        foresight = []
         for day in sim.data:
             for name, policy in policies.items():
                 bills[name].append(simulate_policy(policy, day, x0, p).total_cost)
+            foresight.append(perfect_foresight_cost(p, x0, day))
     finally:
         lpmod._highs_core = core._core
     return {"calls": dict(sorted(core.calls.items())), "digest": core.digest.hexdigest(),
-            "lower_bound": log.lower_bounds[-1], "bills": bills}
+            "lower_bound": log.lower_bounds[-1], "bills": bills,
+            "perfect_foresight": foresight}
 
 
 if __name__ == "__main__":

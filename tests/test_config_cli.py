@@ -67,7 +67,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("fieldpath", [
         "system.bogus", "bogus_section", "initial_state.bogus", "sddp.max_iter",
-        "mpc.enable", "heuristic.bogus", "assessment.nsim", "generator.bogus"])
+        "mpc", "heuristic.bogus", "assessment.nsim", "generator.bogus"])
     def test_unknown_system_field(self, fieldpath):
         doc = tiny_doc()
         *section, key = fieldpath.split(".")
@@ -101,10 +101,10 @@ class TestConfig:
 
     def test_section_must_be_object(self):
         doc = tiny_doc()
-        doc["mpc"] = True
+        doc["heuristic"] = True
         with pytest.raises(ConfigError, match="JSON object") as info:
             parse_config(doc)
-        assert info.value.fieldpath == "mpc"
+        assert info.value.fieldpath == "heuristic"
 
     def test_bad_initial_state(self):
         doc = tiny_doc()
@@ -158,9 +158,9 @@ class TestConfig:
         assert m1["solver_path"] == "warm-persistent"
 
     @pytest.mark.parametrize("day, sha", [
-        ("winter", "e3254344708a647a91809291083a197e628ce98475bedf4b2ac9ce72cbe981a5"),
-        ("spring", "37cdc6f4456f448299992d9a2181f9f9061f0fd8affeb76ffa41405182019cba"),
-        ("summer", "9e2087dae92a2f3bcecfdf33b6bc96cec29c946b3b3b3612d59a677b0f85a324"),
+        ("winter", "12be62a39d9d5585c066edbcb560e26cad92452f0b0da81425cceaea85a3afb2"),
+        ("spring", "94a828fe18ca516bccbee57edc5084ea773f0ad0a137f9c2acccca7fe3e4084c"),
+        ("summer", "3456fa57a9940dc529a97fa3db2116086defaa4e7d8fb6bb0d666905e2076e5c"),
     ], ids=["winter", "spring", "summer"])
     def test_bundled_config_hash_pinned(self, day, sha):
         """A change to the normalized document shows as a new hash here."""
@@ -457,7 +457,7 @@ class TestCli:
 
     @pytest.mark.parametrize("fieldpath, value", [
         ("sddp.max_iters", 96.7), ("sddp.max_iters", True), ("system.horizon_steps", 96.5),
-        ("mpc.enabled", "false"), ("generator.el_ar_rho", "x"),
+        ("heuristic.margin_deg_c", "x"), ("generator.el_ar_rho", "x"),
         ("generator.hw_morning_window", ["a", "b"]), ("system.r6c2.r_i", "x"),
         ("generator.seed", -1), ("assessment.seed", -1), ("generator.delta", 0.125)])
     def test_mistyped_value_exit_2(self, tmp_path, fieldpath, value):
@@ -474,6 +474,18 @@ class TestCli:
         assert res.exit_code == 2
         lines = res.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"configuration error: {fieldpath}: ")
+
+    def test_mpc_section_exit_2(self, tmp_path):
+        # every run plays MPC; the section that could turn it off is gone
+        doc = tiny_doc()
+        doc["mpc"] = {"enabled": True}
+        path = tmp_path / "mpc.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["generate", "--config", str(path),
+                                        "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error: mpc: unknown field")
 
     @pytest.mark.parametrize("patience", [0, -3])
     def test_patience_below_one_exit_2(self, tmp_path, patience):

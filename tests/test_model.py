@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -217,6 +218,24 @@ class TestStep:
     def test_rejects_each_stock_out_of_bounds(self, x):
         with pytest.raises(InvalidStateError):
             step(0, x, Control(0, 0, 0), Uncertainty(0, 0), thermal_params())
+
+    @pytest.mark.parametrize("field", ["b", "h", "theta_w", "theta_i"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_state_is_an_invalid_state(self, field, value):
+        # through check_state, step, continuous_dynamics and terminal_cost:
+        # exactly InvalidStateError, never a plain ModelError
+        p = thermal_params()
+        x = dataclasses.replace(State(1.5, 2.0, 15.0, 18.0), **{field: value})
+        u, w = Control(0.0, 0.0, 0.0), Uncertainty(0.0, 0.0)
+        calls = [lambda: p.check_state(x), lambda: step(0, x, u, w, p),
+                 lambda: continuous_dynamics(0, x, u, w, p)]
+        if field in ("b", "h"):
+            calls.append(lambda: terminal_cost(x, battery_x0(), p.kappa))
+        for call in calls:
+            with pytest.raises(InvalidStateError) as err:
+                call()
+            assert type(err.value) is InvalidStateError
 
 
 class TestRecourseAndCosts:

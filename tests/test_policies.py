@@ -151,8 +151,9 @@ class TestMpc:
         x = State(2.0, 0.5, 15.0, 15.0)
         x_ref = State(1.0, 0.2, 15.0, 15.0)  # stocks above reference
         t = p.horizon_steps - 1
-        chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x_ref), t)
-        dec = chain.solve(x, np.zeros((1, 2)))
+        path = np.zeros((p.horizon_steps, 2))
+        chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x_ref, path), t)
+        dec = chain.solve(x, (0.0, 0.0))
         assert dec.objective == pytest.approx(0.0, abs=1e-9)
         # any optimal control realizes zero cost on the zero scenario
         w = Uncertainty(0.0, 0.0)
@@ -166,8 +167,9 @@ class TestMpc:
         x = State(0.9, 0.0, 15.0, 15.0)  # empty stocks
         x_ref = State(0.9, 0.0, 15.0, 15.0)
         t = p.horizon_steps - 1
-        chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x_ref), t)
-        dec = chain.solve(x, np.array([[2.0, 0.0]]))
+        path = np.zeros((p.horizon_steps, 2))
+        chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x_ref, path), t)
+        dec = chain.solve(x, (2.0, 0.0))
         assert dec.objective == pytest.approx(p.pi_e[t] * p.delta * 2.0, abs=1e-9)
 
     def test_perfect_foresight_matches_grid_search(self):
@@ -271,8 +273,9 @@ class TestSddpPolicy:
         vf = ValueFunctions.initial(p, x_ref)
         pol = SddpPolicy(p, vf, [dist] * p.horizon_steps)
         dec = pol.decide(t, x, Uncertainty(0.0, 0.0))
-        chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x_ref), t)
-        det = chain.solve(x, np.array([[2.0, 0.0]]))
+        path = np.zeros((p.horizon_steps, 2))
+        chain = stagelp.DeterministicChain(stagelp.ChainTemplate(p, x_ref, path), t)
+        det = chain.solve(x, (2.0, 0.0))
         assert dec.predicted_cost == pytest.approx(det.objective, abs=1e-7)
         w = Uncertainty(2.0, 0.0)
         for u in (dec.control, det.control):

@@ -100,7 +100,6 @@ def test_recourse_closes_load_balance(f_b, f_t, f_h, w):
 
 CHAIN_STEPS = 12
 CHAIN_P = dataclasses.replace(P, h_floor=0.5 * P.h_max)  # floors often out of reach
-CHAIN_TEMPLATE = ChainTemplate(CHAIN_P, WINTER.initial_state)
 # draws on both sides of full-rate reheating, so planned reach rises and falls
 draws = st.floats(0.0, 2.0 * P.beta_h * P.f_h_max)
 
@@ -125,20 +124,24 @@ moves = st.lists(st.floats(-1.0, 1.0) | st.floats(-0.05, 0.05), min_size=2, max_
        x=states(h_min=0.3 * P.h_max), moves=moves)
 def test_chain_floors_are_the_sequential_reach(data, path, x, moves):
     # across re-solves of one chain the tank level, and with it the first
-    # planned reach, rises and falls; the chain rewrites its
-    # floors only below the lowest first reach seen to leave them all at
-    # h_floor, or after a relaxed solve, and must hold the sequential ones
-    # after every solve
-    chain = DeterministicChain(CHAIN_TEMPLATE, P.horizon_steps - CHAIN_STEPS)
-    tail = path[1:]
+    # planned reach, rises and falls, and now and then the first step's
+    # draw changes; the chain rewrites its floors only below the lowest
+    # first reach seen to leave them all at h_floor, or after a relaxed
+    # solve, and must hold the sequential ones after every solve
+    t0 = P.horizon_steps - CHAIN_STEPS
+    hw = np.zeros(P.horizon_steps)
+    hw[t0:] = path
+    template = ChainTemplate(CHAIN_P, WINTER.initial_state,
+                             np.column_stack([np.ones(P.horizon_steps), hw]))
+    chain = DeterministicChain(template, t0)
+    d_hw = path[0]
     for move in moves:
-        if data.draw(st.integers(0, 4)) == 0:  # now and then another tail
-            tail = data.draw(st.lists(draws, min_size=CHAIN_STEPS - 1,
-                                      max_size=CHAIN_STEPS - 1))
+        if data.draw(st.integers(0, 4)) == 0:  # now and then another first draw
+            d_hw = data.draw(draws)
         x = dataclasses.replace(x, h=min(max(x.h + move, 0.0), P.h_max))
-        demands = np.column_stack([np.ones(CHAIN_STEPS), [path[0], *tail]])
-        chain.solve(x, demands)
+        chain.solve(x, (1.0, d_hw))
         floors = chain._persistent._lower[chain._h_cols]
+        demands = np.column_stack([np.ones(CHAIN_STEPS), [d_hw, *path[1:]]])
         assert np.array_equal(floors, sequential_floors(CHAIN_P, x, demands))
 
 

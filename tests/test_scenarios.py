@@ -13,6 +13,7 @@ from helpers import (
 from microgrid_ems import scenarios as sc
 from microgrid_ems.assess import split_scenarios
 from microgrid_ems.config import day_config, parse_config
+from microgrid_ems.policies import MpcPolicy
 from microgrid_ems.scenarios import (
     DiscreteDistribution,
     GeneratorConfig,
@@ -29,6 +30,7 @@ from microgrid_ems.scenarios import (
     scenario_means,
     update_forecast,
 )
+from microgrid_ems.stagelp import DeterministicChain
 
 
 def small_set(role="pool"):
@@ -176,25 +178,32 @@ class TestForecast:
         ar = fit_ar(s)
         means = scenario_means(s)
         w = np.array([1.2, 0.4])
-        f = update_forecast(ar, 2, w, means)
-        assert f.shape == (s.horizon - 2, 2)
+        d_el, d_hw = update_forecast(ar, 2, w)
         expected = ar.alpha[2] * w + ar.beta[2]
-        assert f[0, 0] == pytest.approx(expected[0])
-        np.testing.assert_allclose(f[1:], np.maximum(
-            means[4:], [[-np.inf, 0.0]]), atol=1e-12)
+        assert (d_el, d_hw) == pytest.approx((expected[0], max(0.0, expected[1])))
+        # the offline means fill the rest of the horizon: MPC's template
+        # writes them, hot water clamped at zero, into the balance and tank
+        # rows of every later step
+        cfg = parse_config(day_config("summer", horizon_steps=s.horizon))
+        policy = MpcPolicy(cfg.system, cfg.initial_state, ar, means)
+        chain = DeterministicChain(policy._template, 2)
+        rows = chain.b_eq.reshape(-1, 5)[1:]
+        tail = np.maximum(means[4:], [[-np.inf, 0.0]])
+        assert np.array_equal(rows[:, 0], tail[:, 0])
+        dyn = policy._template.dyn_rhs[3:, 1]
+        np.testing.assert_allclose((dyn - rows[:, 2]) / cfg.system.delta, tail[:, 1],
+                                   atol=1e-12)
 
     def test_hot_water_clamped(self):
         s = small_set("optimization")
         ar = fit_ar(s)
-        means = scenario_means(s)
-        f = update_forecast(ar, 0, np.array([0.0, -50.0]), means)
-        assert np.all(f[:, 1] >= 0.0)
+        assert update_forecast(ar, 0, np.array([0.0, -50.0]))[1] >= 0.0
 
     def test_step_range(self):
         s = small_set("optimization")
         ar = fit_ar(s)
         with pytest.raises(ScenarioError):
-            update_forecast(ar, s.horizon, np.zeros(2), scenario_means(s))
+            update_forecast(ar, s.horizon, np.zeros(2))
 
 
 class TestLloydMax:

@@ -304,17 +304,19 @@ def test_sliced_chain_matches_loop_oracle(day):
     cfg = parse_config(day_config(day))
     p, x0 = cfg.system, cfg.initial_state
     rng = np.random.default_rng(20)
-    template = ChainTemplate(p, x0)
     T = p.horizon_steps
+    # runs of large hot-water draws between quiet spells: the planned reach
+    # tops out at h_max, then falls below the floor
+    draws = np.where(np.arange(T) % 23 < 15, 0.0, 6.0) + rng.uniform(0, 0.2, T)
+    path = np.column_stack([rng.uniform(-2, 3, T), draws])
+    template = ChainTemplate(p, x0, path)
     relaxed = 0
     for t0 in (0, 1, T // 2, T - 1):
         chain = DeterministicChain(template, t0)
-        # runs of large hot-water draws between quiet spells: the planned
-        # reach tops out at h_max, then falls below the floor
         x = random_state(rng, p)
-        draws = np.where(np.arange(T - t0) % 23 < 15, 0.0, 6.0) + rng.uniform(0, 0.2, T - t0)
-        demands = np.column_stack([rng.uniform(-2, 3, T - t0), draws])
-        chain.solve(x, demands)
+        first = rng.uniform((-2.0, 0.0), (3.0, 6.0))
+        chain.solve(x, first.tolist())
+        demands = np.vstack([first, path[t0 + 1:]])
         oracle = loop_built_chain(p, t0, x0, p.h_floor, x, demands)
         relaxed += np.count_nonzero(oracle["lower_at_x"] < oracle["lower"])
         for name, vector in (("rhs", chain._persistent._rhs),
@@ -328,9 +330,12 @@ def test_sliced_chain_matches_loop_oracle(day):
             assert matrix.shape == oracle[name].shape, (t0, name)
             assert matrix.nnz == oracle[name].nnz, (t0, name)
             assert np.array_equal(matrix.toarray(), oracle[name].toarray()), (t0, name)
-        for name, vector in (("b_eq", chain._b_eq_base), ("b_ub", chain.b_ub),
-                             ("c", chain.c), ("lower", chain._lower_base),
-                             ("upper", chain._upper_base)):
+        # the path's rows after the first step, and the first step's
+        # dynamics rows before its demand and state enter
+        assert np.array_equal(chain.b_eq[5:], oracle["rhs"][5:]), t0
+        assert chain._head_base == oracle["b_eq"][1:5].tolist(), t0
+        for name, vector in (("b_ub", chain.b_ub), ("c", chain.c),
+                             ("lower", chain._lower_base), ("upper", chain._upper_base)):
             assert np.array_equal(vector, oracle[name]), (t0, name)
     assert relaxed > 0
 
@@ -342,7 +347,7 @@ def test_chain_rows_are_the_sparse_slice(day, stride):
     cfg = parse_config(strided_day_config(day, stride))
     p = cfg.system
     T = p.horizon_steps
-    template = ChainTemplate(p, cfg.initial_state)
+    template = ChainTemplate(p, cfg.initial_state, np.zeros((T, 2)))
     indptr, indices, data = template.rows
     a = sp.csr_matrix((data, indices, indptr), shape=(6 * T + 1, 11 * T + 2))
     for t0 in range(T):
@@ -360,26 +365,25 @@ def test_chain_rows_are_the_sparse_slice(day, stride):
 
 
 def test_chain_solves_hand_over_what_a_loop_built_chain_gives(summer_mpc, counting_core):
-    # a re-solve writes the first step's rows and bounds, every row after
-    # another forecast tail, and the tank floors only when they may have
-    # moved: after each solve the LP holds, bit for bit, the rhs and bounds
-    # of the chain assembled entry by entry at that state and forecast
-    cfg, ar, means, _ = summer_mpc
+    # a re-solve writes the first step's rows and bounds, and the tank
+    # floors only when they may have moved: after each solve the LP holds,
+    # bit for bit, the rhs and bounds of the chain assembled entry by entry
+    # at that state and forecast
+    cfg, ar, _, _ = summer_mpc
     p = dataclasses.replace(cfg.system, h_floor=0.5 * cfg.system.h_max)  # often out of reach
     x0 = cfg.initial_state
     t0 = 60
-    chain = DeterministicChain(ChainTemplate(p, x0), t0)
     rng = np.random.default_rng(31)
-    relaxed = restored = head_only = 0
-    was_relaxed, tail = False, None
+    path = rng.uniform((-2.0, 0.0), (3.0, 2.0), (p.horizon_steps, 2))
+    chain = DeterministicChain(ChainTemplate(p, x0, path), t0)
+    relaxed = restored = 0
+    was_relaxed = False
     for k in range(40):
         x = random_state(rng, p)
-        demands = update_forecast(ar, t0, rng.uniform((-2.0, 0.0), (3.0, 2.0)), means)
-        if k % 10 == 9:
-            demands[1:] *= 1.25  # another tail
+        first = update_forecast(ar, t0, rng.uniform((-2.0, 0.0), (3.0, 2.0)))
         calls = counting_core.calls.copy()
-        chain.solve(x, demands)
-        oracle = loop_built_chain(p, t0, x0, p.h_floor, x, demands)
+        chain.solve(x, first)
+        oracle = loop_built_chain(p, t0, x0, p.h_floor, x, np.vstack([first, path[t0 + 1:]]))
         held, n_eq = chain._persistent, 5 * chain.ns
         in_highs = held._solver.getLp()  # what HiGHS solved
         for name, vector in (("rhs", held._rhs), ("lower_at_x", held._lower),
@@ -392,17 +396,14 @@ def test_chain_solves_hand_over_what_a_loop_built_chain_gives(summer_mpc, counti
         relaxed += is_relaxed
         restored += was_relaxed and not is_relaxed
         was_relaxed = is_relaxed
-        if tail is not None and np.array_equal(demands[1:], tail):
-            # the mean tail again: only the first step's rows, and at most
-            # one call for the bounds
-            head_only += 1
+        if k > 0:
+            # only the first step's rows, and at most one call for the bounds
             assert counting_core.calls["changeRowBounds"] - calls["changeRowBounds"] <= 5, k
             assert counting_core.calls["changeColsBounds"] - calls["changeColsBounds"] <= 1, k
-        tail = demands[1:]
-    assert relaxed > 0 and restored > 0 and head_only >= 30
+    assert relaxed > 0 and restored > 0
     # the same state and forecast again: nothing differs, nothing is sent
     calls = counting_core.calls.copy()
-    chain.solve(x, demands)
+    chain.solve(x, first)
     for name in ("changeRowBounds", "changeColsBounds"):
         assert counting_core.calls[name] == calls[name], name
 
@@ -417,7 +418,7 @@ def test_seeded_first_solves_match_cold_chains(summer_mpc):
     for t, x, w_obs, decision in played.calls:
         # a chain built without a predecessor starts cold
         cold = DeterministicChain(policy._template, t)
-        ref = cold.solve(x, update_forecast(ar, t, w_obs.as_array(), means))
+        ref = cold.solve(x, update_forecast(ar, t, w_obs.as_array()))
         assert decision.predicted_cost == pytest.approx(ref.objective, abs=1e-9), t
         if t > 0:
             seeded_iters += iterations(policy._chains[t])
@@ -435,16 +436,16 @@ def recording_core(monkeypatch):
 
 
 def test_seed_is_the_shifted_basis(summer, recording_core):
-    template = ChainTemplate(summer, State(1.0, 2.0, 20.0, 20.0))
     T = summer.horizon_steps
+    template = ChainTemplate(summer, State(1.0, 2.0, 20.0, 20.0),
+                             np.column_stack([np.ones(T), np.full(T, 0.1)]))
     x = State(1.5, 2.0, 20.0, 20.0)
     for t0 in (1, 2, T // 2, T - 1):
-        demands = np.column_stack([np.ones(T - t0), np.full(T - t0, 0.1)])
         del recording_core.seeds[:]
         for digit in range(INDEX_DIGITS):
             prev = DeterministicChain(template, t0 - 1)
             prev._persistent = IndexBasis(prev.c.size, prev._rows[0].size - 1, digit)
-            DeterministicChain(template, t0, prev).solve(x, demands)
+            DeterministicChain(template, t0, prev).solve(x, (1.0, 0.1))
         for prev_labels, labels, seed in zip(chain_labels(summer, t0 - 1),
                                              chain_labels(summer, t0),
                                              seeded_indices(recording_core.seeds)):

@@ -103,3 +103,28 @@ def test_traced_online_play_skips_runs():
     assert calls["policies.sddp.decide"] == days.shape[0] * p.horizon_steps
     # each stage LP runs HiGHS on its first solve; later ones may skip it
     assert p.horizon_steps <= calls["highs.warm"] < calls["policies.sddp.decide"]
+
+
+def test_traced_mpc_day_spans_each_decision():
+    # the benchmark's MPC layers time the names MpcPolicy.decide calls: one
+    # forecast and one chain solve per decision
+    tracing = load_tracing()
+    lib = library()
+    p, x0 = battery_params(), battery_x0()
+    rng = np.random.default_rng(5)
+    days = np.zeros((4, p.horizon_steps + 1, 2))
+    days[..., 0] = rng.uniform(0.5, 2.0, days.shape[:2])
+    opt = scenarios.ScenarioSet(data=days[:3])
+    before = attributes(lib)
+    tracer = tracing.Tracer()
+    patches = tracing.instrument(lib, tracer)
+    try:
+        policy = policies.MpcPolicy(p, x0, scenarios.fit_ar(opt), scenarios.scenario_means(opt))
+        assess.simulate_policy(policy, days[3], x0, p)
+    finally:
+        patches.restore()
+    assert all(attributes(lib)[key] is value for key, value in before.items())
+    calls = tracer.summary()[2]
+    assert calls["policies.mpc.decide"] == p.horizon_steps
+    assert calls["scenarios.update_forecast"] == p.horizon_steps
+    assert calls["stagelp.chain.solve"] == p.horizon_steps
