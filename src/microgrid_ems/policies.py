@@ -206,10 +206,14 @@ class MpcPolicy:
     def __init__(self, p: SystemParams, x0: State, ar: ARModel, means: np.ndarray):
         if ar.horizon != p.horizon_steps:
             raise ValueError("AR model horizon does not match the system")
+        means, shape = np.asarray(means, dtype=float), (p.horizon_steps + 1, 2)
+        if means.shape != shape or not np.isfinite(means).all():
+            got = f"shape {means.shape}" if means.shape != shape else "non-finite values"
+            raise ValueError(f"means must be a finite array of shape {shape}, got {got}")
         self.p = p
         self.x0 = x0
         self.ar = ar
-        means = np.maximum(np.asarray(means, dtype=float), (-np.inf, 0.0))
+        means = np.maximum(means, (-np.inf, 0.0))
         self._template = stagelp.ChainTemplate(p, x0, means[1:])
         self._chains: Dict[int, stagelp.DeterministicChain] = {}
 

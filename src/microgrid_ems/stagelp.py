@@ -79,15 +79,26 @@ class ChainTemplate:
     `path` has shape (T, 2): entry t, (d_el, d_hw), is realized over
     [t, t+1]. It is written once into every step's balance and tank rows,
     and with it what full-rate reheating adds to the tank at each step
-    (`gain`). The chain at t0 is a slice of it: the equality rows 5 t0:,
-    the inequality rows t0:, the columns of steps >= t0 and of states
-    >= t0 + 1, and the gains of steps > t0.
+    (`gain`). The chain at t0 is a slice of it: the equality rows 4 t0:,
+    the terminal rows, the columns of steps >= t0 and of states >= t0 + 1,
+    and the gains of steps > t0.
 
-    Column layout: per step t of T: [fbp, fbm, ft, fh, fne, spill, dcomf],
-    then states x_t, t = 1..T (4 each), then zb, zh. Rows: per step a balance
-    row and four dynamics rows; then a discomfort epigraph per step t >= 1
-    and the two terminal penalty rows. `rows` holds them all as one CSR
-    triple with int32 indices, the equalities first.
+    Column layout: per step t of T: [fbp, fbm, ft, fh, fne, spill], then
+    states x_t, t = 1..T: (b, h, dcomf, s), x_T only (b, h); then zb, zh.
+    The indoor temperature is theta_set_t - dcomf_t + s_t (dcomf, s >= 0;
+    dcomf carries the discomfort price), and the wall one is eliminated.
+    Rows: per step a balance row and the battery, tank and indoor rows (the
+    last step has no indoor row: nothing reads theta_i,T); then the two
+    terminal penalty rows, all as one CSR triple `rows` with int32 indices.
+    With A = I + delta M, B = delta N and c_t = delta g_t
+    (`linear_dynamics`), w the wall and i the indoor index, the indoor row
+    of step t >= 1 joins two steps of the dynamics:
+        theta_i,t+1 - (A_ww + A_ii) theta_i,t + (A_ww A_ii - A_wi A_iw) theta_i,t-1
+        - B_i ft_t - (A_iw B_w - A_ww B_i) ft_t-1 = c_i,t - A_ww c_i,t-1 + A_iw c_w,t-1.
+    Without the columns before t0, step t0's row is the first-order
+    theta_i,t0+1 - B_i ft_t0 = A_iw theta_w + A_ii theta_i + c_i,t0 at the
+    state. `theta_base[t0]` holds its constant and step t0 + 1's, the
+    theta_i,t0 term aside.
     """
 
     def __init__(self, p: SystemParams, x_ref: State, path: np.ndarray,
@@ -98,67 +109,73 @@ class ChainTemplate:
         path = np.asarray(path, dtype=float)
         if path.shape != (T, 2):
             raise ValueError(f"expected a demand path of shape ({T}, 2), got {path.shape}")
-        n = 11 * T + 2
+        n = 10 * T
         steps = np.arange(T)
-        u = 7 * steps[:, None] + np.arange(7)               # u[t, j]
-        x = 7 * T + 4 * steps[:, None] + np.arange(4)       # x[t - 1, i] is x_t
+        u = 6 * steps[:, None] + np.arange(6)               # u[t, j]
+        x = np.full((T + 2, 4), -1)  # x[t + 1] is x_t; -1: no column
+        x[2:] = 6 * T + 4 * steps[:, None] + np.arange(4)
+        x[-1, 2:] = -1
         m, nmat, _, _ = linear_dynamics(0, p)               # M and N are time-invariant
-        g = np.array([linear_dynamics(t, p)[3] for t in range(T)])
+        (a_ww, a_wi), (a_iw, a_ii) = np.eye(2) + delta * m[2:, 2:]
+        b_w, b_i = delta * nmat[2:, 2]
+        trace, det = a_ww + a_ii, a_ww * a_ii - a_wi * a_iw
+        c = delta * np.array([linear_dynamics(t, p)[3] for t in range(T)])
+        c_w, c_i, theta_set = c[:, 2], c[:, 3], p.theta_set
 
         # step block: the balance fne - spill - fb+ + fb- - ft - fh = d_el,
-        # then x_{t+1} - (I + delta M) x_t - delta N u_t = delta (g_t + P w_t);
-        # columns [u_t (7), x_t (4), x_{t+1} (4)]
-        block = np.zeros((5, 15))
-        block[0, :6] = (-1.0, 1.0, -1.0, -1.0, 1.0, -1.0)
-        block[1:, :4] = -delta * nmat
-        block[1:, 7:11] = -(np.eye(4) + delta * m)
-        block[1:, 11:] = np.eye(4)
-        r, c = np.nonzero(block)
-        cols = np.hstack([u, np.vstack([np.full((1, 4), -1), x[:-1]]), x])[:, c]
-        rows = 5 * steps[:, None] + r
-        vals = np.broadcast_to(block[r, c], cols.shape)
-        keep = cols >= 0  # x_0 is not a column: it enters the rhs
-        a_eq = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(5 * T, n))
-        # the dynamics rows without the demand, for a chain's first step
-        self.dyn_rhs = delta * g
-        b_eq = np.zeros((T, 5))
-        b_eq[:, 0] = path[:, 0]
-        b_eq[:, 1:] = self.dyn_rhs
-        b_eq[:, 2] += -delta * path[:, 1]
-        self.b_eq = b_eq.ravel()
+        # the battery and tank rows x_{t+1} - x_t - B u_t = (0, -delta d_hw),
+        # then the indoor row; columns [u_{t-1}, u_t (6 each), x_{t-1}, x_t,
+        # x_{t+1} (4 each)]
+        block = np.zeros((4, 24))
+        block[0, 6:12] = (-1.0, 1.0, -1.0, -1.0, 1.0, -1.0)
+        block[1:3, 6:10] = -delta * nmat[:2]
+        block[1:3, 16:18] = -np.eye(2)
+        block[1:3, 20:22] = np.eye(2)
+        block[3, (2, 8, 14, 15, 18, 19, 22, 23)] = (-(a_iw * b_w - a_ww * b_i), -b_i, -det, det,
+                                                    trace, -trace, -1.0, 1.0)
+        r, k = np.nonzero(block)
+        up = np.vstack([np.full((1, 6), -1), u])
+        cols = np.hstack([up[:-1], u, x[:-2], x[1:-1], x[2:]])[:, k]
+        rows = 4 * steps[:, None] + r
+        vals = np.broadcast_to(block[r, k], cols.shape)
+        keep = (cols >= 0) & (rows < 4 * T - 1)
+        a_eq = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(4 * T - 1, n))
+        # the indoor rows' constants, theta_set moved to the rhs: at first
+        # order, and at second order without the theta_i,t-1 term
+        first = c_i - theta_set[1:]
+        second = (c_i[1:] - a_ww * c_i[:-1] + a_iw * c_w[:-1] - theta_set[2:]
+                  + trace * theta_set[1:T])
+        b_eq = np.column_stack([path[:, 0], np.zeros(T), -delta * path[:, 1],
+                                np.append(first[0], second - det * theta_set[:T - 1])])
+        self.b_eq = b_eq.ravel()[:-1]
+        self.theta_coef = (float(a_iw), float(a_ii), float(det))
+        self.theta_base = np.column_stack([first, np.append(second, 0.0)]).tolist()
         self.gain = (delta * (p.beta_h * p.f_h_max - path[:, 1])).tolist()
 
-        # discomfort epigraphs dcomf_t >= theta_set_t - theta_i,t for t >= 1,
-        # then kappa * max(0, ref - stock) for the battery and the tank
+        # kappa * max(0, ref - stock) for the battery and the tank
         kap = p.kappa
-        epi = np.arange(T - 1)
-        rows = np.concatenate([np.repeat(epi, 2), [T - 1, T - 1, T, T]])
-        cols = np.concatenate([np.column_stack([u[1:, 6], x[:-1, 3]]).ravel(),
-                               [n - 2, x[-1, 0], n - 1, x[-1, 1]]])
-        vals = np.concatenate([np.full(2 * (T - 1), -1.0), [-1.0, -kap, -1.0, -kap]])
-        a_ub = sp.csr_matrix((vals, (rows, cols)), shape=(T + 1, n))
-        self.b_ub = np.concatenate([-p.theta_set[1:T], [-kap * x_ref.b, -kap * x_ref.h]])
+        a_ub = sp.csr_matrix(([-1.0, -kap, -1.0, -kap],
+                              ([0, 0, 1, 1], [n - 2, x[-1, 0], n - 1, x[-1, 1]])), shape=(2, n))
+        self.b_ub = np.array([-kap * x_ref.b, -kap * x_ref.h])
         self.rows = lpmod.stack_rows((a_eq.indptr, a_eq.indices, a_eq.data),
                                      (a_ub.indptr, a_ub.indices, a_ub.data))
-        self.first_dyn = np.eye(4) + delta * m  # x_t's coefficients in x_{t+1}
 
         lower = np.zeros(n)
         upper = np.full(n, INF)
-        c = np.zeros(n)
+        cost = np.zeros(n)
         upper[u[:, :4]] = (p.f_b_max, p.f_b_max, p.f_t_max, p.f_h_max)
-        c[u[:, 4]] = p.pi_e[:T] * delta
-        c[u[:, 6]] = p.pi_d[:T]
-        lower[x[:, 0]], upper[x[:, 0]] = p.b_min, p.b_max
-        lower[x[:, 1]], upper[x[:, 1]] = self.h_floor, p.h_max
-        lower[x[:, 2:]] = -INF
-        c[n - 2:] = 1.0
-        self.c, self.lower, self.upper = c, lower, upper
+        cost[u[:, 4]] = p.pi_e[:T] * delta
+        cost[x[2:-1, 2]] = p.pi_d[1:T]
+        lower[x[2:, 0]], upper[x[2:, 0]] = p.b_min, p.b_max
+        lower[x[2:, 1]], upper[x[2:, 1]] = self.h_floor, p.h_max
+        cost[n - 2:] = 1.0
+        self.c, self.lower, self.upper = cost, lower, upper
 
 
-# the first step's rows (balance, dynamics) and its bounds set per state:
-# the upper bounds of fb+, fb- and fh and the lower bound of the discomfort
-_HEAD_ROWS = np.arange(5)
-_HEAD_COLS = np.array([0, 1, 3, 6])
+# the first step's four rows and the second step's indoor row, which hold the
+# state, and the first step's bounds set per state: fb+, fb- and fh's upper
+_HEAD_ROWS = np.array([0, 1, 2, 3, 7])
+_HEAD_COLS = np.array([0, 1, 3])
 
 
 class DeterministicChain:
@@ -166,13 +183,14 @@ class DeterministicChain:
 
     The matrix depends only on (params, t0); the path's later steps are the
     template's, and the first step's demand and the initial state enter
-    through the first step's rows and control bounds. `prev`, the chain at
-    t0 - 1, seeds this chain's first solve with its last basis, shifted by
-    one step: by the principle of optimality it is nearly optimal here (the
-    "shift" initialisation of real-time MPC).
+    through the head rows and the first step's control bounds; the first
+    step's discomfort is the state's, added to the LP's optimum. `prev`,
+    the chain at t0 - 1, seeds this chain's first solve with its last
+    basis, shifted by one step: by the principle of optimality it is nearly
+    optimal here (the "shift" initialisation of real-time MPC).
 
-    A re-solve hands its LP only what moved: the first step's five rows and
-    four bounds, and the tank floors only when they may have moved.
+    A re-solve hands its LP only what moved: the rhs of the head rows and
+    three bounds, and the tank floors only when they may have moved.
     """
 
     def __init__(self, template: ChainTemplate, t0: int,
@@ -187,34 +205,32 @@ class DeterministicChain:
         self.ns = ns = T - t0
         # keep steps t0..T-1, states x_{t0+1}..x_T, zb, zh: `cmap` renumbers
         # them and sends the earlier controls and x_1..x_{t0} to -1
-        s_col = 7 * T + 4 * t0
-        cmap = np.full(11 * T + 2, -1, dtype=np.int32)
-        cmap[7 * t0:7 * T] = np.arange(7 * ns, dtype=np.int32)
-        cmap[s_col:] = np.arange(7 * ns, 11 * ns + 2, dtype=np.int32)
-        # equality rows 5 t0: and inequality rows t0: of the template; of
-        # their entries, only x_{t0}'s in step t0's dynamics rows drop out
+        s_col = 6 * T + 4 * t0
+        cmap = np.full(10 * T, -1, dtype=np.int32)
+        cmap[6 * t0:6 * T] = np.arange(6 * ns, dtype=np.int32)
+        cmap[s_col:] = np.arange(6 * ns, 10 * ns, dtype=np.int32)
+        # equality rows 4 t0: and the terminal rows of the template; of their
+        # entries, only those of x_{t0-1}, x_{t0} and u_{t0-1} drop out
         indptr, indices, data = template.rows
-        n_eq = 5 * T
-        eq0, eq_end, ub0 = indptr[5 * t0], indptr[n_eq], indptr[n_eq + t0]
-        ptr = np.concatenate((indptr[5 * t0:n_eq] - eq0,
-                              indptr[n_eq + t0:] - ub0 + (eq_end - eq0)))
-        cols = cmap[np.concatenate((indices[eq0:eq_end], indices[ub0:]))]
+        start = indptr[4 * t0]
+        ptr = indptr[4 * t0:] - start
+        cols = cmap[indices[start:]]
         keep = cols >= 0
         dropped = np.concatenate(([0], np.cumsum(~keep, dtype=np.int32)))  # before each entry
         self._rows = ((ptr - dropped[ptr]).astype(np.int32, copy=False), cols[keep],
-                      np.concatenate((data[eq0:eq_end], data[ub0:]))[keep])
-        self.b_eq = template.b_eq[5 * t0:]  # the first step's rows are written per solve
-        self._head_base = template.dyn_rhs[t0].tolist()  # its dynamics rows, demand aside
+                      data[start:][keep])
+        self.b_eq = template.b_eq[4 * t0:]  # the head rows are written per solve
+        self._head_rows = _HEAD_ROWS[_HEAD_ROWS < 4 * ns - 1]
+        self._theta = (*template.theta_coef, *template.theta_base[t0])
         self._gain = template.gain[t0 + 1:]  # per later step, what full-rate reheating adds
-        self._theta_set = float(p.theta_set[t0])
-        self.b_ub = template.b_ub[t0:]
-        self.c = np.concatenate((template.c[7 * t0:7 * T], template.c[s_col:]))
-        self._lower_base = np.concatenate((template.lower[7 * t0:7 * T],
+        self._theta_set, self._pi_d = float(p.theta_set[t0]), float(p.pi_d[t0])
+        self.b_ub = template.b_ub
+        self.c = np.concatenate((template.c[6 * t0:6 * T], template.c[s_col:]))
+        self._lower_base = np.concatenate((template.lower[6 * t0:6 * T],
                                            template.lower[s_col:]))
-        self._upper_base = np.concatenate((template.upper[7 * t0:7 * T],
+        self._upper_base = np.concatenate((template.upper[6 * t0:6 * T],
                                            template.upper[s_col:]))
-        self._first_dyn = template.first_dyn  # M is time-invariant
-        self._h_cols = 7 * ns + 1 + 4 * np.arange(ns)   # tank level of x_{t0+1..T}
+        self._h_cols = 6 * ns + 1 + 4 * np.arange(ns)   # tank level of x_{t0+1..T}
         self._floor_cols = np.concatenate((_HEAD_COLS, self._h_cols))
         # the bounds of columns _HEAD_COLS, written in place at each state
         self._head_lower = self._lower_base[_HEAD_COLS]
@@ -231,15 +247,15 @@ class DeterministicChain:
         Raises `LpError` if the LP is not optimal."""
         p = self.p
         d_el, d_hw = first
-        b1, b2, b3, b4 = self._head_base
-        y1, y2, y3, y4 = (self._first_dyn @ x.as_array()).tolist()
-        head = np.array((d_el, b1 + y1, b2 + -p.delta * d_hw + y2, b3 + y3, b4 + y4))
-        rows = (_HEAD_ROWS, head)
+        a_iw, a_ii, det, base1, base2 = self._theta
+        head = np.array((d_el, x.b, x.h + -p.delta * d_hw,
+                         a_iw * x.theta_w + a_ii * x.theta_i + base1,
+                         base2 - det * x.theta_i)[:self._head_rows.size])
+        rows = (self._head_rows, head)
 
         limits = f_b_min, f_b_max, f_h_max = control_limits(x, p)
         lower, upper = self._head_lower, self._head_upper
-        upper[:3] = f_b_max, -f_b_min, f_h_max
-        lower[3] = max(0.0, self._theta_set - x.theta_i)
+        upper[:] = f_b_max, -f_b_min, f_h_max
         cols = (_HEAD_COLS, lower, upper)
 
         # The tank floor may be unreachable after an unusually large draw;
@@ -265,23 +281,23 @@ class DeterministicChain:
             lower, upper = self._lower_base.copy(), self._upper_base.copy()
             lower[cols[0]], upper[cols[0]] = cols[1], cols[2]
             b_eq = self.b_eq.copy()
-            b_eq[:5] = head
+            b_eq[self._head_rows] = head
             self._persistent = lpmod.PersistentLp(self.c, lower, upper, b_eq, self._rows,
                                                   self.b_ub)
             rows = cols = None  # built at x: nothing to send
             if self._prev is not None:
-                # drop prev's first step: its 7 controls, the state x_{t0}, its
-                # balance and dynamics rows and its discomfort epigraph
+                # drop prev's first step: its 6 controls, the state x_{t0}
+                # and its four rows
                 k = self._prev.ns
                 self._persistent.seed(self._prev._persistent,
-                                      [*range(7), *range(7 * k, 7 * k + 4)],
-                                      [*range(5), 5 * k])
+                                      [*range(6), *range(6 * k, 6 * k + 4)], range(4))
                 self._prev = None
         sol = self._persistent.solve(rows=rows, cols=cols)
         if not sol.optimal:
             raise _not_optimal(sol, f"chain LP at t0={self.t0}")
+        discomfort = self._pi_d * max(0.0, self._theta_set - x.theta_i)
         return StageSolution(control=first_control(*sol.x_star[:4], limits, p),
-                             objective=float(sol.objective))
+                             objective=float(sol.objective) + discomfort)
 
 
 # column layout: pinned state x(4), control u = [fb+, fb-, ft, fh],

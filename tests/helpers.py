@@ -5,11 +5,11 @@ statement (scenario-tree LPs, vertex enumeration, brute-force grids) and
 deliberately avoids the package's own LP assembly code, so that agreement
 between the two is meaningful.
 
-Run as a script, it prints `scripted_run()` as one JSON line: the HiGHS
-calls per method, their digest, the lower bound, the bills of all three
-policies and the perfect-foresight costs. Two trees that print the same
-line make the same solver calls with the same values and simulate the same
-steps:
+Run as a script, it prints `scripted_run()` as one JSON line: per phase
+(training, each policy's play, perfect foresight) the HiGHS calls per method
+and their digest, then the lower bound, the bills of all three policies and
+the perfect-foresight costs. Two trees that print the same entries for a
+phase make the same solver calls in it with the same values:
 
     PYTHONPATH=src python tests/helpers.py
 """
@@ -408,9 +408,140 @@ def loop_built_stage(p: SystemParams, t: int, x: State, dist,
 
 def loop_built_chain(p: SystemParams, t0: int, x_ref: State, h_floor: float,
                      x: State = None, demands: np.ndarray = None) -> dict:
-    """Matrices, base right-hand sides, costs and base bounds of the MPC
-    chain over steps t0..T-1, one coefficient at a time. Given a state x and
-    forecast demands (ns, 2), also the rhs and bounds of the solve at x.
+    """Matrices, base right-hand sides, costs and base bounds of the compact
+    MPC chain over steps t0..T-1, one coefficient at a time. Given a state x
+    and forecast demands (ns, 2), also the rhs and bounds of the solve at x.
+
+    Variables: per step k of ns = T - t0: [fb+, fb-, ft, fh, fne, spill];
+    then the states x_{t0+k}, k = 1..ns: (b, h, dcomf, s), where the indoor
+    temperature is theta_set - dcomf + s, and x_T only (b, h); then the
+    terminal shortfalls zb, zh. Rows: per step a balance row (demand in the
+    rhs), a battery and a tank row, and an indoor row that eliminates the
+    wall temperature between two steps (none for the last step); then the
+    two terminal penalty rows. At the first step the indoor row is first
+    order, with x_{t0} in the rhs; at the second, theta_i at t0 is the
+    state's and enters the rhs.
+    """
+    from microgrid_ems.model import linear_dynamics
+
+    T = p.horizon_steps
+    ns = T - t0
+    n = 10 * ns
+    d = p.delta
+
+    def u(k, j):
+        return 6 * k + j
+
+    def xc(k, i):
+        return 6 * ns + 4 * (k - 1) + i
+
+    m, nmat, _, _ = linear_dynamics(t0, p)
+    a_ww, a_wi = 1.0 + d * m[2, 2], 0.0 + d * m[2, 3]
+    a_iw, a_ii = 0.0 + d * m[3, 2], 1.0 + d * m[3, 3]
+    b_w, b_i = d * nmat[2, 2], d * nmat[3, 2]
+    trace, det = a_ww + a_ii, a_ww * a_ii - a_wi * a_iw
+    c_w = [d * linear_dynamics(t, p)[3][2] for t in range(T)]
+    c_i = [d * linear_dynamics(t, p)[3][3] for t in range(T)]
+    theta_set = p.theta_set
+
+    def theta_i(k):
+        """The columns and coefficients of theta_i at step t0 + k, k >= 1,
+        and its constant theta_set."""
+        return [(xc(k, 2), -1.0), (xc(k, 3), 1.0)], theta_set[t0 + k]
+
+    entries, b_eq, row = [], [], 0
+    for k in range(ns):
+        t = t0 + k
+        for j, coef in ((0, -1.0), (1, 1.0), (2, -1.0), (3, -1.0), (4, 1.0), (5, -1.0)):
+            entries.append((row, u(k, j), coef))
+        b_eq.append(0.0)
+        row += 1
+        for i in (0, 1):  # battery, tank
+            entries.append((row, xc(k + 1, i), 1.0))
+            if k > 0:
+                entries.append((row, xc(k, i), -1.0))
+            for j in range(4):
+                if nmat[i, j] != 0.0:
+                    entries.append((row, u(k, j), -d * nmat[i, j]))
+            b_eq.append(0.0)
+            row += 1
+        if t == T - 1:
+            break
+        # indoor: theta_i,t+1 - trace theta_i,t + det theta_i,t-1 - b_i ft_t
+        # - (a_iw b_w - a_ww b_i) ft_t-1 = c_i,t - a_ww c_i,t-1 + a_iw c_w,t-1
+        cols, const = theta_i(k + 1)
+        entries += [(row, col, v) for col, v in cols]
+        entries.append((row, u(k, 2), -b_i))
+        if k == 0:
+            rhs = c_i[t] - const
+        else:
+            entries.append((row, u(k - 1, 2), -(a_iw * b_w - a_ww * b_i)))
+            cols, now = theta_i(k)
+            entries += [(row, col, -trace * v) for col, v in cols]
+            rhs = c_i[t] - a_ww * c_i[t - 1] + a_iw * c_w[t - 1] - const + trace * now
+            if k > 1:
+                cols, before = theta_i(k - 1)
+                entries += [(row, col, det * v) for col, v in cols]
+                rhs = rhs - det * before
+        b_eq.append(rhs)
+        row += 1
+    rows, cols, vals = zip(*entries)
+    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(row, n))
+    a_ub = sp.csr_matrix(([-1.0, -p.kappa, -1.0, -p.kappa],
+                          ([0, 0, 1, 1], [n - 2, xc(ns, 0), n - 1, xc(ns, 1)])), shape=(2, n))
+    b_ub = np.array([-p.kappa * x_ref.b, -p.kappa * x_ref.h])
+
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    c = np.zeros(n)
+    for k in range(ns):
+        for j, cap in enumerate((p.f_b_max, p.f_b_max, p.f_t_max, p.f_h_max)):
+            upper[u(k, j)] = cap
+        c[u(k, 4)] = p.pi_e[t0 + k] * d
+    for k in range(1, ns + 1):
+        lower[xc(k, 0)], upper[xc(k, 0)] = p.b_min, p.b_max
+        lower[xc(k, 1)], upper[xc(k, 1)] = h_floor, p.h_max
+        if k < ns:
+            c[xc(k, 2)] = p.pi_d[t0 + k]
+    c[n - 2] = c[n - 1] = 1.0
+    b_eq = np.array(b_eq)
+    out = {"a_eq": a_eq, "a_ub": a_ub, "b_eq": b_eq, "b_ub": b_ub,
+           "c": c, "lower": lower, "upper": upper}
+    if x is None:
+        return out
+
+    from microgrid_ems.model import admissible_controls
+
+    rhs = b_eq.copy()
+    for k in range(ns):
+        rhs[4 * k] = demands[k, 0]
+        rhs[4 * k + 2] = -d * demands[k, 1]
+    rhs[1] = x.b
+    rhs[2] = x.h + -d * demands[0, 1]
+    if ns > 1:
+        rhs[3] = a_iw * x.theta_w + a_ii * x.theta_i + rhs[3]
+    if ns > 2:
+        rhs[7] = rhs[7] - det * x.theta_i
+    lower, upper = lower.copy(), upper.copy()
+    box = admissible_controls(x, p)
+    upper[u(0, 0)], upper[u(0, 1)], upper[u(0, 3)] = box.f_b_max, -box.f_b_min, box.f_h_max
+    # planned tank levels: the floor, relaxed to what full-rate reheating reaches
+    reach = x.h + d * (p.beta_h * box.f_h_max - demands[0, 1])
+    lower[xc(1, 1)] = min(h_floor, reach)
+    for k in range(2, ns + 1):
+        reach = min(p.h_max, reach + d * (p.beta_h * p.f_h_max - demands[k - 1, 1]))
+        lower[xc(k, 1)] = min(h_floor, reach)
+    out.update(rhs=rhs, lower_at_x=lower, upper_at_x=upper)
+    return out
+
+
+def full_state_chain(p: SystemParams, t0: int, x_ref: State, h_floor: float,
+                     x: State = None, demands: np.ndarray = None) -> dict:
+    """The MPC chain over steps t0..T-1 with the full state, one coefficient
+    at a time: the value oracle of the package's compact chain, whose
+    optimum (plus the first step's discomfort) it must have. Matrices, base
+    right-hand sides, costs and base bounds; given a state x and forecast
+    demands (ns, 2), also the rhs and bounds of the solve at x.
 
     Variables: per step k of ns = T - t0: [fb+, fb-, ft, fh, fne, spill,
     discomfort]; then the states x_{t0+k}, k = 1..ns (4 each); then the
@@ -507,6 +638,17 @@ def loop_built_chain(p: SystemParams, t0: int, x_ref: State, h_floor: float,
     return out
 
 
+def full_state_chain_value(p: SystemParams, t0: int, x_ref: State, h_floor: float,
+                           x: State, demands: np.ndarray) -> float:
+    """The optimum of `full_state_chain` at state x and forecast demands,
+    solved from scratch by `linprog`."""
+    lp = full_state_chain(p, t0, x_ref, h_floor, x, demands)
+    res = linprog(lp["c"], A_ub=lp["a_ub"], b_ub=lp["b_ub"], A_eq=lp["a_eq"], b_eq=lp["rhs"],
+                  bounds=np.column_stack([lp["lower_at_x"], lp["upper_at_x"]]), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
 def strided_day_config(day: str, stride: int) -> dict:
     """The bundled day config keeping every stride-th step of the day, with
     the tank floor raised to cover one longer step's capped draw."""
@@ -529,11 +671,10 @@ def chain_labels(p: SystemParams, t0: int):
     of `loop_built_chain`, named by absolute step so that the chains at
     t0 - 1 and t0 can be lined up."""
     T = p.horizon_steps
-    cols = ([("u", t, j) for t in range(t0, T) for j in range(7)]
-            + [("x", t, i) for t in range(t0 + 1, T + 1) for i in range(4)]
+    cols = ([("u", t, j) for t in range(t0, T) for j in range(6)]
+            + [("x", t, i) for t in range(t0 + 1, T + 1) for i in range(4 if t < T else 2)]
             + [("zb",), ("zh",)])
-    rows = ([("eq", t, i) for t in range(t0, T) for i in range(5)]
-            + [("epigraph", t) for t in range(t0 + 1, T)]
+    rows = ([("eq", t, i) for t in range(t0, T) for i in range(4 if t < T - 1 else 3)]
             + [("terminal", "b"), ("terminal", "h")])
     return cols, rows
 
@@ -912,14 +1053,18 @@ class _RecordingHighs:
 
 class CountingCore:
     """Stands in for the bundled HiGHS bindings. Its solvers count every
-    method call in `calls`, by method name, and fold each call, its method
-    and its arguments, into the SHA-256 `digest`, in call order: two runs
-    that make the same calls with the same values have the same digest."""
+    method call in `calls`, by method name. Each call is also counted, and
+    folded with its method and its arguments into a SHA-256 digest in call
+    order, under the phase named by `phase` when the call is made (in
+    `phase_calls` and `digests`): two runs that make the same calls with the
+    same values in a phase have the same digest for it."""
 
     def __init__(self, core):
         self._core = core
         self.calls = collections.Counter()
-        self.digest = hashlib.sha256()
+        self.phase = None
+        self.phase_calls = collections.defaultdict(collections.Counter)
+        self.digests = collections.defaultdict(hashlib.sha256)
 
     @property
     def runs(self) -> int:
@@ -929,7 +1074,13 @@ class CountingCore:
         return getattr(self._core, name)
 
     def _Highs(self):
-        return _CountingHighs(self._core._Highs(), self.calls, self.digest)
+        return _CountingHighs(self._core._Highs(), self)
+
+    def record(self, name, args):
+        self.calls[name] += 1
+        self.phase_calls[self.phase][name] += 1
+        self.digests[self.phase].update(b"|".join([name.encode(), *map(call_bytes, args)])
+                                        + b"\n")
 
 
 def call_bytes(arg) -> bytes:
@@ -953,19 +1104,20 @@ def call_bytes(arg) -> bytes:
 
 
 class _CountingHighs:
-    def __init__(self, highs, calls, digest):
+    def __init__(self, highs, counter):
         self._highs = highs
-        self._calls = calls
-        self._digest = digest
+        self._counter = counter
 
     def __getattr__(self, name):
-        method, calls, digest = getattr(self._highs, name), self._calls, self._digest
+        method, counter = getattr(self._highs, name), self._counter
 
         def call(*args):
-            calls[name] += 1
-            digest.update(b"|".join([name.encode(), *map(call_bytes, args)]) + b"\n")
+            counter.record(name, args)
             return method(*args)
         return call
+
+
+SCRIPTED_PHASES = ("training", "mpc", "sddp", "heuristic", "perfect_foresight")
 
 
 def scripted_run() -> dict:
@@ -975,10 +1127,11 @@ def scripted_run() -> dict:
     SDDP and the heuristic in turn, MPC first each day, and after them the
     day's perfect-foresight cost.
 
-    Returns the calls per method (`calls`), the SHA-256 `digest` of every
-    HiGHS call, the final `lower_bound`, the `bills` of each policy and the
-    `perfect_foresight` costs: two trees that make the same calls with the
-    same values give the same."""
+    Returns, per phase of `SCRIPTED_PHASES`, the calls per method (`calls`)
+    and the SHA-256 digest of its HiGHS calls (`digests`); then the final
+    `lower_bound`, the `bills` of each policy and the `perfect_foresight`
+    costs. Two trees that make the same calls with the same values in a
+    phase give the same for it."""
     from microgrid_ems import lp as lpmod
     from microgrid_ems.assess import simulate_policy, split_scenarios
     from microgrid_ems.config import day_config, parse_config
@@ -994,7 +1147,9 @@ def scripted_run() -> dict:
         p, x0 = cfg.system, cfg.initial_state
         opt, sim = split_scenarios(generate_scenarios(cfg.generator, 44, 5), 32, 42)
         dists = quantize_stagewise(opt, s=cfg.sddp_s_offline, seed=3)
+        core.phase = "training"
         vf, log = sddp_train(p, dists, x0, StoppingRule(max_iters=10, lb_tol=0.0), seed=1)
+        core.phase = None
         policies = {"mpc": MpcPolicy(p, x0, fit_ar(opt), scenario_means(opt)),
                     "sddp": SddpPolicy(p, vf, dists),
                     "heuristic": HeuristicPolicy(p, x0, cfg.heuristic_margin)}
@@ -1002,11 +1157,15 @@ def scripted_run() -> dict:
         foresight = []
         for day in sim.data:
             for name, policy in policies.items():
+                core.phase = name
                 bills[name].append(simulate_policy(policy, day, x0, p).total_cost)
+            core.phase = "perfect_foresight"
             foresight.append(perfect_foresight_cost(p, x0, day))
     finally:
         lpmod._highs_core = core._core
-    return {"calls": dict(sorted(core.calls.items())), "digest": core.digest.hexdigest(),
+    return {"calls": {phase: dict(sorted(core.phase_calls[phase].items()))
+                      for phase in SCRIPTED_PHASES},
+            "digests": {phase: core.digests[phase].hexdigest() for phase in SCRIPTED_PHASES},
             "lower_bound": log.lower_bounds[-1], "bills": bills,
             "perfect_foresight": foresight}
 

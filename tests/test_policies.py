@@ -146,6 +146,25 @@ class TestHeuristic:
 
 
 class TestMpc:
+    @pytest.mark.parametrize("malformed", ["one column", "T rows", "T + 2 rows", "NaN"])
+    def test_malformed_means_are_rejected(self, malformed):
+        # a (T + 1, 1) array used to broadcast into both demands, and a NaN
+        # was played; both are refused by name, as are too few or too many rows
+        p = battery_params()
+        T = p.horizon_steps
+        data = np.zeros((4, T + 1, 2))
+        data[:, 1:, 0] = np.random.default_rng(5).uniform(0.5, 2, (4, T))
+        opt = ScenarioSet(data, role="optimization")
+        ar, means = fit_ar(opt), scenario_means(opt)
+        MpcPolicy(p, battery_x0(), ar, means)
+        nan = means.copy()
+        nan[T // 2, 0] = np.nan
+        bad = {"one column": means[:, :1], "T rows": means[:-1],
+               "T + 2 rows": np.vstack([means, means[-1:]]), "NaN": nan}[malformed]
+        with pytest.raises(ValueError, match=rf"^means must be a finite array of shape "
+                                             rf"\({T + 1}, 2\), got "):
+            MpcPolicy(p, battery_x0(), ar, bad)
+
     def test_last_stage_nothing_to_do(self):
         p = battery_params()
         x = State(2.0, 0.5, 15.0, 15.0)

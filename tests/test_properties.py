@@ -1,11 +1,13 @@
 """Property tests of the physical model on the winter system, of the tank
-floors an MPC chain holds across re-solves, and of SDDP's lower bound on
-tiny instances against the scenario-tree optimum."""
+floors an MPC chain holds across re-solves, of the chain's rows against
+simulated paths, and of SDDP's lower bound on tiny instances against the
+scenario-tree optimum."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,8 @@ from microgrid_ems.policies import StoppingRule, sddp_train
 from microgrid_ems.scenarios import DiscreteDistribution
 from microgrid_ems.stagelp import ChainTemplate, DeterministicChain
 
-from helpers import battery_params, battery_x0, tree_optimal_value
+from helpers import (battery_params, battery_x0, chain_labels, reference_step,
+                     strided_day_config, tree_optimal_value)
 
 WINTER = parse_config(day_config("winter"))
 P = WINTER.system
@@ -134,15 +137,84 @@ def test_chain_floors_are_the_sequential_reach(data, path, x, moves):
     template = ChainTemplate(CHAIN_P, WINTER.initial_state,
                              np.column_stack([np.ones(P.horizon_steps), hw]))
     chain = DeterministicChain(template, t0)
+    labels = chain_labels(CHAIN_P, t0)[0]
+    tank_cols = [labels.index(("x", t, 1)) for t in range(t0 + 1, P.horizon_steps + 1)]
     d_hw = path[0]
     for move in moves:
         if data.draw(st.integers(0, 4)) == 0:  # now and then another first draw
             d_hw = data.draw(draws)
         x = dataclasses.replace(x, h=min(max(x.h + move, 0.0), P.h_max))
         chain.solve(x, (1.0, d_hw))
-        floors = chain._persistent._lower[chain._h_cols]
+        floors = chain._persistent._lower[tank_cols]
         demands = np.column_stack([np.ones(CHAIN_STEPS), [d_hw, *path[1:]]])
         assert np.array_equal(floors, sequential_floors(CHAIN_P, x, demands))
+
+
+# ---------------------------------------------------------------------------
+# The compact chain's rows are the model's dynamics
+
+CHAIN_DAYS = {"summer": parse_config(day_config("summer")),
+              "winter": WINTER,
+              "spring/2": parse_config(strided_day_config("spring", 2))}
+# per channel (f_b, f_t, f_h, d_el, d_hw), where in its range each step's
+# value lies: drawn, or pinned at either end
+channel = st.sampled_from(["drawn", "low", "high"])
+
+
+@pytest.mark.parametrize("day", CHAIN_DAYS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       channels=st.lists(channel, min_size=5, max_size=5))
+def test_compact_rows_hold_on_a_simulated_path(day, data, seed, channels):
+    # a path rolled through the model, written into the chain's columns
+    # (the indoor temperature as theta_set - dcomf + s), meets every
+    # equality row of the template and of a chain at a random t0: a slip in
+    # a recurrence coefficient or an index leaves a residual
+    cfg = CHAIN_DAYS[day]
+    p = cfg.system
+    T, delta = p.horizon_steps, p.delta
+    fracs = np.random.default_rng(seed).uniform(size=(T, 5))
+    for k, where in enumerate(channels):
+        if where != "drawn":
+            fracs[:, k] = float(where == "high")
+    x = State(b=p.b_min + data.draw(unit) * (p.b_max - p.b_min), h=data.draw(unit) * p.h_max,
+              theta_w=data.draw(st.floats(5.0, 35.0)), theta_i=data.draw(st.floats(5.0, 35.0)))
+    traj, controls, path = [x], [], np.zeros((T, 2))
+    for t in range(T):
+        box = admissible_controls(x, p)
+        u = Control(box.f_b_min + fracs[t, 0] * (box.f_b_max - box.f_b_min),
+                    fracs[t, 1] * box.f_t_max, fracs[t, 2] * box.f_h_max)
+        # a draw the tank can meet, so every state stays in bounds
+        d_hw = fracs[t, 4] * min(cfg.generator.d_hw_cap, x.h / delta + p.beta_h * u.f_h)
+        path[t] = 10.0 * fracs[t, 3] - 5.0, d_hw
+        x = reference_step(t, x, u, Uncertainty(*path[t]), p)
+        traj.append(x)
+        controls.append(u)
+    # the template's columns and the chain's, labelled by absolute step
+    values = {("zb",): 0.0, ("zh",): 0.0}
+    for t, u in enumerate(controls):
+        net = u.f_b + u.f_t + u.f_h + path[t, 0]
+        for j, v in enumerate((max(0.0, u.f_b), max(0.0, -u.f_b), u.f_t, u.f_h,
+                               max(0.0, net), max(0.0, -net))):
+            values[("u", t, j)] = v
+    for t, x in enumerate(traj):
+        gap = p.theta_set[t] - x.theta_i
+        for i, v in enumerate((x.b, x.h, max(0.0, gap), max(0.0, -gap))):
+            values[("x", t, i)] = v
+    template = ChainTemplate(p, cfg.initial_state, path)
+    indptr, indices, vals = template.rows
+    a = sp.csr_matrix((vals, indices, indptr), shape=(4 * T + 1, 10 * T))[:4 * T - 1]
+    z = np.array([values[label] for label in chain_labels(p, 0)[0]])
+    # rows 0-7 hold x_0's terms only in a chain's per-solve rhs
+    assert np.abs(a @ z - template.b_eq)[8:].max() < 1e-9
+    t0 = data.draw(st.integers(0, T - 1))
+    chain = DeterministicChain(template, t0)
+    chain.solve(traj[t0], path[t0].tolist())
+    indptr, indices, vals = chain._rows
+    n_eq = 4 * chain.ns - 1
+    a = sp.csr_matrix((vals, indices, indptr), shape=(n_eq + 2, chain.c.size))[:n_eq]
+    z = np.array([values[label] for label in chain_labels(p, t0)[0]])
+    assert np.abs(a @ z - chain._persistent._rhs).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

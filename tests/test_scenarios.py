@@ -187,11 +187,10 @@ class TestForecast:
         cfg = parse_config(day_config("summer", horizon_steps=s.horizon))
         policy = MpcPolicy(cfg.system, cfg.initial_state, ar, means)
         chain = DeterministicChain(policy._template, 2)
-        rows = chain.b_eq.reshape(-1, 5)[1:]
+        later = 4 * np.arange(1, chain.ns)  # the balance rows after the first step
         tail = np.maximum(means[4:], [[-np.inf, 0.0]])
-        assert np.array_equal(rows[:, 0], tail[:, 0])
-        dyn = policy._template.dyn_rhs[3:, 1]
-        np.testing.assert_allclose((dyn - rows[:, 2]) / cfg.system.delta, tail[:, 1],
+        assert np.array_equal(chain.b_eq[later], tail[:, 0])
+        np.testing.assert_allclose(-chain.b_eq[later + 2] / cfg.system.delta, tail[:, 1],
                                    atol=1e-12)
 
     def test_hot_water_clamped(self):

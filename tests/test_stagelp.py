@@ -16,6 +16,7 @@ from microgrid_ems.policies import (
     MpcPolicy,
     SddpPolicy,
     StoppingRule,
+    perfect_foresight_cost,
     sddp_train,
 )
 from microgrid_ems.scenarios import (
@@ -42,6 +43,7 @@ from helpers import (
     battery_x0,
     chain_labels,
     concatenated_limits,
+    full_state_chain_value,
     held_answer,
     loop_built_chain,
     loop_built_stage,
@@ -311,7 +313,7 @@ def test_sliced_chain_matches_loop_oracle(day):
     path = np.column_stack([rng.uniform(-2, 3, T), draws])
     template = ChainTemplate(p, x0, path)
     relaxed = 0
-    for t0 in (0, 1, T // 2, T - 1):
+    for t0 in (0, 1, T // 2, T - 2, T - 1):
         chain = DeterministicChain(template, t0)
         x = random_state(rng, p)
         first = rng.uniform((-2.0, 0.0), (3.0, 6.0))
@@ -325,19 +327,48 @@ def test_sliced_chain_matches_loop_oracle(day):
             assert np.array_equal(vector, oracle[name]), (t0, name)
         indptr, indices, data = chain._rows
         rows = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, chain.c.size))
-        n_eq = 5 * chain.ns
+        n_eq = 4 * chain.ns - 1
         for name, matrix in (("a_eq", rows[:n_eq]), ("a_ub", rows[n_eq:])):
             assert matrix.shape == oracle[name].shape, (t0, name)
             assert matrix.nnz == oracle[name].nnz, (t0, name)
             assert np.array_equal(matrix.toarray(), oracle[name].toarray()), (t0, name)
-        # the path's rows after the first step, and the first step's
-        # dynamics rows before its demand and state enter
-        assert np.array_equal(chain.b_eq[5:], oracle["rhs"][5:]), t0
-        assert chain._head_base == oracle["b_eq"][1:5].tolist(), t0
+        # the path's rows outside the head, which the template wrote once
+        assert np.array_equal(np.delete(chain.b_eq, chain._head_rows),
+                              np.delete(oracle["rhs"], chain._head_rows)), t0
         for name, vector in (("b_ub", chain.b_ub), ("c", chain.c),
                              ("lower", chain._lower_base), ("upper", chain._upper_base)):
             assert np.array_equal(vector, oracle[name]), (t0, name)
     assert relaxed > 0
+
+
+@pytest.mark.parametrize("day, stride", [("summer", 1), ("winter", 1), ("spring", 2)])
+def test_chain_optimum_is_the_full_state_optimum(day, stride):
+    # at the states a played MPC visits, and at the forecasts it plans on,
+    # the compact chain's optimum plus the first step's discomfort is that
+    # of the chain with the wall temperature and a discomfort epigraph
+    cfg = parse_config(strided_day_config(day, stride))
+    p, x0 = cfg.system, cfg.initial_state
+    T = p.horizon_steps
+    opt, sim = split_scenarios(generate_scenarios(cfg.generator, 23, 5), 20, 42)
+    ar, means = fit_ar(opt), scenario_means(opt)
+    played = Recorder(MpcPolicy(p, x0, ar, means))
+    tail = np.maximum(means, [-np.inf, 0.0])
+    for scenario in sim.data:
+        played.calls.clear()
+        simulate_policy(played, scenario, x0, p)
+        for t, x, w_obs, decision in played.calls[::T // 12]:
+            first = update_forecast(ar, t, w_obs.as_array())
+            value = full_state_chain_value(p, t, x0, p.h_floor, x,
+                                           np.vstack([first, tail[t + 2:]]))
+            assert decision.predicted_cost == pytest.approx(value, rel=1e-9, abs=0.0), t
+
+
+def test_perfect_foresight_is_the_full_state_optimum(summer, summer_days):
+    x0 = parse_config(day_config("summer")).initial_state
+    for scenario in summer_days:
+        value = full_state_chain_value(summer, 0, x0, 0.0, x0, scenario[1:])
+        assert perfect_foresight_cost(summer, x0, scenario) == pytest.approx(value, rel=1e-9,
+                                                                             abs=0.0)
 
 
 @pytest.mark.parametrize("day, stride", [("summer", 1), ("spring", 2)])
@@ -349,11 +380,11 @@ def test_chain_rows_are_the_sparse_slice(day, stride):
     T = p.horizon_steps
     template = ChainTemplate(p, cfg.initial_state, np.zeros((T, 2)))
     indptr, indices, data = template.rows
-    a = sp.csr_matrix((data, indices, indptr), shape=(6 * T + 1, 11 * T + 2))
+    a = sp.csr_matrix((data, indices, indptr), shape=(4 * T + 1, 10 * T))
     for t0 in range(T):
         chain = DeterministicChain(template, t0)
-        cols = np.r_[7 * t0:7 * T, 7 * T + 4 * t0:11 * T + 2]
-        a_eq, a_ub = a[:5 * T][5 * t0:][:, cols], a[5 * T:][t0:][:, cols]
+        cols = np.r_[6 * t0:6 * T, 6 * T + 4 * t0:10 * T]
+        a_eq, a_ub = a[:4 * T - 1][4 * t0:][:, cols], a[4 * T - 1:][:, cols]
         expected = lpmod.stack_rows((a_eq.indptr, a_eq.indices, a_eq.data),
                                     (a_ub.indptr, a_ub.indices, a_ub.data))
         for got, want in zip(chain._rows, expected):
@@ -365,7 +396,7 @@ def test_chain_rows_are_the_sparse_slice(day, stride):
 
 
 def test_chain_solves_hand_over_what_a_loop_built_chain_gives(summer_mpc, counting_core):
-    # a re-solve writes the first step's rows and bounds, and the tank
+    # a re-solve writes the head rows and the first step's bounds, and the tank
     # floors only when they may have moved: after each solve the LP holds,
     # bit for bit, the rhs and bounds of the chain assembled entry by entry
     # at that state and forecast
@@ -384,7 +415,7 @@ def test_chain_solves_hand_over_what_a_loop_built_chain_gives(summer_mpc, counti
         calls = counting_core.calls.copy()
         chain.solve(x, first)
         oracle = loop_built_chain(p, t0, x0, p.h_floor, x, np.vstack([first, path[t0 + 1:]]))
-        held, n_eq = chain._persistent, 5 * chain.ns
+        held, n_eq = chain._persistent, 4 * chain.ns - 1
         in_highs = held._solver.getLp()  # what HiGHS solved
         for name, vector in (("rhs", held._rhs), ("lower_at_x", held._lower),
                              ("upper_at_x", held._upper), ("rhs", in_highs.row_lower_[:n_eq]),
@@ -397,7 +428,7 @@ def test_chain_solves_hand_over_what_a_loop_built_chain_gives(summer_mpc, counti
         restored += was_relaxed and not is_relaxed
         was_relaxed = is_relaxed
         if k > 0:
-            # only the first step's rows, and at most one call for the bounds
+            # only the head rows, and at most one call for the bounds
             assert counting_core.calls["changeRowBounds"] - calls["changeRowBounds"] <= 5, k
             assert counting_core.calls["changeColsBounds"] - calls["changeColsBounds"] <= 1, k
     assert relaxed > 0 and restored > 0
@@ -734,8 +765,9 @@ def test_scripted_run_is_repeatable():
     # each time they run in one process: what the digest compares between
     # two trees is theirs alone
     first, second = scripted_run(), scripted_run()
-    assert first["calls"]["run"] > 0 and first["calls"] == second["calls"]
-    assert first["digest"] == second["digest"]
+    assert first["calls"]["training"]["run"] > 0 and first["calls"]["mpc"]["run"] > 0
+    assert first["calls"] == second["calls"]
+    assert first["digests"] == second["digests"]
     assert first["lower_bound"] == second["lower_bound"]
     assert first["bills"] == second["bills"]
 
